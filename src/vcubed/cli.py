@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import product
 from typing import Iterable
 
 from . import codes, quantum, reference
@@ -43,6 +44,16 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems exit 1, not argparse's 2
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def _poly_fields(p: int) -> dict:
@@ -382,37 +393,29 @@ def cmd_audit(args) -> int:
             )
 
     for n in range(1, args.n_max + 1):
-        for f1 in enumerate_divisors(n):
-            for f2 in enumerate_divisors(n):
-                for f3 in enumerate_divisors(n):
-                    label = (f"cyclic n={n}, ({format_poly(f1)}; "
-                             f"{format_poly(f2)}; {format_poly(f3)})")
-                    span = codes.span_enumerate(
-                        codes.build_ring_cyclic(n, f1, f2, f3), args.enum_cap
-                    )
-                    dec = codes.audit_decomposition(span, n)
-                    records.append(_decomposition_record(dec, label))
-                    size = codes.audit_size_formula(n, f1, f2, f3)
-                    records.append(_size_record(size))
-                    single = codes.audit_single_generator(n, f1, f2, f3)
-                    records.append(_single_generator_record(single))
-                    row = [
-                        "PASS" if dec.passed else "FAIL",
-                        "PASS" if size.matches else "FAIL",
-                        "PASS" if single.equal else "FAIL",
-                    ]
-                    if n <= AUDIT_BRUTE_N:
-                        dual = codes.audit_dual_formula(
-                            n, f1, f2, f3,
-                            enum_cap=args.enum_cap, dual_cap=args.enum_cap,
-                        )
-                        records.append(_dual_formula_record(dual))
-                        row.append("PASS" if dual.formula_matches_brute else "FAIL")
-                    lines.append(
-                        f"{label}: decomposition={row[0]} size={row[1]} "
-                        f"single_generator={row[2]}"
-                        + (f" dual_formula={row[3]}" if len(row) > 3 else "")
-                    )
+        for f1, f2, f3 in product(enumerate_divisors(n), repeat=3):
+            label = (f"cyclic n={n}, ({format_poly(f1)}; "
+                     f"{format_poly(f2)}; {format_poly(f3)})")
+            span = codes.span_enumerate(
+                codes.build_ring_cyclic(n, f1, f2, f3), args.enum_cap
+            )
+            dec = codes.audit_decomposition(span, n)
+            records.append(_decomposition_record(dec, label))
+            size = codes.audit_size_formula(n, f1, f2, f3)
+            records.append(_size_record(size))
+            single = codes.audit_single_generator(n, f1, f2, f3)
+            records.append(_single_generator_record(single))
+            line = (f"{label}: decomposition={'PASS' if dec.passed else 'FAIL'} "
+                    f"size={'PASS' if size.matches else 'FAIL'} "
+                    f"single_generator={'PASS' if single.equal else 'FAIL'}")
+            if n <= AUDIT_BRUTE_N:
+                dual = codes.audit_dual_formula(
+                    n, f1, f2, f3,
+                    enum_cap=args.enum_cap, dual_cap=args.enum_cap,
+                )
+                records.append(_dual_formula_record(dual))
+                line += f" dual_formula={'PASS' if dual.formula_matches_brute else 'FAIL'}"
+            lines.append(line)
 
     failures = sum(not r["pass"] for r in records)
     lines.append(f"{len(records)} audits, {failures} failed claims (witnesses recorded)")
@@ -423,13 +426,13 @@ def cmd_audit(args) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("table", "records"), default="table",
                         help="human table or line-delimited JSON records")
-    parser.add_argument("--enum-cap", dest="enum_cap", type=int,
+    parser.add_argument("--enum-cap", dest="enum_cap", type=_positive_int,
                         default=codes.DEFAULT_ENUM_CAP,
                         help="max codeword-set size for enumeration")
-    parser.add_argument("--divisor-cap", dest="divisor_cap", type=int,
+    parser.add_argument("--divisor-cap", dest="divisor_cap", type=_positive_int,
                         default=DEFAULT_DIVISOR_CAP,
                         help="max number of divisors of x^n+1")
-    parser.add_argument("--rank-cap", dest="rank_cap", type=int,
+    parser.add_argument("--rank-cap", dest="rank_cap", type=_positive_int,
                         default=quantum.DEFAULT_RANK_CAP,
                         help="max 3n for binary rank validation")
 
@@ -441,13 +444,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("factor", parents=[], help="factor x^n+1 over GF(2)")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--bound", type=int, default=128)
     _add_common(p)
     p.set_defaults(func=cmd_factor)
 
     p = sub.add_parser("inspect", help="inspect one generator triple")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--f1", required=True)
     p.add_argument("--f2", required=True)
     p.add_argument("--f3", required=True)
@@ -456,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_inspect)
 
     p = sub.add_parser("search", help="search divisor triples for quantum codes")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--min-k", dest="min_k", type=int, default=None)
     p.add_argument("--equal-triples-only", action="store_true")
     p.add_argument("--max-results", dest="max_results", type=int, default=None)

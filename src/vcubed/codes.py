@@ -2,9 +2,10 @@
 
 Binary codes are row spaces of int bitmasks in reduced row echelon form with
 ascending pivots, so two BinaryCode values are equal exactly when they are
-the same subspace.  Ring codes are generator lists; their spans are
-enumerated through the Gray map, which is an additive bijection onto 3n-bit
-vectors, so every size and rank here is a plain GF(2) rank.
+the same subspace.  Ring codes are generator lists.  The Gray map is an
+additive, weight-preserving bijection onto 3n-bit vectors, so a ring code is
+handled through the Gray masks of its image: every size and rank here is a
+plain GF(2) rank, and every Lee weight a popcount.
 
 The decomposition, dual-formula and size-formula routines are audits: they
 compare a claimed identity against enumeration and report a witness when the
@@ -20,7 +21,7 @@ from typing import Iterator, Optional, Sequence
 from . import ring
 from .errors import CapExceeded, PreconditionError
 from .gf2poly import degree, format_poly, poly_divmod, poly_mod, reciprocal, xn1
-from .ring import gray_vec, gray_vec_inverse, ring_inner_product, scale_vec
+from .ring import gray_vec, gray_vec_inverse, ring_inner_product
 
 DEFAULT_ENUM_CAP = 1 << 24
 DEFAULT_DIST_CAP = 1 << 20
@@ -165,6 +166,12 @@ def sigma(vec: tuple[int, ...]) -> tuple[int, ...]:
     return vec[-1:] + vec[:-1]
 
 
+def _thirds(mask: int, n: int) -> tuple[int, int, int]:
+    """Split a 3n-bit Gray mask (A|B|C) into its three n-bit thirds."""
+    full = (1 << n) - 1
+    return mask & full, (mask >> n) & full, (mask >> (2 * n)) & full
+
+
 def phi(mask: int, length: int) -> int:
     """Blockwise shift of a binary vector split into three equal thirds."""
     if length % 3 != 0:
@@ -175,28 +182,37 @@ def phi(mask: int, length: int) -> int:
     def rot(x: int) -> int:
         return ((x << 1) & full) | (x >> (n - 1))
 
-    t0 = mask & full
-    t1 = (mask >> n) & full
-    t2 = (mask >> (2 * n)) & full
+    t0, t1, t2 = _thirds(mask, n)
     return rot(t0) | rot(t1) << n | rot(t2) << (2 * n)
 
 
-def _f2_generator_rows(code: RingCode) -> list[int]:
-    # The module span over R equals the GF(2) span of {u*g : u in {1, v, v^2}}
-    # taken over every generator (and every shift, when cyclic).
-    rows = []
-    for gen in code.generators:
-        shifted = gen
-        for _ in range(code.n if code.cyclic else 1):
-            for unit in (ring.ONE, ring.V, ring.V2):
-                rows.append(gray_vec(scale_vec(unit, shifted)))
-            shifted = sigma(shifted)
-    return rows
+def _v_multiples(mask: int, n: int) -> tuple[int, int]:
+    """Gray masks of v*x and v^2*x, given the Gray mask (A|B|C) of x.
+
+    With x = a + v*b + v^2*c, so that (A|B|C) = (a|b|a+c), v*x = v*(a+c)
+    + v^2*b and v^2*x = v*b + v^2*(a+c), whose Gray images are (0|C|B) and
+    (0|B|C).
+    """
+    _, b, c = _thirds(mask, n)
+    return c << n | b << (2 * n), b << n | c << (2 * n)
 
 
 def gray_image_basis(code: RingCode) -> BinaryCode:
-    """Canonical basis of the Gray image, a binary code of length 3n."""
-    return BinaryCode.from_rows(3 * code.n, _f2_generator_rows(code))
+    """Canonical basis of the Gray image, a binary code of length 3n.
+
+    The module span over R is the GF(2) span of {u*g : u in {1, v, v^2}}
+    over every generator g (and every shift of it, when cyclic); all of
+    these are taken on Gray masks, where the shift is phi.
+    """
+    n = code.n
+    rows: set[int] = set()
+    for gen in code.generators:
+        mask = gray_vec(gen)
+        for shift in range(n if code.cyclic else 1):
+            if shift:
+                mask = phi(mask, 3 * n)
+            rows.update((mask, *_v_multiples(mask, n)))
+    return BinaryCode.from_rows(3 * n, rows)
 
 
 def span_enumerate(code: RingCode, cap: int = DEFAULT_ENUM_CAP) -> frozenset[tuple[int, ...]]:
@@ -223,33 +239,55 @@ def build_ring_cyclic(n: int, f1: int, f2: int, f3: int) -> RingCode:
             raise PreconditionError(
                 f"{label} = {format_poly(f)} does not divide x^{n}+1"
             )
+    f1, f2, f3 = (poly_mod(f, modulus) for f in (f1, f2, f3))
+    masks = (_combination_mask(f1, 0, 0, n), _combination_mask(0, f2, 0, n),
+             _combination_mask(0, 0, f3, n))
+    return RingCode(n, tuple(gray_vec_inverse(m, n) for m in masks), cyclic=True)
 
-    def coeff_vec(unit: int, f: int) -> tuple[int, ...]:
-        f = poly_mod(f, modulus)
-        return tuple(unit if (f >> i) & 1 else 0 for i in range(n))
 
-    gens = (
-        coeff_vec(ring.V, f1),
-        coeff_vec(ring.ONE_PLUS_V, f2),
-        coeff_vec(ring.ONE_PLUS_V2, f3),
-    )
-    return RingCode(n, gens, cyclic=True)
+def _combination_mask(a: int, b: int, c: int, n: int) -> int:
+    """Gray mask of v*a + (1+v)*b + (1+v^2)*c for n-bit binary vectors a, b, c.
+
+    Its ring coordinates are (b+c) + v*(a+b) + v^2*c, so the mask is
+    (b+c | a+b | b).
+    """
+    return (b ^ c) | (a ^ b) << n | b << (2 * n)
+
+
+def combined_generator(n: int, f1: int, f2: int, f3: int) -> tuple[int, ...]:
+    """The single vector v*f1 + (1+v)*f2 + (1+v^2)*f3, each fi reduced
+    mod x^n - 1."""
+    modulus = xn1(n)
+    a, b, c = (poly_mod(f, modulus) for f in (f1, f2, f3))
+    return gray_vec_inverse(_combination_mask(a, b, c, n), n)
+
+
+def _dual_polys(n: int, f1: int, f2: int, f3: int) -> tuple[int, ...]:
+    """(h1*, h2*, h3*): the reciprocals of hi = (x^n - 1)/fi."""
+    modulus = xn1(n)
+    for f in (f1, f2, f3):
+        if f == 0 or poly_mod(modulus, f) != 0:
+            raise PreconditionError(f"{format_poly(f)} does not divide x^{n}+1")
+    return tuple(reciprocal(poly_divmod(modulus, f)[0]) for f in (f1, f2, f3))
 
 
 def projections(span: frozenset[tuple[int, ...]], n: int) -> tuple[BinaryCode, BinaryCode, BinaryCode]:
     """The three binary projections: a-parts, b-parts and (a+c)-parts."""
-    full = (1 << n) - 1
-    a_rows, b_rows, c_rows = set(), set(), set()
-    for vec in span:
-        mask = gray_vec(vec)
-        a_rows.add(mask & full)
-        b_rows.add((mask >> n) & full)
-        c_rows.add(mask >> (2 * n))
+    a_rows, b_rows, c_rows = _projection_sets({gray_vec(v) for v in span}, n)
     return (
         BinaryCode.from_rows(n, a_rows),
         BinaryCode.from_rows(n, b_rows),
         BinaryCode.from_rows(n, c_rows),
     )
+
+
+def _projection_sets(masks: set[int], n: int) -> tuple[set[int], set[int], set[int]]:
+    """The distinct first, second and last thirds of a set of Gray masks."""
+    sets: tuple[set[int], set[int], set[int]] = (set(), set(), set())
+    for mask in masks:
+        for parts, part in zip(sets, _thirds(mask, n)):
+            parts.add(part)
+    return sets
 
 
 def _span_f2_basis(span: frozenset[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
@@ -282,17 +320,7 @@ def dual_ring_formula(n: int, f1: int, f2: int, f3: int) -> RingCode:
     This is a claim under audit, not a trusted construction; compare its
     span against dual_ring_bruteforce.
     """
-    modulus = xn1(n)
-    gen = [0] * n
-    for unit, f in zip((ring.V, ring.ONE_PLUS_V, ring.ONE_PLUS_V2), (f1, f2, f3)):
-        if f == 0 or poly_mod(modulus, f) != 0:
-            raise PreconditionError(f"{format_poly(f)} does not divide x^{n}+1")
-        h = poly_divmod(modulus, f)[0]
-        hr = poly_mod(reciprocal(h), modulus)
-        for i in range(n):
-            if (hr >> i) & 1:
-                gen[i] ^= unit
-    return RingCode(n, (tuple(gen),), cyclic=True)
+    return RingCode(n, (combined_generator(n, *_dual_polys(n, f1, f2, f3)),), cyclic=True)
 
 
 def min_lee_enum(span: frozenset[tuple[int, ...]]) -> int:
@@ -352,15 +380,8 @@ class DecompositionAudit:
 
 
 def audit_decomposition(span: frozenset[tuple[int, ...]], n: int) -> DecompositionAudit:
-    full = (1 << n) - 1
-    a_set, b_set, c_set = set(), set(), set()
-    psi = set()
-    for vec in span:
-        mask = gray_vec(vec)
-        psi.add(mask)
-        a_set.add(mask & full)
-        b_set.add((mask >> n) & full)
-        c_set.add(mask >> (2 * n))
+    psi = {gray_vec(vec) for vec in span}
+    a_set, b_set, c_set = _projection_sets(psi, n)
     product_size = len(a_set) * len(b_set) * len(c_set)
 
     # The Gray image always sits inside the product, so equality is a size
@@ -368,43 +389,22 @@ def audit_decomposition(span: frozenset[tuple[int, ...]], n: int) -> Decompositi
     tensor_equal = len(span) == product_size
     tensor_witness = None
     if not tensor_equal:
-        for a in sorted(a_set):
-            for b in sorted(b_set):
-                for c in sorted(c_set):
-                    mask = a | b << n | c << (2 * n)
-                    if mask not in psi:
-                        tensor_witness = gray_vec_inverse(mask, n)
-                        break
-                if tensor_witness:
-                    break
-            if tensor_witness:
-                break
+        candidates = (a | b << n | c << (2 * n)
+                      for a, b, c in product(sorted(a_set), sorted(b_set), sorted(c_set)))
+        tensor_witness = gray_vec_inverse(next(m for m in candidates if m not in psi), n)
 
-    # Reconstruction from the three projections: per-coordinate XOR of the
-    # selected constants v, 1+v, 1+v^2.
-    recon = set()
-    for a in a_set:
-        for b in b_set:
-            base = tuple(
-                (ring.V if (a >> i) & 1 else 0) ^ (ring.ONE_PLUS_V if (b >> i) & 1 else 0)
-                for i in range(n)
-            )
-            for c in c_set:
-                recon.add(tuple(
-                    e ^ (ring.ONE_PLUS_V2 if (c >> i) & 1 else 0)
-                    for i, e in enumerate(base)
-                ))
-    reconstruction_equal = recon == span
+    # Reconstruction v*a + (1+v)*b + (1+v^2)*c from the three projections.
+    recon = {_combination_mask(a, b, c, n) for a in a_set for b in b_set for c in c_set}
+    reconstruction_equal = recon == psi
     witness = None
     side = ""
     if not reconstruction_equal:
-        extra = recon - span
-        if extra:
-            witness = min(extra)
-            side = "only_in_reconstruction"
-        else:
-            witness = min(span - recon)
+        extra = recon - psi
+        side = "only_in_reconstruction"
+        if not extra:
+            extra = psi - recon
             side = "only_in_code"
+        witness = min(gray_vec_inverse(m, n) for m in extra)
 
     return DecompositionAudit(
         n=n,
@@ -443,15 +443,9 @@ def audit_dual_formula(n: int, f1: int, f2: int, f3: int,
     code_span = span_enumerate(build_ring_cyclic(n, f1, f2, f3), enum_cap)
     brute = dual_ring_bruteforce(code_span, n, dual_cap)
     formula_span = span_enumerate(dual_ring_formula(n, f1, f2, f3), enum_cap)
-
-    modulus = xn1(n)
-    three_gen = build_ring_cyclic(
-        n,
-        reciprocal(poly_divmod(modulus, f1)[0]),
-        reciprocal(poly_divmod(modulus, f2)[0]),
-        reciprocal(poly_divmod(modulus, f3)[0]),
+    three_gen_span = span_enumerate(
+        build_ring_cyclic(n, *_dual_polys(n, f1, f2, f3)), enum_cap
     )
-    three_gen_span = span_enumerate(three_gen, enum_cap)
 
     witness = None
     side = ""
@@ -510,17 +504,6 @@ class SingleGeneratorAudit:
     single_log2: int
     equal: bool
     witness: Optional[tuple[int, ...]]  # generated by three gens, missed by one
-
-
-def combined_generator(n: int, f1: int, f2: int, f3: int) -> tuple[int, ...]:
-    modulus = xn1(n)
-    gen = [0] * n
-    for unit, f in zip((ring.V, ring.ONE_PLUS_V, ring.ONE_PLUS_V2), (f1, f2, f3)):
-        reduced = poly_mod(f, modulus)
-        for i in range(n):
-            if (reduced >> i) & 1:
-                gen[i] ^= unit
-    return tuple(gen)
 
 
 def audit_single_generator(n: int, f1: int, f2: int, f3: int) -> SingleGeneratorAudit:

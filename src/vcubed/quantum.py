@@ -8,7 +8,9 @@ the emitted parameters are [[3n, 2k - 3n, d]] with k = 3n - sum(deg fi).
 That k is a claimed value: it can disagree with the actual Gray-image rank
 when the fi differ, so records are only marked validated after the binary
 rank and dual-containment checks pass.  The distance method is always
-recorded ("enumerated" for a full Lee-weight enumeration of the span,
+recorded ("enumerated" for the minimum Hamming weight of the Gray image,
+found by walking every codeword, which equals the minimum Lee weight of the
+ring code because the Gray map is a weight-preserving isometry;
 "component_formula" for the min-of-component-distances rule, which is
 likewise a claim rather than a theorem).
 """
@@ -21,13 +23,12 @@ from typing import Optional
 
 from .codes import (
     DEFAULT_DIST_CAP,
+    BinaryCode,
     binary_cyclic,
     build_ring_cyclic,
     dual_binary,
     gray_image_basis,
     min_hamming,
-    min_lee_enum,
-    span_enumerate,
 )
 from .errors import CapExceeded, PreconditionError
 from .gf2poly import (
@@ -110,7 +111,16 @@ def validate_css_binary(n: int, f1: int, f2: int, f3: int,
     """Build the Gray image, compute its dual by null space, and verify
     containment plus the claimed dimension.  Never raises on a cap: a
     too-large instance comes back marked not validated."""
-    deg_sum = degree(f1) + degree(f2) + degree(f3)
+    image = None
+    if 3 * n <= rank_cap:
+        image = gray_image_basis(build_ring_cyclic(n, f1, f2, f3))
+    return _check_image(n, degree(f1) + degree(f2) + degree(f3), image, rank_cap)
+
+
+def _check_image(n: int, deg_sum: int, image: Optional[BinaryCode],
+                 rank_cap: int) -> CssValidation:
+    """The checks of validate_css_binary on an already built Gray image,
+    which is only read when 3n is within the rank cap."""
     expected = 3 * n - deg_sum
     k_formula = 2 * expected - 3 * n
     if 3 * n > rank_cap:
@@ -120,7 +130,6 @@ def validate_css_binary(n: int, f1: int, f2: int, f3: int,
             k_rank=0, validated=False,
             reason=f"3n={3 * n} exceeds rank cap {rank_cap}",
         )
-    image = gray_image_basis(build_ring_cyclic(n, f1, f2, f3))
     dual = dual_binary(image)
     containment = image.contains_code(dual)
     dim_matches = image.dim == expected
@@ -154,10 +163,12 @@ def css_from_triple(n: int, f1: int, f2: int, f3: int, *,
                     enforce_dual_containment: bool = True) -> QuantumCodeRecord:
     """Derive the quantum parameters for a dual-containing divisor triple.
 
-    The distance is a full Lee-weight enumeration when the span fits under
-    ``dist_enum_cap``, otherwise the min-of-components rule on the binary
-    cyclic codes generated by the fi.  With ``enforce_dual_containment``
-    off, a failing fi is noted on the record instead of raising.
+    The distance is the minimum Hamming weight of the Gray image, by walking
+    its codewords, when they fit under ``dist_enum_cap``, otherwise the
+    min-of-components rule on the binary cyclic codes generated by the fi.
+    The same image feeds the rank and containment checks.  With
+    ``enforce_dual_containment`` off, a failing fi is noted on the record
+    instead of raising.
     """
     dc_notes = []
     for label, f in (("f1", f1), ("f2", f2), ("f3", f3)):
@@ -176,12 +187,11 @@ def css_from_triple(n: int, f1: int, f2: int, f3: int, *,
     if k <= 0:
         notes.append("degenerate parameters (k <= 0)")
 
-    code = build_ring_cyclic(n, f1, f2, f3)
-    image = gray_image_basis(code)
+    image = gray_image_basis(build_ring_cyclic(n, f1, f2, f3))
     if image.dim == 0:
         raise PreconditionError("zero code has no distance")
     if image.size <= dist_enum_cap:
-        d = min_lee_enum(span_enumerate(code, cap=dist_enum_cap))
+        d = min_hamming(image, dist_enum_cap)
         d_method = "enumerated"
         # Cross-check the min-of-components rule while enumeration is cheap;
         # on disagreement the enumerated value is authoritative.
@@ -200,7 +210,7 @@ def css_from_triple(n: int, f1: int, f2: int, f3: int, *,
 
     validated = False
     if validate:
-        check = validate_css_binary(n, f1, f2, f3, rank_cap)
+        check = _check_image(n, deg_sum, image, rank_cap)
         validated = check.validated and check.k_rank == k
         if check.reason:
             notes.append(check.reason)

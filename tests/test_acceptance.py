@@ -8,7 +8,7 @@ lines.  Two criteria are implemented exactly as stated and fail honestly:
   component), so 9/9 golden rows cannot all match;
 * criterion 7: the dual-containment criterion is sufficient but not
   necessary, so the claimed equivalence has mixed-triple counterexamples
-  (first one: n=3 with f1=f2=1, f3=x+1).
+  (first one found: n=2 with f1=f2=1, f3=x^2+1).
 
 Everything else is green.  Shared spans and brute-force duals are cached
 across criteria to keep the suite quick.

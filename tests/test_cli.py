@@ -46,6 +46,23 @@ def test_factor_out_of_bounds_exit_code(capsys):
     assert "precondition" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("search", "--n", "8", "--enum-cap", "-5"),
+    ("search", "--n", "8", "--rank-cap", "-1"),
+    ("search", "--n", "8", "--divisor-cap", "-1"),
+    ("search", "--n", "8", "--enum-cap", "0"),
+    ("factor", "--n", "0"),
+    ("search", "--n", "0"),
+    ("inspect", "--n", "0", "--f1", "1", "--f2", "1", "--f3", "1"),
+    ("factor", "--n", "eight"),
+])
+def test_nonpositive_caps_and_lengths_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    assert info.value.code == 1
+    assert "argument --" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as info:
         main(["factor"])  # missing --n

@@ -1,16 +1,19 @@
 import random
+from itertools import product
 
 import pytest
 
 from vcubed.codes import (
     BinaryCode,
     RingCode,
+    _v_multiples,
     audit_decomposition,
     audit_dual_formula,
     audit_single_generator,
     audit_size_formula,
     binary_cyclic,
     build_ring_cyclic,
+    combined_generator,
     dual_binary,
     dual_ring_bruteforce,
     dual_ring_formula,
@@ -29,7 +32,7 @@ from vcubed.codes import (
     span_enumerate,
 )
 from vcubed.errors import CapExceeded, PreconditionError
-from vcubed.gf2poly import parse_poly
+from vcubed.gf2poly import enumerate_divisors, parse_poly
 from vcubed.ring import (
     ONE,
     ONE_PLUS_V,
@@ -39,6 +42,7 @@ from vcubed.ring import (
     V_PLUS_V2,
     gray_vec,
     ring_inner_product,
+    scale_vec,
 )
 from oracles import (
     binary_dual_direct,
@@ -356,6 +360,66 @@ def test_gray_image_basis_examples():
     assert {gray_vec(v) for v in span} == set(image.codewords())
 
 
+def test_v_multiples_match_ring_scaling():
+    # v*x has Gray mask (0|C|B) and v^2*x has (0|B|C), for x with mask (A|B|C)
+    def check(vec):
+        n = len(vec)
+        assert _v_multiples(gray_vec(vec), n) == (
+            gray_vec(scale_vec(V, vec)), gray_vec(scale_vec(V2, vec))
+        )
+
+    for n in range(1, 4):
+        for vec in product(range(8), repeat=n):
+            check(vec)
+    rng = random.Random(41)
+    for _ in range(300):
+        check(tuple(rng.randrange(8) for _ in range(rng.randint(1, 21))))
+
+
+def _gray_image_by_ring_scaling(code):
+    # the replaced construction: scale every (shifted) generator by 1, v and
+    # v^2 as ring tuples, then take Gray images
+    rows = []
+    for gen in code.generators:
+        for _ in range(code.n if code.cyclic else 1):
+            rows += [gray_vec(scale_vec(u, gen)) for u in (ONE, V, V2)]
+            gen = sigma(gen)
+    return BinaryCode.from_rows(3 * code.n, rows)
+
+
+def test_generator_layouts_match_unit_coefficients():
+    # build_ring_cyclic and combined_generator lay out v*f1, (1+v)*f2 and
+    # (1+v^2)*f3 through Gray masks; compare with the coefficient vectors
+    for n in range(1, 9):
+        for fs in product(enumerate_divisors(n), repeat=3):
+            # x^n - 1 is the only divisor of degree n; it reduces to 0
+            reduced = [0 if f >> n else f for f in fs]
+            vecs = [
+                tuple(unit if (f >> i) & 1 else 0 for i in range(n))
+                for unit, f in zip((V, ONE_PLUS_V, ONE_PLUS_V2), reduced)
+            ]
+            assert build_ring_cyclic(n, *fs).generators == tuple(vecs), (n, fs)
+            assert combined_generator(n, *fs) == tuple(
+                x ^ y ^ z for x, y, z in zip(*vecs)), (n, fs)
+
+
+def test_gray_image_basis_matches_ring_scaling():
+    for n in range(1, 7):
+        for fs in product(enumerate_divisors(n), repeat=3):
+            for code in (build_ring_cyclic(n, *fs),
+                         RingCode(n, (combined_generator(n, *fs),), cyclic=True)):
+                assert gray_image_basis(code) == _gray_image_by_ring_scaling(code), (n, fs)
+    rng = random.Random(43)
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        gens = tuple(
+            tuple(rng.randrange(8) for _ in range(n))
+            for _ in range(rng.randint(0, 3))
+        )
+        code = RingCode(n, gens, cyclic=bool(rng.getrandbits(1)))
+        assert gray_image_basis(code) == _gray_image_by_ring_scaling(code)
+
+
 def test_self_orthogonality_detection():
     diag = span_enumerate(build_ring_cyclic(2, P("x+1"), P("x+1"), P("x+1")))
     assert is_self_orthogonal(diag, 2)  # (s,s).(t,t) = 2st = 0
@@ -443,3 +507,36 @@ def test_audit_decomposition_matches_exhaustive_product():
             for t in c3.codewords():
                 tensor.add(a | b << 2 | t << 4)
     assert audit.tensor_equal == (tensor == {gray_vec(v) for v in span})
+
+
+def test_audit_decomposition_reconstruction_matches_ring_tuples():
+    # the reconstruction v*a + (1+v)*b + (1+v^2)*c, built coordinate by
+    # coordinate as ring tuples, against the audit's (b+c | a+b | b) masks
+    def by_ring_tuples(span, n):
+        c1, c2, c3 = projections(span, n)
+        recon = {
+            tuple((V if (a >> i) & 1 else 0) ^ (ONE_PLUS_V if (b >> i) & 1 else 0)
+                  ^ (ONE_PLUS_V2 if (c >> i) & 1 else 0) for i in range(n))
+            for a in c1.codewords() for b in c2.codewords() for c in c3.codewords()
+        }
+        if recon == span:
+            return True, None, ""
+        if recon - span:
+            return False, min(recon - span), "only_in_reconstruction"
+        return False, min(span - recon), "only_in_code"
+
+    spans = [span_enumerate(build_ring_cyclic(n, *fs))
+             for n in (1, 2, 3) for fs in product(enumerate_divisors(n), repeat=3)]
+    rng = random.Random(47)
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        gens = tuple(
+            tuple(rng.randrange(8) for _ in range(n))
+            for _ in range(rng.randint(0, 2))
+        )
+        spans.append(span_enumerate(RingCode(n, gens)))
+    for span in spans:
+        n = len(next(iter(span)))
+        audit = audit_decomposition(span, n)
+        assert (audit.reconstruction_equal, audit.reconstruction_witness,
+                audit.reconstruction_witness_side) == by_ring_tuples(span, n)

@@ -5,6 +5,7 @@ from vcubed.codes import (
     build_ring_cyclic,
     dual_binary,
     dual_ring_bruteforce,
+    min_lee_enum,
     span_enumerate,
 )
 from vcubed.errors import PreconditionError
@@ -232,3 +233,15 @@ def test_record_invariants():
             assert val.dim_dual == 3 * rec.ring_n - val.dim_code
         if rec.k >= 0:
             assert 2 * (3 * rec.ring_n - deg_sum) >= 3 * rec.ring_n
+
+
+def test_enumerated_distance_equals_minimum_lee_weight_of_the_span():
+    # the popcount distance on the Gray image against the Lee-weight walk
+    # over the ring span that it replaced
+    records = (search_triples(7).records
+               + search_triples(8, equal_triples_only=True).records)
+    enumerated = [r for r in records if r.d_method == "enumerated"]
+    assert enumerated
+    for rec in enumerated:
+        span = span_enumerate(build_ring_cyclic(rec.ring_n, rec.f1, rec.f2, rec.f3))
+        assert rec.d == min_lee_enum(span), rec
