@@ -1,11 +1,12 @@
 """Cyclic codes over F2[v]/(v^3 - v), their Gray images, and the CSS
-quantum codes they induce, with brute-force audits of the structural claims
+quantum codes they induce, with exact audits of the structural claims
 behind the construction."""
 
 from .codes import (
     BinaryCode,
     RingCode,
     audit_decomposition,
+    audit_decomposition_masks,
     audit_dual_formula,
     audit_single_generator,
     audit_size_formula,
@@ -23,6 +24,7 @@ from .codes import (
     min_lee_formula,
     phi,
     projections,
+    ring_dual,
     sigma,
     span_enumerate,
 )

@@ -7,16 +7,22 @@ additive, weight-preserving bijection onto 3n-bit vectors, so a ring code is
 handled through the Gray masks of its image: every size and rank here is a
 plain GF(2) rank, and every Lee weight a popcount.
 
+The ring dual is exact and needs no enumeration: in Gray coordinates the
+ring inner product is three binary bilinear forms, so the dual's Gray image
+is a GF(2) null space (ring_dual).  The 8^n scan dual_ring_bruteforce is kept
+only as the reference the tests check it against.
+
 The decomposition, dual-formula and size-formula routines are audits: they
-compare a claimed identity against enumeration and report a witness when the
-claim fails, never assuming it.
+compare a claimed identity against exact computation and report a witness
+when the claim fails, never assuming it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import ring
 from .errors import CapExceeded, PreconditionError
@@ -215,15 +221,39 @@ def gray_image_basis(code: RingCode) -> BinaryCode:
     return BinaryCode.from_rows(3 * n, rows)
 
 
-def span_enumerate(code: RingCode, cap: int = DEFAULT_ENUM_CAP) -> frozenset[tuple[int, ...]]:
-    """The full codeword set, pulled back through the Gray bijection."""
-    image = gray_image_basis(code)
+def capped_codewords(image: BinaryCode, cap: int = DEFAULT_ENUM_CAP) -> Iterator[int]:
+    """The codeword masks of a Gray image, refused when there are over cap."""
     if image.size > cap:
         raise CapExceeded(
             f"span estimate 2^{image.dim} exceeds enumeration cap {cap}"
         )
+    return image.codewords()
+
+
+def span_enumerate(code: RingCode, cap: int = DEFAULT_ENUM_CAP) -> frozenset[tuple[int, ...]]:
+    """The full codeword set, pulled back through the Gray bijection."""
     n = code.n
-    return frozenset(gray_vec_inverse(mask, n) for mask in image.codewords())
+    return frozenset(gray_vec_inverse(mask, n)
+                     for mask in capped_codewords(gray_image_basis(code), cap))
+
+
+def _least_ring_vector(masks: Iterable[int], n: int) -> tuple[int, ...]:
+    """min(gray_vec_inverse(m, n) for m in masks), converting only the winner.
+
+    The vector of a mask (A|B|C) has entries e_i = a_i | b_i<<1 | c_i<<2 with
+    c = A^C, so tuples compare as the integers sum e_i * 8^(n-1-i), that is
+    as S(A) | S(B)<<1 | S(A^C)<<2, where S moves bit i to bit 3(n-1-i).  S
+    reads the bits of its argument, lowest first, as octal digits.
+    """
+    full = (1 << n) - 1
+    spread = cache(lambda x: int(f"{x:0{n}b}"[::-1], 8))
+
+    def key(mask: int) -> int:
+        a = mask & full
+        return (spread(a) | spread((mask >> n) & full) << 1
+                | spread(a ^ (mask >> (2 * n)) & full) << 2)
+
+    return gray_vec_inverse(min(masks, key=key), n)
 
 
 def build_ring_cyclic(n: int, f1: int, f2: int, f3: int) -> RingCode:
@@ -283,16 +313,38 @@ def projections(span: frozenset[tuple[int, ...]], n: int) -> tuple[BinaryCode, B
 
 def _projection_sets(masks: set[int], n: int) -> tuple[set[int], set[int], set[int]]:
     """The distinct first, second and last thirds of a set of Gray masks."""
-    sets: tuple[set[int], set[int], set[int]] = (set(), set(), set())
-    for mask in masks:
-        for parts, part in zip(sets, _thirds(mask, n)):
-            parts.add(part)
-    return sets
+    full = (1 << n) - 1
+    return ({m & full for m in masks}, {(m >> n) & full for m in masks},
+            {(m >> (2 * n)) & full for m in masks})
 
 
 def _span_f2_basis(span: frozenset[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
     masks = rref([gray_vec(v) for v in span], 3 * n)
     return [gray_vec_inverse(m, n) for m in masks]
+
+
+def _inner_product_rows(mask: int, n: int) -> tuple[int, int, int]:
+    """Masks r1, rv, rv2 with <x, y> = (r1.Y) + v*(rv.Y) + v^2*(rv2.Y).
+
+    Here mask = (A|B|C) is the Gray mask of x, Y = (A'|B'|C') that of y and
+    "." the binary dot product.  Expanding x*y coordinatewise gives the
+    1-coefficient A.A', the v-coefficient B.C' + C.B' and the v^2-coefficient
+    (A|B|C).(A'|B'|C'); the three rows are (A|0|0), (0|C|B) (the Gray mask of
+    v*x) and (A|B|C).
+    """
+    return mask & ((1 << n) - 1), _v_multiples(mask, n)[0], mask
+
+
+def ring_dual(image: BinaryCode) -> BinaryCode:
+    """Gray image of the exact ring dual, from the Gray image of a code.
+
+    The dual is the annihilator under the ring inner product, which is
+    biadditive, so it is the binary null space of the three inner-product
+    rows of every basis row of the image.
+    """
+    n = image.n // 3
+    rows = [r for mask in image.basis for r in _inner_product_rows(mask, n)]
+    return BinaryCode(image.n, nullspace(rows, image.n))
 
 
 def dual_ring_bruteforce(span: frozenset[tuple[int, ...]], n: int,
@@ -301,7 +353,8 @@ def dual_ring_bruteforce(span: frozenset[tuple[int, ...]], n: int,
 
     Scans all 8^n candidate vectors; orthogonality is checked against an
     additive basis of the span, which suffices because the inner product is
-    biadditive.
+    biadditive.  No working path calls it: ring_dual computes the same set
+    as a null space, and this scan is the reference the tests compare it to.
     """
     if 8 ** n > cap:
         raise CapExceeded(f"8^{n} candidates exceed ring dual cap {cap}")
@@ -318,7 +371,7 @@ def dual_ring_formula(n: int, f1: int, f2: int, f3: int) -> RingCode:
     where hi = (x^n - 1)/fi and hir is the reciprocal of hi.
 
     This is a claim under audit, not a trusted construction; compare its
-    span against dual_ring_bruteforce.
+    span against ring_dual.
     """
     return RingCode(n, (combined_generator(n, *_dual_polys(n, f1, f2, f3)),), cyclic=True)
 
@@ -354,8 +407,8 @@ def is_self_orthogonal(span: frozenset[tuple[int, ...]], n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Audits.  Each one tests a structural claim against enumeration and carries
-# a witness when the claim fails.
+# Audits.  Each one tests a structural claim against exact computation and
+# carries a witness when the claim fails.
 # ---------------------------------------------------------------------------
 
 
@@ -380,13 +433,17 @@ class DecompositionAudit:
 
 
 def audit_decomposition(span: frozenset[tuple[int, ...]], n: int) -> DecompositionAudit:
-    psi = {gray_vec(vec) for vec in span}
+    return audit_decomposition_masks(frozenset(gray_vec(vec) for vec in span), n)
+
+
+def audit_decomposition_masks(psi: frozenset[int], n: int) -> DecompositionAudit:
+    """audit_decomposition on the set of Gray masks of the code."""
     a_set, b_set, c_set = _projection_sets(psi, n)
     product_size = len(a_set) * len(b_set) * len(c_set)
 
     # The Gray image always sits inside the product, so equality is a size
     # question and any witness lives on the product side.
-    tensor_equal = len(span) == product_size
+    tensor_equal = len(psi) == product_size
     tensor_witness = None
     if not tensor_equal:
         candidates = (a | b << n | c << (2 * n)
@@ -404,11 +461,11 @@ def audit_decomposition(span: frozenset[tuple[int, ...]], n: int) -> Decompositi
         if not extra:
             extra = psi - recon
             side = "only_in_code"
-        witness = min(gray_vec_inverse(m, n) for m in extra)
+        witness = _least_ring_vector(extra, n)
 
     return DecompositionAudit(
         n=n,
-        code_size=len(span),
+        code_size=len(psi),
         projection_sizes=(len(a_set), len(b_set), len(c_set)),
         product_size=product_size,
         tensor_equal=tensor_equal,
@@ -421,7 +478,11 @@ def audit_decomposition(span: frozenset[tuple[int, ...]], n: int) -> Decompositi
 
 @dataclass(frozen=True)
 class DualFormulaAudit:
-    """Span of the claimed dual generator versus the brute-force dual."""
+    """Span of the claimed dual generator versus the exact dual (ring_dual).
+
+    Fields named "brute" describe the exact dual; they share their names
+    with the audit record's keys, which stay fixed.
+    """
 
     n: int
     fs: tuple[int, int, int]
@@ -432,46 +493,44 @@ class DualFormulaAudit:
     formula_matches_brute: bool
     witness: Optional[tuple[int, ...]]
     witness_side: str  # "", "only_in_brute", "only_in_formula"
-    size_claim_matches: bool  # claimed 2^(sum deg fi) vs brute-force size
+    size_claim_matches: bool  # claimed 2^(sum deg fi) vs exact dual size
     product_law_ok: bool  # |C| * |dual| == 8^n
     three_generator_matches_brute: bool  # the <v h1r, (1+v) h2r, (1+v^2) h3r> variant
 
 
 def audit_dual_formula(n: int, f1: int, f2: int, f3: int,
-                       enum_cap: int = DEFAULT_ENUM_CAP,
-                       dual_cap: int = DEFAULT_RING_DUAL_CAP) -> DualFormulaAudit:
-    code_span = span_enumerate(build_ring_cyclic(n, f1, f2, f3), enum_cap)
-    brute = dual_ring_bruteforce(code_span, n, dual_cap)
-    formula_span = span_enumerate(dual_ring_formula(n, f1, f2, f3), enum_cap)
-    three_gen_span = span_enumerate(
-        build_ring_cyclic(n, *_dual_polys(n, f1, f2, f3)), enum_cap
-    )
+                       enum_cap: int = DEFAULT_ENUM_CAP) -> DualFormulaAudit:
+    """Compare Gray-image bases; enum_cap bounds the walk for a witness."""
+    code = gray_image_basis(build_ring_cyclic(n, f1, f2, f3))
+    dual = ring_dual(code)
+    formula = gray_image_basis(dual_ring_formula(n, f1, f2, f3))
+    three_gen = gray_image_basis(build_ring_cyclic(n, *_dual_polys(n, f1, f2, f3)))
 
     witness = None
     side = ""
-    if formula_span != brute:
-        missing = brute - formula_span
-        if missing:
-            witness = min(missing)
-            side = "only_in_brute"
-        else:
-            witness = min(formula_span - brute)
-            side = "only_in_formula"
+    if formula != dual:
+        # The side with codewords outside the other one holds the witness.
+        extras, other, side = ((formula, dual, "only_in_formula")
+                               if formula.contains_code(dual)
+                               else (dual, formula, "only_in_brute"))
+        witness = _least_ring_vector(
+            (m for m in capped_codewords(extras, enum_cap) if not other.contains(m)), n
+        )
 
     claimed = 1 << (degree(f1) + degree(f2) + degree(f3))
     return DualFormulaAudit(
         n=n,
         fs=(f1, f2, f3),
-        code_size=len(code_span),
-        brute_dual_size=len(brute),
-        formula_span_size=len(formula_span),
+        code_size=code.size,
+        brute_dual_size=dual.size,
+        formula_span_size=formula.size,
         claimed_dual_size=claimed,
-        formula_matches_brute=formula_span == brute,
+        formula_matches_brute=formula == dual,
         witness=witness,
         witness_side=side,
-        size_claim_matches=claimed == len(brute),
-        product_law_ok=len(code_span) * len(brute) == 8 ** n,
-        three_generator_matches_brute=three_gen_span == brute,
+        size_claim_matches=claimed == dual.size,
+        product_law_ok=code.size * dual.size == 8 ** n,
+        three_generator_matches_brute=three_gen == dual,
     )
 
 

@@ -55,6 +55,11 @@ def test_factor_out_of_bounds_exit_code(capsys):
     ("search", "--n", "0"),
     ("inspect", "--n", "0", "--f1", "1", "--f2", "1", "--f3", "1"),
     ("factor", "--n", "eight"),
+    ("factor", "--n", "8", "--bound", "0"),
+    ("search", "--n", "8", "--max-results", "-1"),
+    ("search", "--n", "8", "--max-results", "0"),
+    ("audit", "--n-max", "-2"),
+    ("audit", "--n-max", "0"),
 ])
 def test_nonpositive_caps_and_lengths_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as info:
@@ -193,6 +198,14 @@ def test_audit_counterexample_row(capsys):
     assert counterexample["code_size"] == 4
     assert counterexample["product_size"] == 8
     assert counterexample["tensor_witness"] == "(v^2)"
+
+
+def test_audit_enum_cap_exit_code(capsys):
+    # the first n = 3 code has 2^9 codewords, over the cap of 100
+    code, out, err = run(capsys, "audit", "--n-max", "3", "--enum-cap", "100")
+    assert code == 2
+    assert out == ""
+    assert err == "cap exceeded: span estimate 2^9 exceeds enumeration cap 100\n"
 
 
 def test_audit_table_runs(capsys):

@@ -6,13 +6,17 @@ import pytest
 from vcubed.codes import (
     BinaryCode,
     RingCode,
+    _inner_product_rows,
+    _least_ring_vector,
     _v_multiples,
     audit_decomposition,
+    audit_decomposition_masks,
     audit_dual_formula,
     audit_single_generator,
     audit_size_formula,
     binary_cyclic,
     build_ring_cyclic,
+    capped_codewords,
     combined_generator,
     dual_binary,
     dual_ring_bruteforce,
@@ -27,10 +31,12 @@ from vcubed.codes import (
     nullspace,
     phi,
     projections,
+    ring_dual,
     rref,
     sigma,
     span_enumerate,
 )
+from vcubed.cli import AUDIT_CATALOG
 from vcubed.errors import CapExceeded, PreconditionError
 from vcubed.gf2poly import enumerate_divisors, parse_poly
 from vcubed.ring import (
@@ -41,6 +47,7 @@ from vcubed.ring import (
     V2,
     V_PLUS_V2,
     gray_vec,
+    gray_vec_inverse,
     ring_inner_product,
     scale_vec,
 )
@@ -540,3 +547,97 @@ def test_audit_decomposition_reconstruction_matches_ring_tuples():
         audit = audit_decomposition(span, n)
         assert (audit.reconstruction_equal, audit.reconstruction_witness,
                 audit.reconstruction_witness_side) == by_ring_tuples(span, n)
+
+
+# ---------------------------------------------------------------------------
+# Exact ring duals on Gray masks, against the 8^n scan.
+# ---------------------------------------------------------------------------
+
+
+def _random_generators(rng, n):
+    return tuple(
+        tuple(rng.randrange(8) for _ in range(n))
+        for _ in range(rng.randint(0, 3))
+    )
+
+
+def test_inner_product_rows_match_ring_inner_product():
+    # bit k of <x, y> is the binary dot product of row k with the mask of y
+    def by_rows(x, y):
+        rows = _inner_product_rows(gray_vec(x), len(x))
+        return sum(((r & gray_vec(y)).bit_count() & 1) << k for k, r in enumerate(rows))
+
+    for n in (1, 2):
+        vectors = list(product(range(8), repeat=n))
+        for x in vectors:
+            for y in vectors:
+                assert by_rows(x, y) == ring_inner_product(x, y), (x, y)
+    rng = random.Random(61)
+    for _ in range(2000):
+        n = rng.randint(3, 21)
+        x, y = (tuple(rng.randrange(8) for _ in range(n)) for _ in range(2))
+        assert by_rows(x, y) == ring_inner_product(x, y), (x, y)
+
+
+def test_ring_dual_matches_bruteforce_and_is_an_involution():
+    codes = [build_ring_cyclic(n, *fs)
+             for n in (1, 2, 3) for fs in product(enumerate_divisors(n), repeat=3)]
+    codes += [RingCode(n, gens) for _, n, gens in AUDIT_CATALOG]
+    rng = random.Random(67)
+    codes += [RingCode(n, _random_generators(rng, n))
+              for n in (rng.randint(1, 4) for _ in range(30))]
+    for code in codes:
+        n = code.n
+        image = gray_image_basis(code)
+        dual = ring_dual(image)
+        brute = dual_ring_bruteforce(span_enumerate(code), n)
+        assert {gray_vec(v) for v in brute} == set(dual.codewords()), code
+        assert image.size * dual.size == 8 ** n
+        assert ring_dual(dual) == image, code
+
+
+def test_decomposition_on_masks_matches_ring_tuple_audit():
+    codes = [build_ring_cyclic(n, *fs)
+             for n in (1, 2, 3) for fs in product(enumerate_divisors(n), repeat=3)]
+    rng = random.Random(71)
+    codes += [RingCode(n, _random_generators(rng, n))
+              for n in (rng.randint(1, 3) for _ in range(40))]
+    for code in codes:
+        masks = frozenset(capped_codewords(gray_image_basis(code)))
+        assert (audit_decomposition_masks(masks, code.n)
+                == audit_decomposition(span_enumerate(code), code.n)), code
+
+
+def test_least_ring_vector_is_the_tuple_min():
+    rng = random.Random(73)
+    for n in (1, 2):
+        all_masks = range(1 << (3 * n))
+        for _ in range(200):
+            masks = rng.sample(all_masks, rng.randint(1, 1 << (3 * n)))
+            assert _least_ring_vector(masks, n) == min(gray_vec_inverse(m, n) for m in masks)
+    for _ in range(300):
+        n = rng.randint(3, 21)
+        masks = [rng.getrandbits(3 * n) for _ in range(rng.randint(1, 40))]
+        # masks that agree on a long prefix of the ring tuple
+        masks += [m ^ (1 << rng.randrange(3 * n)) for m in masks]
+        assert _least_ring_vector(masks, n) == min(gray_vec_inverse(m, n) for m in masks)
+
+
+def test_dual_formula_audit_matches_bruteforce_sets():
+    # sizes, verdicts and the witness against the 8^n scan, the claimed
+    # dual's enumerated span and the tuple min of their difference
+    for n in (1, 2, 3):
+        for fs in product(enumerate_divisors(n), repeat=3):
+            audit = audit_dual_formula(n, *fs)
+            brute = dual_ring_bruteforce(span_enumerate(build_ring_cyclic(n, *fs)), n)
+            formula = span_enumerate(dual_ring_formula(n, *fs))
+            assert audit.brute_dual_size == len(brute)
+            assert audit.formula_span_size == len(formula)
+            assert audit.formula_matches_brute == (formula == brute)
+            if brute - formula:
+                expected = (min(brute - formula), "only_in_brute")
+            elif formula - brute:
+                expected = (min(formula - brute), "only_in_formula")
+            else:
+                expected = (None, "")
+            assert (audit.witness, audit.witness_side) == expected, (n, fs)
