@@ -20,8 +20,9 @@ when the claim fails, never assuming it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
-from itertools import product
+from functools import cache, reduce
+from itertools import combinations, product
+from operator import xor
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import ring
@@ -110,12 +111,9 @@ class BinaryCode:
         """All 2^dim codewords, walked in Gray-code order starting from 0."""
         yield 0
         cw = 0
-        prev = 0
         for t in range(1, 1 << self.dim):
-            g = t ^ (t >> 1)
-            idx = ((g ^ prev) & -(g ^ prev)).bit_length() - 1
-            cw ^= self.basis[idx]
-            prev = g
+            # Gray step t flips the row at the lowest set bit of t.
+            cw ^= self.basis[(t & -t).bit_length() - 1]
             yield cw
 
 
@@ -135,15 +133,25 @@ def binary_cyclic(n: int, g: int) -> BinaryCode:
 
 
 def min_hamming(code: BinaryCode, cap: int = DEFAULT_DIST_CAP) -> int:
-    """Minimum weight over nonzero codewords, by full enumeration."""
+    """Exact minimum weight over nonzero codewords.
+
+    Sums of basis rows are searched in order of how many rows they use.  The
+    basis is in RREF, so each row owns a pivot column that no other row
+    touches and a sum of t rows has weight at least t: once the best weight
+    found is at most t, no sum of t or more rows can beat it.  This is the
+    one-information-set case of Brouwer-Zimmermann.  ``cap`` bounds the code
+    size, as if every codeword were walked.
+    """
     if code.dim == 0:
         raise PreconditionError("zero code has no nonzero codeword")
     if code.size > cap:
         raise CapExceeded(f"2^{code.dim} codewords exceed distance cap {cap}")
     best = code.n + 1
-    for cw in code.codewords():
-        if cw:
-            w = cw.bit_count()
+    for t in range(1, code.dim + 1):
+        if best <= t:
+            break
+        for rows in combinations(code.basis, t):
+            w = reduce(xor, rows).bit_count()
             if w < best:
                 best = w
     return best

@@ -8,9 +8,10 @@ the emitted parameters are [[3n, 2k - 3n, d]] with k = 3n - sum(deg fi).
 That k is a claimed value: it can disagree with the actual Gray-image rank
 when the fi differ, so records are only marked validated after the binary
 rank and dual-containment checks pass.  The distance method is always
-recorded ("enumerated" for the minimum Hamming weight of the Gray image,
-found by walking every codeword, which equals the minimum Lee weight of the
-ring code because the Gray map is a weight-preserving isometry;
+recorded ("enumerated" for the exact minimum Hamming weight of the Gray
+image, searched over sums of its basis rows in order of how many rows they
+use, which equals the minimum Lee weight of the ring code because the Gray
+map is a weight-preserving isometry;
 "component_formula" for the min-of-component-distances rule, which is
 likewise a claim rather than a theorem).
 """
@@ -163,9 +164,9 @@ def css_from_triple(n: int, f1: int, f2: int, f3: int, *,
                     enforce_dual_containment: bool = True) -> QuantumCodeRecord:
     """Derive the quantum parameters for a dual-containing divisor triple.
 
-    The distance is the minimum Hamming weight of the Gray image, by walking
-    its codewords, when they fit under ``dist_enum_cap``, otherwise the
-    min-of-components rule on the binary cyclic codes generated by the fi.
+    The distance is the exact minimum Hamming weight of the Gray image
+    (``min_hamming``) when its size fits under ``dist_enum_cap``, otherwise
+    the min-of-components rule on the binary cyclic codes generated by the fi.
     The same image feeds the rank and containment checks.  With
     ``enforce_dual_containment`` off, a failing fi is noted on the record
     instead of raising.

@@ -3,7 +3,8 @@
 Each row pins the length, the generator triple (all published rows use
 f1 = f2 = f3) and the published [[n, k, d]].  Reproduction recomputes the
 parameters from scratch: k from the degree formula cross-checked against the
-Gray-image rank, d by exhaustive enumeration of each binary component code.
+Gray-image rank, d as the exact minimum weight of each binary component code
+(``min_hamming``, a search over sums of basis rows by how many rows they use).
 A row passes only if the recomputed triple equals the published one; every
 discrepancy, including cosmetic ones in the published generator displays, is
 reported as a note rather than silently corrected.

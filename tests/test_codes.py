@@ -125,6 +125,38 @@ def test_min_hamming_matches_direct_oracle():
         if code.dim == 0:
             continue
         assert min_hamming(code) == binary_min_weight_direct(code.basis, n)
+    # long codes, where the weight-ordered search stops after few row sums
+    for _ in range(120):
+        n = rng.randint(10, 40)
+        rows = [rng.getrandbits(n) for _ in range(rng.randint(1, 14))]
+        code = BinaryCode.from_rows(n, rows)
+        assert min_hamming(code) == binary_min_weight_direct(code.basis, n)
+
+
+@pytest.mark.parametrize("n, g, d", [
+    (7, "x^3+x+1", 3),                      # Hamming [7,4,3]
+    (15, "x^10+x^8+x^5+x^4+x^2+x+1", 7),    # BCH [15,5,7]
+    (23, "x^11+x^10+x^6+x^5+x^4+x^2+1", 7),  # Golay [23,12,7]
+])
+def test_min_hamming_on_known_codes(n, g, d):
+    code = binary_cyclic(n, P(g))
+    assert min_hamming(code) == binary_min_weight_direct(code.basis, n) == d
+
+
+def test_min_hamming_on_repetition_codes():
+    for n in range(1, 41):
+        code = binary_cyclic(n, (1 << n) - 1)  # [n,1,n]
+        assert min_hamming(code) == binary_min_weight_direct(code.basis, n) == n
+
+
+def test_min_hamming_checks_cap_and_zero_code_first():
+    # the full space has weight-1 rows, yet the size cap still fires
+    full = binary_cyclic(21, 1)
+    with pytest.raises(CapExceeded, match=r"^2\^21 codewords exceed distance cap 1048576$"):
+        min_hamming(full, cap=1 << 20)
+    assert min_hamming(full, cap=1 << 21) == 1
+    with pytest.raises(PreconditionError, match="^zero code has no nonzero codeword$"):
+        min_hamming(BinaryCode(21, ()))
 
 
 def test_dual_binary_examples():

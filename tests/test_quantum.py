@@ -5,6 +5,8 @@ from vcubed.codes import (
     build_ring_cyclic,
     dual_binary,
     dual_ring_bruteforce,
+    gray_image_basis,
+    min_hamming,
     min_lee_enum,
     span_enumerate,
 )
@@ -16,6 +18,8 @@ from vcubed.quantum import (
     search_triples,
     validate_css_binary,
 )
+
+from oracles import binary_min_weight_direct
 
 P = parse_poly
 
@@ -245,3 +249,22 @@ def test_enumerated_distance_equals_minimum_lee_weight_of_the_span():
     for rec in enumerated:
         span = span_enumerate(build_ring_cyclic(rec.ring_n, rec.f1, rec.f2, rec.f3))
         assert rec.d == min_lee_enum(span), rec
+
+
+@pytest.mark.parametrize("n, equal", [(7, False), (8, False), (15, True), (21, True)])
+def test_search_distances_match_direct_oracle(n, equal):
+    # Every searched d that min_hamming computes, against the walk over every
+    # coefficient vector: the Gray image where d is enumerated, the shared
+    # component where an equal triple takes d from the component formula
+    # (at n = 15 and 21 every image is over the enumeration cap).
+    checked = 0
+    for rec in search_triples(n, equal_triples_only=equal).records:
+        if rec.d_method == "enumerated":
+            code = gray_image_basis(build_ring_cyclic(n, rec.f1, rec.f2, rec.f3))
+        elif equal and rec.f1 != 1:  # f = 1 is the full space, d = 1 unwalked
+            code = binary_cyclic(n, rec.f1)
+        else:
+            continue
+        assert min_hamming(code) == binary_min_weight_direct(code.basis, code.n) == rec.d, rec
+        checked += 1
+    assert checked
