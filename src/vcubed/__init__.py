@@ -6,6 +6,7 @@ from .codes import (
     BinaryCode,
     RingCode,
     audit_decomposition,
+    audit_decomposition_image,
     audit_decomposition_masks,
     audit_dual_formula,
     audit_single_generator,

@@ -112,8 +112,7 @@ def _component_report(n: int, f: int, dist_cap: int) -> dict:
 def cmd_inspect(args) -> int:
     n = args.n
     fs = tuple(parse_poly(t) for t in (args.f1, args.f2, args.f3))
-    code = codes.build_ring_cyclic(n, *fs)  # raises PreconditionError on bad fi
-    image = codes.gray_image_basis(code)
+    image = codes._cyclic_image(n, *fs)  # raises PreconditionError on bad fi
     deg_sum = sum(degree(f) for f in fs)
     claimed_dim = 3 * n - deg_sum
 
@@ -179,7 +178,7 @@ def cmd_inspect(args) -> int:
 
     audits = []
     if image.size <= args.enum_cap and image.dim <= 16:
-        dec = codes.audit_decomposition_masks(frozenset(image.codewords()), n)
+        dec = codes.audit_decomposition_image(image)
         audits.append(_decomposition_record(dec, "inspected code"))
         if n <= AUDIT_BRUTE_N:
             dual = codes.audit_dual_formula(n, *fs, enum_cap=args.enum_cap)
@@ -367,12 +366,10 @@ AUDIT_CATALOG: tuple[tuple[str, int, tuple[tuple[int, ...], ...]], ...] = (
 )
 
 
-def _decompose(code: codes.RingCode,
-               enum_cap: int) -> tuple[codes.BinaryCode, codes.DecompositionAudit]:
-    """The code's Gray image and the decomposition audit on its masks."""
-    image = codes.gray_image_basis(code)
-    masks = frozenset(codes.capped_codewords(image, enum_cap))
-    return image, codes.audit_decomposition_masks(masks, code.n)
+def _decompose(image: codes.BinaryCode, enum_cap: int) -> codes.DecompositionAudit:
+    """The decomposition audit of a Gray image, refused over enum_cap."""
+    codes.check_enum_cap(image, enum_cap)
+    return codes.audit_decomposition_image(image)
 
 
 def cmd_audit(args) -> int:
@@ -380,7 +377,8 @@ def cmd_audit(args) -> int:
     lines = []
 
     for label, n, gens in AUDIT_CATALOG:
-        image, dec = _decompose(codes.RingCode(n, gens), args.enum_cap)
+        image = codes.gray_image_basis(codes.RingCode(n, gens))
+        dec = _decompose(image, args.enum_cap)
         rec = _decomposition_record(dec, label)
         rec["product_law_ok"] = image.size * codes.ring_dual(image).size == 8 ** n
         records.append(rec)
@@ -403,7 +401,7 @@ def cmd_audit(args) -> int:
         for f1, f2, f3 in product(enumerate_divisors(n), repeat=3):
             label = (f"cyclic n={n}, ({format_poly(f1)}; "
                      f"{format_poly(f2)}; {format_poly(f3)})")
-            _, dec = _decompose(codes.build_ring_cyclic(n, f1, f2, f3), args.enum_cap)
+            dec = _decompose(codes._cyclic_image(n, f1, f2, f3), args.enum_cap)
             records.append(_decomposition_record(dec, label))
             size = codes.audit_size_formula(n, f1, f2, f3)
             records.append(_size_record(size))

@@ -14,16 +14,20 @@ only as the reference the tests check it against.
 
 The decomposition, dual-formula and size-formula routines are audits: they
 compare a claimed identity against exact computation and report a witness
-when the claim fails, never assuming it.
+when the claim fails, never assuming it.  Every set they compare is a GF(2)
+subspace, so the audits are rank algebra on bases: sizes are ranks, equality
+and containment are basis comparisons, and each witness, the least member
+of one subspace outside another, is read off an echelon form
+(_least_outside) without walking a single codeword.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import lru_cache, reduce
 from itertools import combinations, product
 from operator import xor
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import ring
 from .errors import CapExceeded, PreconditionError
@@ -229,12 +233,17 @@ def gray_image_basis(code: RingCode) -> BinaryCode:
     return BinaryCode.from_rows(3 * n, rows)
 
 
-def capped_codewords(image: BinaryCode, cap: int = DEFAULT_ENUM_CAP) -> Iterator[int]:
-    """The codeword masks of a Gray image, refused when there are over cap."""
+def check_enum_cap(image: BinaryCode, cap: int) -> None:
+    """Refuse a Gray image with more than cap codewords."""
     if image.size > cap:
         raise CapExceeded(
             f"span estimate 2^{image.dim} exceeds enumeration cap {cap}"
         )
+
+
+def capped_codewords(image: BinaryCode, cap: int = DEFAULT_ENUM_CAP) -> Iterator[int]:
+    """The codeword masks of a Gray image, refused when there are over cap."""
+    check_enum_cap(image, cap)
     return image.codewords()
 
 
@@ -243,25 +252,6 @@ def span_enumerate(code: RingCode, cap: int = DEFAULT_ENUM_CAP) -> frozenset[tup
     n = code.n
     return frozenset(gray_vec_inverse(mask, n)
                      for mask in capped_codewords(gray_image_basis(code), cap))
-
-
-def _least_ring_vector(masks: Iterable[int], n: int) -> tuple[int, ...]:
-    """min(gray_vec_inverse(m, n) for m in masks), converting only the winner.
-
-    The vector of a mask (A|B|C) has entries e_i = a_i | b_i<<1 | c_i<<2 with
-    c = A^C, so tuples compare as the integers sum e_i * 8^(n-1-i), that is
-    as S(A) | S(B)<<1 | S(A^C)<<2, where S moves bit i to bit 3(n-1-i).  S
-    reads the bits of its argument, lowest first, as octal digits.
-    """
-    full = (1 << n) - 1
-    spread = cache(lambda x: int(f"{x:0{n}b}"[::-1], 8))
-
-    def key(mask: int) -> int:
-        a = mask & full
-        return (spread(a) | spread((mask >> n) & full) << 1
-                | spread(a ^ (mask >> (2 * n)) & full) << 2)
-
-    return gray_vec_inverse(min(masks, key=key), n)
 
 
 def build_ring_cyclic(n: int, f1: int, f2: int, f3: int) -> RingCode:
@@ -281,6 +271,16 @@ def build_ring_cyclic(n: int, f1: int, f2: int, f3: int) -> RingCode:
     masks = (_combination_mask(f1, 0, 0, n), _combination_mask(0, f2, 0, n),
              _combination_mask(0, 0, f3, n))
     return RingCode(n, tuple(gray_vec_inverse(m, n) for m in masks), cyclic=True)
+
+
+@lru_cache(maxsize=8)
+def _cyclic_image(n: int, f1: int, f2: int, f3: int) -> BinaryCode:
+    """Gray image of build_ring_cyclic(n, f1, f2, f3).
+
+    The audits of one triple run back to back and share this image, so a
+    few cached entries are enough; BinaryCode is immutable.
+    """
+    return gray_image_basis(build_ring_cyclic(n, f1, f2, f3))
 
 
 def _combination_mask(a: int, b: int, c: int, n: int) -> int:
@@ -311,19 +311,17 @@ def _dual_polys(n: int, f1: int, f2: int, f3: int) -> tuple[int, ...]:
 
 def projections(span: frozenset[tuple[int, ...]], n: int) -> tuple[BinaryCode, BinaryCode, BinaryCode]:
     """The three binary projections: a-parts, b-parts and (a+c)-parts."""
-    a_rows, b_rows, c_rows = _projection_sets({gray_vec(v) for v in span}, n)
-    return (
-        BinaryCode.from_rows(n, a_rows),
-        BinaryCode.from_rows(n, b_rows),
-        BinaryCode.from_rows(n, c_rows),
-    )
+    return _image_projections(BinaryCode.from_rows(3 * n, [gray_vec(v) for v in span]))
 
 
-def _projection_sets(masks: set[int], n: int) -> tuple[set[int], set[int], set[int]]:
-    """The distinct first, second and last thirds of a set of Gray masks."""
-    full = (1 << n) - 1
-    return ({m & full for m in masks}, {(m >> n) & full for m in masks},
-            {(m >> (2 * n)) & full for m in masks})
+def _image_projections(image: BinaryCode) -> tuple[BinaryCode, BinaryCode, BinaryCode]:
+    """The first, second and last thirds of a Gray image, as codes of length n.
+
+    Projection is linear, so each is spanned by the thirds of the basis rows.
+    """
+    n = image.n // 3
+    thirds = [_thirds(mask, n) for mask in image.basis]
+    return tuple(BinaryCode.from_rows(n, [t[i] for t in thirds]) for i in range(3))
 
 
 def _span_f2_basis(span: frozenset[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
@@ -446,35 +444,49 @@ def audit_decomposition(span: frozenset[tuple[int, ...]], n: int) -> Decompositi
 
 def audit_decomposition_masks(psi: frozenset[int], n: int) -> DecompositionAudit:
     """audit_decomposition on the set of Gray masks of the code."""
-    a_set, b_set, c_set = _projection_sets(psi, n)
-    product_size = len(a_set) * len(b_set) * len(c_set)
+    return audit_decomposition_image(BinaryCode.from_rows(3 * n, psi))
 
-    # The Gray image always sits inside the product, so equality is a size
-    # question and any witness lives on the product side.
-    tensor_equal = len(psi) == product_size
+
+def audit_decomposition_image(image: BinaryCode) -> DecompositionAudit:
+    """audit_decomposition on the Gray image of the code, by rank algebra.
+
+    C1 x C2 x C3 is the direct sum of the three projections and always holds
+    the image, so the tensor claim is a rank question.  The reconstruction
+    map (a, b, c) -> v*a + (1+v)*b + (1+v^2)*c is linear, so its set is the
+    span of the images of the projections' basis rows.
+    """
+    n = image.n // 3
+    c1, c2, c3 = _image_projections(image)
+    product_size = c1.size * c2.size * c3.size
+
+    tensor_equal = image.size == product_size
     tensor_witness = None
     if not tensor_equal:
-        candidates = (a | b << n | c << (2 * n)
-                      for a, b, c in product(sorted(a_set), sorted(b_set), sorted(c_set)))
-        tensor_witness = gray_vec_inverse(next(m for m in candidates if m not in psi), n)
+        direct_sum = BinaryCode.from_rows(
+            image.n, [*c1.basis, *(b << n for b in c2.basis), *(c << (2 * n) for c in c3.basis)]
+        )
+        tensor_witness = gray_vec_inverse(
+            _least_outside(direct_sum, image, _product_order_key(n)), n
+        )
 
-    # Reconstruction v*a + (1+v)*b + (1+v^2)*c from the three projections.
-    recon = {_combination_mask(a, b, c, n) for a in a_set for b in b_set for c in c_set}
-    reconstruction_equal = recon == psi
+    recon = BinaryCode.from_rows(image.n, [
+        *(_combination_mask(a, 0, 0, n) for a in c1.basis),
+        *(_combination_mask(0, b, 0, n) for b in c2.basis),
+        *(_combination_mask(0, 0, c, n) for c in c3.basis),
+    ])
+    reconstruction_equal = recon == image
     witness = None
     side = ""
     if not reconstruction_equal:
-        extra = recon - psi
-        side = "only_in_reconstruction"
-        if not extra:
-            extra = psi - recon
-            side = "only_in_code"
-        witness = _least_ring_vector(extra, n)
+        extras, other, side = ((image, recon, "only_in_code")
+                               if image.contains_code(recon)
+                               else (recon, image, "only_in_reconstruction"))
+        witness = gray_vec_inverse(_least_outside(extras, other, _ring_order_key(n)), n)
 
     return DecompositionAudit(
         n=n,
-        code_size=len(psi),
-        projection_sizes=(len(a_set), len(b_set), len(c_set)),
+        code_size=image.size,
+        projection_sizes=(c1.size, c2.size, c3.size),
         product_size=product_size,
         tensor_equal=tensor_equal,
         tensor_witness=tensor_witness,
@@ -482,6 +494,74 @@ def audit_decomposition_masks(psi: frozenset[int], n: int) -> DecompositionAudit
         reconstruction_witness=witness,
         reconstruction_witness_side=side,
     )
+
+
+def _product_order_key(n: int) -> Callable[[int], int]:
+    """The order of product(sorted(C1), sorted(C2), sorted(C3)) on masks:
+    (A|B|C) compares as A<<2n | B<<n | C."""
+    def key(mask: int) -> int:
+        a, b, c = _thirds(mask, n)
+        return a << (2 * n) | b << n | c
+    return key
+
+
+def _ring_order_key(n: int) -> Callable[[int], int]:
+    """The order of ring tuples (gray_vec_inverse) on masks.
+
+    The vector of a mask (A|B|C) has entries e_i = a_i | b_i<<1 | c_i<<2 with
+    c = A^C, so tuples compare as the integers sum e_i * 8^(n-1-i), that is
+    as S(A) | S(B)<<1 | S(A^C)<<2, where S moves bit i to bit 3(n-1-i).  S
+    reads the bits of its argument, lowest first, as octal digits.
+    """
+    def spread(x: int) -> int:
+        return int(f"{x:0{n}b}"[::-1], 8)
+
+    def key(mask: int) -> int:
+        a, b, c = _thirds(mask, n)
+        return spread(a) | spread(b) << 1 | spread(a ^ c) << 2
+    return key
+
+
+def _reduce(row: int, basis: Sequence[int]) -> int:
+    """row with the leading (highest) bit of every basis row cleared; the
+    basis has distinct leading bits and is sorted in descending order."""
+    for b in basis:
+        row = min(row, row ^ b)
+    return row
+
+
+def _leading_basis(rows: Iterable[int]) -> list[int]:
+    """Echelon basis of the span of rows, one row per leading bit, sorted in
+    descending order."""
+    basis: list[int] = []
+    for row in rows:
+        row = _reduce(row, basis)
+        if row:
+            basis.append(row)
+            basis.sort(reverse=True)
+    return basis
+
+
+def _least_outside(x: BinaryCode, y: BinaryCode, key: Callable[[int], int]) -> int:
+    """The least mask of x outside y, under the order of key(mask).
+
+    key must be a linear bijection (here, a bit relabelling), so a mask m
+    travels as key(m) << n | m and sums act on both halves at once.  Let
+    Z = x & y.  x \\ y is the union of the cosets x' + Z with x' not in Z; the
+    least member of a coset is its reduction by Z's leading-bit echelon
+    basis, because adding any nonzero z sets z's leading bit, which the
+    reduction cleared.  Those reductions form a subspace W, and its least
+    nonzero member is the echelon row with the lowest leading bit.
+    """
+    if y.contains_code(x):
+        raise PreconditionError("no codeword outside the other code")
+    n = x.n
+    # Zassenhaus: among the sums of (m | m) for m in x and (m | 0) for m in
+    # y, those with a zero left half carry x & y in their right half.
+    sums = _leading_basis([m << n | m for m in x.basis] + [m << n for m in y.basis])
+    z = _leading_basis(key(s) << n | s for s in sums if s >> n == 0)
+    w = _leading_basis(_reduce(key(m) << n | m, z) for m in x.basis)
+    return min(w) & ((1 << n) - 1)
 
 
 @dataclass(frozen=True)
@@ -508,8 +588,13 @@ class DualFormulaAudit:
 
 def audit_dual_formula(n: int, f1: int, f2: int, f3: int,
                        enum_cap: int = DEFAULT_ENUM_CAP) -> DualFormulaAudit:
-    """Compare Gray-image bases; enum_cap bounds the walk for a witness."""
-    code = gray_image_basis(build_ring_cyclic(n, f1, f2, f3))
+    """Compare Gray-image bases.
+
+    The side holding the witness is still checked against enum_cap, the
+    bound on the codeword walk that used to find the witness, so a run with
+    a small cap stops where it always did.
+    """
+    code = _cyclic_image(n, f1, f2, f3)
     dual = ring_dual(code)
     formula = gray_image_basis(dual_ring_formula(n, f1, f2, f3))
     three_gen = gray_image_basis(build_ring_cyclic(n, *_dual_polys(n, f1, f2, f3)))
@@ -521,9 +606,8 @@ def audit_dual_formula(n: int, f1: int, f2: int, f3: int,
         extras, other, side = ((formula, dual, "only_in_formula")
                                if formula.contains_code(dual)
                                else (dual, formula, "only_in_brute"))
-        witness = _least_ring_vector(
-            (m for m in capped_codewords(extras, enum_cap) if not other.contains(m)), n
-        )
+        check_enum_cap(extras, enum_cap)
+        witness = gray_vec_inverse(_least_outside(extras, other, _ring_order_key(n)), n)
 
     claimed = 1 << (degree(f1) + degree(f2) + degree(f3))
     return DualFormulaAudit(
@@ -554,7 +638,7 @@ class SizeFormulaAudit:
 
 
 def audit_size_formula(n: int, f1: int, f2: int, f3: int) -> SizeFormulaAudit:
-    dim = gray_image_basis(build_ring_cyclic(n, f1, f2, f3)).dim
+    dim = _cyclic_image(n, f1, f2, f3).dim
     claimed = 3 * n - (degree(f1) + degree(f2) + degree(f3))
     return SizeFormulaAudit(n=n, fs=(f1, f2, f3), rank_log2=dim,
                             claimed_log2=claimed, matches=dim == claimed)
@@ -574,9 +658,8 @@ class SingleGeneratorAudit:
 
 
 def audit_single_generator(n: int, f1: int, f2: int, f3: int) -> SingleGeneratorAudit:
-    code = build_ring_cyclic(n, f1, f2, f3)
+    code_basis = _cyclic_image(n, f1, f2, f3)
     single = RingCode(n, (combined_generator(n, f1, f2, f3),), cyclic=True)
-    code_basis = gray_image_basis(code)
     single_basis = gray_image_basis(single)
     equal = code_basis == single_basis
     witness = None

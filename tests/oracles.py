@@ -4,11 +4,27 @@ Everything here deliberately avoids the library's representations and code
 paths: polynomials are coefficient lists, ring elements are multiplied by
 expanding v-power convolutions, spans are built by iterating every scalar
 combination.  Slow and dumb on purpose.
+
+The set-based audits at the end are the exception: they take the library's
+Gray images and walk their codewords, as the audits did before they became
+rank algebra, so they check the library's witnesses against plain set
+differences.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product
+
+from vcubed.codes import (
+    DecompositionAudit,
+    _combination_mask,
+    build_ring_cyclic,
+    dual_ring_formula,
+    gray_image_basis,
+    ring_dual,
+)
+from vcubed.ring import gray_vec_inverse
 
 
 def to_coeffs(p: int) -> list[int]:
@@ -114,3 +130,84 @@ def binary_dual_direct(basis, ncols) -> set[int]:
         if all(bin(vec & row).count("1") % 2 == 0 for row in basis):
             out.add(vec)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Set-based audits: the codeword walks that the library's rank algebra
+# replaced, kept as references for its witnesses.
+# ---------------------------------------------------------------------------
+
+
+def _least_ring_vector(masks, n):
+    """min(gray_vec_inverse(m, n) for m in masks), converting only the winner.
+
+    The vector of a mask (A|B|C) has entries e_i = a_i | b_i<<1 | c_i<<2 with
+    c = A^C, so tuples compare as the integers sum e_i * 8^(n-1-i), that is
+    as S(A) | S(B)<<1 | S(A^C)<<2, where S moves bit i to bit 3(n-1-i).  S
+    reads the bits of its argument, lowest first, as octal digits.
+    """
+    full = (1 << n) - 1
+    spread = cache(lambda x: int(f"{x:0{n}b}"[::-1], 8))
+
+    def key(mask):
+        a = mask & full
+        return (spread(a) | spread((mask >> n) & full) << 1
+                | spread(a ^ (mask >> (2 * n)) & full) << 2)
+
+    return gray_vec_inverse(min(masks, key=key), n)
+
+
+def audit_decomposition_by_sets(psi, n):
+    """The decomposition audit on the full set psi of Gray masks of a code:
+    projection sets, the product walked in sorted order, the reconstruction
+    built from every triple of projections."""
+    full = (1 << n) - 1
+    a_set = {m & full for m in psi}
+    b_set = {(m >> n) & full for m in psi}
+    c_set = {(m >> (2 * n)) & full for m in psi}
+    product_size = len(a_set) * len(b_set) * len(c_set)
+
+    tensor_equal = len(psi) == product_size
+    tensor_witness = None
+    if not tensor_equal:
+        candidates = (a | b << n | c << (2 * n)
+                      for a, b, c in product(sorted(a_set), sorted(b_set), sorted(c_set)))
+        tensor_witness = gray_vec_inverse(next(m for m in candidates if m not in psi), n)
+
+    recon = {_combination_mask(a, b, c, n) for a in a_set for b in b_set for c in c_set}
+    reconstruction_equal = recon == psi
+    witness = None
+    side = ""
+    if not reconstruction_equal:
+        extra = recon - psi
+        side = "only_in_reconstruction"
+        if not extra:
+            extra = psi - recon
+            side = "only_in_code"
+        witness = _least_ring_vector(extra, n)
+
+    return DecompositionAudit(
+        n=n,
+        code_size=len(psi),
+        projection_sizes=(len(a_set), len(b_set), len(c_set)),
+        product_size=product_size,
+        tensor_equal=tensor_equal,
+        tensor_witness=tensor_witness,
+        reconstruction_equal=reconstruction_equal,
+        reconstruction_witness=witness,
+        reconstruction_witness_side=side,
+    )
+
+
+def dual_witness_by_walk(n, f1, f2, f3):
+    """(witness, side) of the dual-formula audit, found by walking every
+    codeword of the side with extras and keeping those outside the other."""
+    dual = ring_dual(gray_image_basis(build_ring_cyclic(n, f1, f2, f3)))
+    formula = gray_image_basis(dual_ring_formula(n, f1, f2, f3))
+    if formula == dual:
+        return None, ""
+    extras, other, side = ((formula, dual, "only_in_formula")
+                           if formula.contains_code(dual)
+                           else (dual, formula, "only_in_brute"))
+    outside = [m for m in extras.codewords() if not other.contains(m)]
+    return _least_ring_vector(outside, n), side

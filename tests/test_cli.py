@@ -3,6 +3,7 @@ import json
 import pytest
 
 from vcubed.cli import main
+from vcubed.codes import BinaryCode
 from vcubed.gf2poly import parse_poly
 
 
@@ -206,6 +207,23 @@ def test_audit_enum_cap_exit_code(capsys):
     assert code == 2
     assert out == ""
     assert err == "cap exceeded: span estimate 2^9 exceeds enumeration cap 100\n"
+
+
+def test_audit_and_inspect_walk_no_codewords(capsys, monkeypatch):
+    # every audit is rank algebra on bases: no codeword set is walked
+    def refuse(self):
+        raise AssertionError("codeword walk")
+
+    monkeypatch.setattr(BinaryCode, "codewords", refuse)
+    code, out, _ = run(capsys, "audit", "--n-max", "4", "--format", "records")
+    assert code == 0
+    assert len(records_of(out)) == 904
+    f = "x^3+x^2+x+1"
+    code, out, _ = run(capsys, "inspect", "--n", "8", "--f1", f, "--f2", f, "--f3", f,
+                       "--format", "records")
+    assert code == 0
+    (rec,) = records_of(out)
+    assert {a["target"] for a in rec["audits"]} == {"decomposition", "single_generator"}
 
 
 def test_audit_table_runs(capsys):

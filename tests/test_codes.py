@@ -7,9 +7,12 @@ from vcubed.codes import (
     BinaryCode,
     RingCode,
     _inner_product_rows,
-    _least_ring_vector,
+    _least_outside,
+    _product_order_key,
+    _ring_order_key,
     _v_multiples,
     audit_decomposition,
+    audit_decomposition_image,
     audit_decomposition_masks,
     audit_dual_formula,
     audit_single_generator,
@@ -52,8 +55,11 @@ from vcubed.ring import (
     scale_vec,
 )
 from oracles import (
+    _least_ring_vector,
+    audit_decomposition_by_sets,
     binary_dual_direct,
     binary_min_weight_direct,
+    dual_witness_by_walk,
     span_by_all_combinations,
 )
 
@@ -673,3 +679,75 @@ def test_dual_formula_audit_matches_bruteforce_sets():
             else:
                 expected = (None, "")
             assert (audit.witness, audit.witness_side) == expected, (n, fs)
+
+
+# ---------------------------------------------------------------------------
+# Closed-form witnesses and rank-algebra audits, against codeword walks.
+# ---------------------------------------------------------------------------
+
+
+def _random_rows(rng, count, bits):
+    return [rng.getrandbits(bits) for _ in range(count)]
+
+
+def test_least_outside_matches_walk():
+    # the least member of x outside y under each order key, against a walk
+    # of x; y inside x, partial overlap and y = 0 all occur
+    rng = random.Random(79)
+    cases = 0
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        bits = 3 * n
+        shared = _random_rows(rng, rng.randint(0, 4), bits)
+        x = BinaryCode.from_rows(bits, shared + _random_rows(rng, rng.randint(1, 6), bits))
+        kind = rng.choice(("inside", "overlap", "zero"))
+        if kind == "inside":
+            y = BinaryCode.from_rows(bits, [r for r in x.basis if rng.random() < 0.5])
+        elif kind == "overlap":
+            y = BinaryCode.from_rows(bits, shared + _random_rows(rng, rng.randint(0, 6), bits))
+        else:
+            y = BinaryCode(bits, ())
+        if y.contains_code(x):
+            continue
+        cases += 1
+        for key in (_product_order_key(n), _ring_order_key(n)):
+            least = _least_outside(x, y, key)
+            assert x.contains(least) and not y.contains(least)
+            assert key(least) == min(key(m) for m in x.codewords() if not y.contains(m))
+    assert cases > 250
+
+
+def test_least_outside_refuses_a_contained_code():
+    y = BinaryCode.from_rows(6, [0b000011, 0b001100, 0b110000])
+    for x in (y, BinaryCode.from_rows(6, [0b001111]), BinaryCode(6, ())):
+        with pytest.raises(PreconditionError):
+            _least_outside(x, y, _ring_order_key(2))
+
+
+def test_ring_order_key_is_the_tuple_order():
+    rng = random.Random(83)
+    for _ in range(300):
+        n = rng.randint(1, 21)
+        masks = [rng.getrandbits(3 * n) for _ in range(2)]
+        by_key = sorted(masks, key=_ring_order_key(n))
+        assert by_key == sorted(masks, key=lambda m: gray_vec_inverse(m, n))
+
+
+def test_decomposition_on_images_matches_set_audit():
+    codes = [build_ring_cyclic(n, *fs)
+             for n in (1, 2, 3, 4) for fs in product(enumerate_divisors(n), repeat=3)]
+    codes += [RingCode(n, gens) for _, n, gens in AUDIT_CATALOG]
+    rng = random.Random(89)
+    codes += [RingCode(n, _random_generators(rng, n))
+              for n in (rng.randint(1, 4) for _ in range(60))]
+    for code in codes:
+        image = gray_image_basis(code)
+        assert (audit_decomposition_image(image)
+                == audit_decomposition_by_sets(frozenset(image.codewords()), code.n)), code
+
+
+def test_dual_formula_witness_matches_walk():
+    for n in (1, 2, 3, 4):
+        for fs in product(enumerate_divisors(n), repeat=3):
+            audit = audit_dual_formula(n, *fs)
+            assert (audit.witness, audit.witness_side) == dual_witness_by_walk(n, *fs), (n, fs)
