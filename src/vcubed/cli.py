@@ -427,7 +427,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="human table or line-delimited JSON records")
     parser.add_argument("--enum-cap", dest="enum_cap", type=_positive_int,
                         default=codes.DEFAULT_ENUM_CAP,
-                        help="max codeword-set size for enumeration")
+                        help="max code size 2^dim that distances and audits accept")
     parser.add_argument("--divisor-cap", dest="divisor_cap", type=_positive_int,
                         default=DEFAULT_DIVISOR_CAP,
                         help="max number of divisors of x^n+1")
@@ -471,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_reproduce)
 
-    p = sub.add_parser("audit", help="audit structural claims against enumeration")
+    p = sub.add_parser("audit", help="audit structural claims by exact rank algebra")
     p.add_argument("--n-max", dest="n_max", type=_positive_int, default=3)
     _add_common(p)
     p.set_defaults(func=cmd_audit)

@@ -7,6 +7,12 @@ additive, weight-preserving bijection onto 3n-bit vectors, so a ring code is
 handled through the Gray masks of its image: every size and rank here is a
 plain GF(2) rank, and every Lee weight a popcount.
 
+Every rank, span and null space goes through rref.  It passes each row once
+over a pivot table, a dict from each stored row's lowest set bit to the row,
+and then back-substitutes once from the highest pivot down; every row must
+be narrower than the ncols it is given.  The cyclic shift of a Gray image is
+phi, which rotates all three n-bit thirds of a mask in one closed form.
+
 The ring dual is exact and needs no enumeration: in Gray coordinates the
 ring inner product is three binary bilinear forms, so the dual's Gray image
 is a GF(2) null space (ring_dual).  The 8^n scan dual_ring_bruteforce is kept
@@ -44,30 +50,44 @@ def rref(rows: Sequence[int], ncols: int) -> tuple[int, ...]:
 
     The result is canonical for the row space: rows are nonzero, each has a
     distinct lowest set bit (its pivot), pivots ascend, and no row has a bit
-    in another row's pivot column.
+    in another row's pivot column.  Every row must be narrower than ncols.
+
+    Rows go into a pivot table, keyed by each stored row's lowest set bit.
+    An incoming row is XORed with the stored row at its lowest bit until
+    that bit is new to the table (the row is stored) or the row is zero.
+    One back-substitution pass, from the highest pivot down, then clears
+    every pivot column of the rows below it.
     """
-    work = [r for r in rows if r]
-    basis: list[int] = []  # kept with ascending pivot
-    for col in range(ncols):
-        pivot_row = None
-        for i, r in enumerate(work):
-            if (r >> col) & 1:
-                pivot_row = i
+    table: dict[int, int] = {}
+    for row in rows:
+        while row:
+            low = row & -row
+            stored = table.get(low)
+            if stored is None:
+                table[low] = row
                 break
-        if pivot_row is None:
-            continue
-        piv = work.pop(pivot_row)
-        basis = [b ^ piv if (b >> col) & 1 else b for b in basis]
-        work = [w ^ piv if (w >> col) & 1 else w for w in work]
-        work = [w for w in work if w]
-        basis.append(piv)
-        if not work:
-            break
-    return tuple(basis)
+            row ^= stored
+    pivots = sorted(table, reverse=True)
+    higher = 0  # the pivot bits above the current one
+    for piv in pivots:
+        row = table[piv]
+        hits = row & higher
+        while hits:
+            low = hits & -hits
+            row ^= table[low]
+            hits ^= low
+        table[piv] = row
+        higher |= piv
+    return tuple(table[piv] for piv in reversed(pivots))
 
 
 def nullspace(rows: Sequence[int], ncols: int) -> tuple[int, ...]:
-    """Canonical basis of {x : x . row = 0 for every row}."""
+    """Canonical basis of {x : x . row = 0 for every row}.
+
+    Every row must be narrower than ncols.  Each free column of the pivot
+    table's echelon form (rref) gives one vector: its own bit plus the
+    pivot bit of every row with a bit in that column.
+    """
     reduced = rref(rows, ncols)
     pivots = [(r & -r).bit_length() - 1 for r in reduced]
     pivot_set = set(pivots)
@@ -191,17 +211,18 @@ def _thirds(mask: int, n: int) -> tuple[int, int, int]:
 
 
 def phi(mask: int, length: int) -> int:
-    """Blockwise shift of a binary vector split into three equal thirds."""
+    """Blockwise shift of a binary vector split into three equal thirds.
+
+    The mask must be length bits wide.  Each third of n bits rotates right
+    by one position at once: with top the mask of every third's highest bit,
+    the other bits move up one and the top bits wrap round to the bottom of
+    their own third.
+    """
     if length % 3 != 0:
         raise PreconditionError(f"length {length} not divisible by 3")
     n = length // 3
-    full = (1 << n) - 1
-
-    def rot(x: int) -> int:
-        return ((x << 1) & full) | (x >> (n - 1))
-
-    t0, t1, t2 = _thirds(mask, n)
-    return rot(t0) | rot(t1) << n | rot(t2) << (2 * n)
+    top = (1 | 1 << n | 1 << (2 * n)) << (n - 1)
+    return (mask & ~top) << 1 | (mask & top) >> (n - 1)
 
 
 def _v_multiples(mask: int, n: int) -> tuple[int, int]:

@@ -5,6 +5,10 @@ paths: polynomials are coefficient lists, ring elements are multiplied by
 expanding v-power convolutions, spans are built by iterating every scalar
 combination.  Slow and dumb on purpose.
 
+The column-scan elimination and the per-third shift keep the library's
+earlier forms of rref and phi, as references for the pivot table and the
+closed-form rotation that replaced them.
+
 The set-based audits at the end are the exception: they take the library's
 Gray images and walk their codewords, as the audits did before they became
 rank algebra, so they check the library's witnesses against plain set
@@ -130,6 +134,43 @@ def binary_dual_direct(basis, ncols) -> set[int]:
         if all(bin(vec & row).count("1") % 2 == 0 for row in basis):
             out.add(vec)
     return out
+
+
+def rref_by_columns(rows, ncols):
+    """Canonical RREF by scanning the columns in order: each column takes
+    the first remaining row with a bit there as its pivot and clears that
+    bit from every other row."""
+    work = [r for r in rows if r]
+    basis = []  # kept with ascending pivot
+    for col in range(ncols):
+        pivot_row = None
+        for i, r in enumerate(work):
+            if (r >> col) & 1:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        piv = work.pop(pivot_row)
+        basis = [b ^ piv if (b >> col) & 1 else b for b in basis]
+        work = [w ^ piv if (w >> col) & 1 else w for w in work]
+        work = [w for w in work if w]
+        basis.append(piv)
+        if not work:
+            break
+    return tuple(basis)
+
+
+def phi_by_thirds(mask, length):
+    """Split a 3n-bit mask into its thirds, rotate each by one position
+    (bit i to bit i+1, the top bit to bit 0) and join them again."""
+    n = length // 3
+    full = (1 << n) - 1
+
+    def rot(x):
+        return ((x << 1) & full) | (x >> (n - 1))
+
+    t0, t1, t2 = mask & full, (mask >> n) & full, (mask >> (2 * n)) & full
+    return rot(t0) | rot(t1) << n | rot(t2) << (2 * n)
 
 
 # ---------------------------------------------------------------------------

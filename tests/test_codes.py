@@ -60,6 +60,8 @@ from oracles import (
     binary_dual_direct,
     binary_min_weight_direct,
     dual_witness_by_walk,
+    phi_by_thirds,
+    rref_by_columns,
     span_by_all_combinations,
 )
 
@@ -85,6 +87,58 @@ def test_rref_canonical_and_idempotent():
         code = BinaryCode(n, basis)
         for r in rows:
             assert code.contains(r)
+
+
+def _mixed_rows(rng, width):
+    """0 to 60 rows of the given width, mixing dense, very sparse, zero,
+    repeated and dependent rows, some drawn from a span of low rank."""
+    base = [rng.getrandbits(width) for _ in range(rng.randint(1, 6))]
+    rows = []
+    for _ in range(rng.randint(0, 60)):
+        kind = rng.randrange(6)
+        if kind == 0:
+            row = rng.getrandbits(width)
+        elif kind == 1:
+            row = 0
+            for _ in range(rng.randint(1, 3)):
+                row |= 1 << rng.randrange(width)
+        elif kind == 2:
+            row = 0
+        elif kind == 3 and rows:
+            row = rng.choice(rows)
+        elif kind == 4 and len(rows) >= 2:
+            row = rng.choice(rows) ^ rng.choice(rows)
+        else:
+            row = 0
+            for b in base:
+                if rng.getrandbits(1):
+                    row ^= b
+        rows.append(row)
+    return rows
+
+
+def test_rref_matches_column_scan_oracle():
+    rng = random.Random(71)
+    widths = [1, 2, 3, 381] + [rng.randint(1, 381) for _ in range(2096)]
+    for width in widths:
+        rows = _mixed_rows(rng, width)
+        assert rref(rows, width) == rref_by_columns(rows, width)
+    assert rref([], 5) == rref([0, 0], 5) == ()
+    assert rref([0b110, 0b011, 0b101], 3) == (0b101, 0b110)
+
+
+def test_nullspace_properties():
+    rng = random.Random(73)
+    for _ in range(400):
+        width = rng.randint(1, 120)
+        rows = _mixed_rows(rng, width)
+        null = nullspace(rows, width)
+        for v in null:
+            for r in rows:
+                assert (v & r).bit_count() % 2 == 0
+        assert len(null) == width - len(rref(rows, width))
+        assert rref(null, width) == null
+        assert nullspace(null, width) == rref(rows, width)
 
 
 def test_rref_row_space_equality_is_basis_equality():
@@ -372,6 +426,18 @@ def test_sigma_phi_examples():
     assert phi(mask, 6) == 0b10 | 0b01 << 2 | 0b11 << 4
     with pytest.raises(PreconditionError):
         phi(0b1, 4)
+
+
+def test_phi_matches_per_third_rotation():
+    for n in range(1, 5):
+        for mask in range(1 << (3 * n)):
+            assert phi(mask, 3 * n) == phi_by_thirds(mask, 3 * n)
+    rng = random.Random(43)
+    for n in [1, 127] + [rng.randint(1, 127) for _ in range(998)]:
+        mask = rng.getrandbits(3 * n)
+        assert phi(mask, 3 * n) == phi_by_thirds(mask, 3 * n)
+        if n == 1:
+            assert phi(mask, 3) == mask
 
 
 def test_gray_shift_commutation_random():
