@@ -33,6 +33,7 @@ from .errors import CapExceeded, ParseError, PreconditionError
 from .gf2poly import (
     Factorization,
     degree,
+    divides_xn1,
     enumerate_divisors,
     factor_xn1,
     format_poly,

@@ -13,6 +13,15 @@ and then back-substitutes once from the highest pivot down; every row must
 be narrower than the ncols it is given.  The cyclic shift of a Gray image is
 phi, which rotates all three n-bit thirds of a mask in one closed form.
 
+A search meets the same generators and the same Gray images many times
+over, so the work is memoised where it repeats, in bounded lru_caches.  A
+module is the sum of the submodules its generators span, so
+gray_image_basis is the rref of the union of per-generator spans, and each
+span is built once per (n, generator, cyclic) by _generator_span.
+BinaryCode is immutable and hashable, so min_hamming and dual_binary run
+once per distinct image.  rref is canonical, so a cached result is the same
+basis a fresh one would be.
+
 The ring dual is exact and needs no enumeration: in Gray coordinates the
 ring inner product is three binary bilinear forms, so the dual's Gray image
 is a GF(2) null space (ring_dual).  The 8^n scan dual_ring_bruteforce is kept
@@ -37,7 +46,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import ring
 from .errors import CapExceeded, PreconditionError
-from .gf2poly import degree, format_poly, poly_divmod, poly_mod, reciprocal, xn1
+from .gf2poly import degree, divides_xn1, format_poly, poly_divmod, poly_mod, reciprocal, xn1
 from .ring import gray_vec, gray_vec_inverse, ring_inner_product
 
 DEFAULT_ENUM_CAP = 1 << 24
@@ -141,6 +150,7 @@ class BinaryCode:
             yield cw
 
 
+@lru_cache(maxsize=1024)
 def dual_binary(code: BinaryCode) -> BinaryCode:
     """Null space of the basis; dimension n - dim."""
     return BinaryCode(code.n, nullspace(code.basis, code.n))
@@ -148,7 +158,7 @@ def dual_binary(code: BinaryCode) -> BinaryCode:
 
 def binary_cyclic(n: int, g: int) -> BinaryCode:
     """Cyclic code of length n generated by g, which must divide x^n - 1."""
-    if g == 0 or poly_mod(xn1(n), g) != 0:
+    if not divides_xn1(n, g):
         raise PreconditionError(
             f"{format_poly(g)} does not divide x^{n}+1"
         )
@@ -156,6 +166,7 @@ def binary_cyclic(n: int, g: int) -> BinaryCode:
     return BinaryCode.from_rows(n, rows)
 
 
+@lru_cache(maxsize=1024)
 def min_hamming(code: BinaryCode, cap: int = DEFAULT_DIST_CAP) -> int:
     """Exact minimum weight over nonzero codewords.
 
@@ -239,19 +250,29 @@ def _v_multiples(mask: int, n: int) -> tuple[int, int]:
 def gray_image_basis(code: RingCode) -> BinaryCode:
     """Canonical basis of the Gray image, a binary code of length 3n.
 
-    The module span over R is the GF(2) span of {u*g : u in {1, v, v^2}}
-    over every generator g (and every shift of it, when cyclic); all of
-    these are taken on Gray masks, where the shift is phi.
+    A module is the sum of the submodules its generators span, so the image
+    is the row space of the union of the generators' own spans.
     """
-    n = code.n
+    rows = [row for gen in code.generators
+            for row in _generator_span(code.n, gen, code.cyclic)]
+    return BinaryCode.from_rows(3 * code.n, rows)
+
+
+@lru_cache(maxsize=1024)
+def _generator_span(n: int, gen: tuple[int, ...], cyclic: bool) -> tuple[int, ...]:
+    """Canonical basis of the Gray image of the submodule one generator spans.
+
+    Over R that submodule is the GF(2) span of {u*g : u in {1, v, v^2}} for
+    the generator g (and every shift of it, when cyclic); all of these are
+    taken on Gray masks, where the shift is phi.
+    """
     rows: set[int] = set()
-    for gen in code.generators:
-        mask = gray_vec(gen)
-        for shift in range(n if code.cyclic else 1):
-            if shift:
-                mask = phi(mask, 3 * n)
-            rows.update((mask, *_v_multiples(mask, n)))
-    return BinaryCode.from_rows(3 * n, rows)
+    mask = gray_vec(gen)
+    for shift in range(n if cyclic else 1):
+        if shift:
+            mask = phi(mask, 3 * n)
+        rows.update((mask, *_v_multiples(mask, n)))
+    return rref(rows, 3 * n)
 
 
 def check_enum_cap(image: BinaryCode, cap: int) -> None:
@@ -278,17 +299,16 @@ def span_enumerate(code: RingCode, cap: int = DEFAULT_ENUM_CAP) -> frozenset[tup
 def build_ring_cyclic(n: int, f1: int, f2: int, f3: int) -> RingCode:
     """Cyclic ring code generated by v*f1, (1+v)*f2 and (1+v^2)*f3.
 
-    Each fi must divide x^n - 1; polynomials are reduced mod x^n - 1 before
-    being laid out as coefficient vectors, so fi = x^n - 1 contributes the
-    zero vector.
+    Each fi must divide x^n - 1.  A divisor is its own remainder mod x^n - 1
+    except x^n - 1 itself, which contributes the zero vector.
     """
     modulus = xn1(n)
     for label, f in (("f1", f1), ("f2", f2), ("f3", f3)):
-        if f == 0 or poly_mod(modulus, f) != 0:
+        if not divides_xn1(n, f):
             raise PreconditionError(
                 f"{label} = {format_poly(f)} does not divide x^{n}+1"
             )
-    f1, f2, f3 = (poly_mod(f, modulus) for f in (f1, f2, f3))
+    f1, f2, f3 = (0 if f == modulus else f for f in (f1, f2, f3))
     masks = (_combination_mask(f1, 0, 0, n), _combination_mask(0, f2, 0, n),
              _combination_mask(0, 0, f3, n))
     return RingCode(n, tuple(gray_vec_inverse(m, n) for m in masks), cyclic=True)
@@ -296,10 +316,11 @@ def build_ring_cyclic(n: int, f1: int, f2: int, f3: int) -> RingCode:
 
 @lru_cache(maxsize=8)
 def _cyclic_image(n: int, f1: int, f2: int, f3: int) -> BinaryCode:
-    """Gray image of build_ring_cyclic(n, f1, f2, f3).
+    """Gray image of build_ring_cyclic(n, f1, f2, f3), the one place a
+    cyclic triple's image is built.
 
-    The audits of one triple run back to back and share this image, so a
-    few cached entries are enough; BinaryCode is immutable.
+    The audits of one triple and its CSS record run back to back and share
+    this image, so a few cached entries are enough; BinaryCode is immutable.
     """
     return gray_image_basis(build_ring_cyclic(n, f1, f2, f3))
 
@@ -325,7 +346,7 @@ def _dual_polys(n: int, f1: int, f2: int, f3: int) -> tuple[int, ...]:
     """(h1*, h2*, h3*): the reciprocals of hi = (x^n - 1)/fi."""
     modulus = xn1(n)
     for f in (f1, f2, f3):
-        if f == 0 or poly_mod(modulus, f) != 0:
+        if not divides_xn1(n, f):
             raise PreconditionError(f"{format_poly(f)} does not divide x^{n}+1")
     return tuple(reciprocal(poly_divmod(modulus, f)[0]) for f in (f1, f2, f3))
 
@@ -618,7 +639,7 @@ def audit_dual_formula(n: int, f1: int, f2: int, f3: int,
     code = _cyclic_image(n, f1, f2, f3)
     dual = ring_dual(code)
     formula = gray_image_basis(dual_ring_formula(n, f1, f2, f3))
-    three_gen = gray_image_basis(build_ring_cyclic(n, *_dual_polys(n, f1, f2, f3)))
+    three_gen = _cyclic_image(n, *_dual_polys(n, f1, f2, f3))
 
     witness = None
     side = ""

@@ -120,6 +120,16 @@ def xn1(n: int) -> int:
     return (1 << n) | 1
 
 
+@lru_cache(maxsize=4096)
+def divides_xn1(n: int, f: int) -> bool:
+    """Whether f is a nonzero divisor of x^n - 1.
+
+    Searches meet the same few divisors over and over, so each (n, f) is
+    decided once per process.
+    """
+    return f != 0 and poly_mod(xn1(n), f) == 0
+
+
 def _sqr(p: int) -> int:
     # Frobenius: squaring spreads each bit i to bit 2i.
     r = 0

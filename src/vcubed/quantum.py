@@ -14,6 +14,13 @@ use, which equals the minimum Lee weight of the ring code because the Gray
 map is a weight-preserving isometry;
 "component_formula" for the min-of-component-distances rule, which is
 likewise a claim rather than a theorem).
+
+The divisors of x^n - 1 are few and the triples many, so each layer of a
+search is memoised in a bounded lru_cache where its work repeats:
+divisibility (gf2poly.divides_xn1) and dual containment
+(dual_containing_poly) per divisor, the Gray span per generator, and the
+distance and dual per distinct Gray image (codes).  Errors are raised, not
+cached, and a warm search returns exactly what a cold one does.
 """
 
 from __future__ import annotations
@@ -25,16 +32,17 @@ from typing import Optional
 from .codes import (
     DEFAULT_DIST_CAP,
     BinaryCode,
+    _cyclic_image,
     binary_cyclic,
-    build_ring_cyclic,
     dual_binary,
-    gray_image_basis,
+    gray_image_basis,  # noqa: F401  (bench/test_bench.py rebinds it here)
     min_hamming,
 )
 from .errors import CapExceeded, PreconditionError
 from .gf2poly import (
     DEFAULT_DIVISOR_CAP,
     degree,
+    divides_xn1,
     enumerate_divisors,
     format_poly,
     poly_mod,
@@ -47,10 +55,11 @@ DEFAULT_DIST_ENUM_CAP = 1 << 16
 DEFAULT_RANK_CAP = 96
 
 
+@lru_cache(maxsize=4096)
 def dual_containing_poly(n: int, f: int) -> bool:
     """Whether x^n - 1 = 0 (mod f * f_reciprocal); f must divide x^n - 1."""
     modulus = xn1(n)
-    if f == 0 or poly_mod(modulus, f) != 0:
+    if not divides_xn1(n, f):
         raise PreconditionError(f"{format_poly(f)} does not divide x^{n}+1")
     return poly_mod(modulus, poly_mul(f, reciprocal(f))) == 0
 
@@ -114,7 +123,7 @@ def validate_css_binary(n: int, f1: int, f2: int, f3: int,
     too-large instance comes back marked not validated."""
     image = None
     if 3 * n <= rank_cap:
-        image = gray_image_basis(build_ring_cyclic(n, f1, f2, f3))
+        image = _cyclic_image(n, f1, f2, f3)
     return _check_image(n, degree(f1) + degree(f2) + degree(f3), image, rank_cap)
 
 
@@ -173,7 +182,7 @@ def css_from_triple(n: int, f1: int, f2: int, f3: int, *,
     """
     dc_notes = []
     for label, f in (("f1", f1), ("f2", f2), ("f3", f3)):
-        if f == 0 or poly_mod(xn1(n), f) != 0:
+        if not divides_xn1(n, f):
             raise PreconditionError(f"{label} = {format_poly(f)} does not divide x^{n}+1")
         if not dual_containing_poly(n, f):
             if enforce_dual_containment:
@@ -188,7 +197,7 @@ def css_from_triple(n: int, f1: int, f2: int, f3: int, *,
     if k <= 0:
         notes.append("degenerate parameters (k <= 0)")
 
-    image = gray_image_basis(build_ring_cyclic(n, f1, f2, f3))
+    image = _cyclic_image(n, f1, f2, f3)
     if image.dim == 0:
         raise PreconditionError("zero code has no distance")
     if image.size <= dist_enum_cap:

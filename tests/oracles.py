@@ -7,7 +7,9 @@ combination.  Slow and dumb on purpose.
 
 The column-scan elimination and the per-third shift keep the library's
 earlier forms of rref and phi, as references for the pivot table and the
-closed-form rotation that replaced them.
+closed-form rotation that replaced them.  The Gray image by shifts keeps the
+earlier, unmemoised gray_image_basis: one row space over every generator's
+shifts and v-multiples at once.
 
 The set-based audits at the end are the exception: they take the library's
 Gray images and walk their codewords, as the audits did before they became
@@ -21,14 +23,17 @@ from functools import cache
 from itertools import product
 
 from vcubed.codes import (
+    BinaryCode,
     DecompositionAudit,
     _combination_mask,
+    _v_multiples,
     build_ring_cyclic,
     dual_ring_formula,
     gray_image_basis,
+    phi,
     ring_dual,
 )
-from vcubed.ring import gray_vec_inverse
+from vcubed.ring import gray_vec, gray_vec_inverse
 
 
 def to_coeffs(p: int) -> list[int]:
@@ -171,6 +176,20 @@ def phi_by_thirds(mask, length):
 
     t0, t1, t2 = mask & full, (mask >> n) & full, (mask >> (2 * n)) & full
     return rot(t0) | rot(t1) << n | rot(t2) << (2 * n)
+
+
+def gray_image_basis_by_shifts(code):
+    """The Gray image as the row space of u*g for u in {1, v, v^2} over every
+    generator g and, when cyclic, every shift of it, all in one elimination."""
+    n = code.n
+    rows = set()
+    for gen in code.generators:
+        mask = gray_vec(gen)
+        for shift in range(n if code.cyclic else 1):
+            if shift:
+                mask = phi(mask, 3 * n)
+            rows.update((mask, *_v_multiples(mask, n)))
+    return BinaryCode.from_rows(3 * n, rows)
 
 
 # ---------------------------------------------------------------------------

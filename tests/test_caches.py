@@ -1,0 +1,106 @@
+"""Memoised layers: every cache is bounded, a warm search returns what a cold
+one does, and a failed call is never cached."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+import vcubed
+from vcubed import cli, codes, gf2poly, quantum, reference, ring
+from vcubed.codes import BinaryCode, binary_cyclic, build_ring_cyclic, min_hamming
+from vcubed.errors import CapExceeded, PreconditionError
+from vcubed.gf2poly import parse_poly
+from vcubed.quantum import css_from_triple, dual_containing_poly, search_triples
+
+P = parse_poly
+MODULES = (cli, codes, gf2poly, quantum, reference, ring)
+
+# The memo tiers of a search: per divisor, per generator, per distinct image.
+TIERS = ("vcubed.gf2poly.divides_xn1", "vcubed.quantum.dual_containing_poly",
+         "vcubed.codes._generator_span", "vcubed.codes.min_hamming",
+         "vcubed.codes.dual_binary")
+
+
+def _caches():
+    """Every lru_cache defined at the top level of a vcubed module, by name."""
+    return {
+        f"{mod.__name__}.{name}": obj
+        for mod in MODULES
+        for name, obj in vars(mod).items()
+        if hasattr(obj, "cache_parameters") and obj.__module__ == mod.__name__
+    }
+
+
+def _clear_caches():
+    for fn in _caches().values():
+        fn.cache_clear()
+
+
+def test_every_cache_is_bounded():
+    caches = _caches()
+    decorated = sum(
+        len(re.findall(r"^\s*@(?:functools\.)?(?:lru_cache|cache)\b", path.read_text(), re.M))
+        for path in Path(vcubed.__file__).parent.glob("*.py")
+    )
+    assert len(caches) == decorated
+    assert set(TIERS) <= set(caches)
+    unbounded = {name for name, fn in caches.items()
+                 if fn.cache_parameters()["maxsize"] is None}
+    # _factor_odd is keyed by the odd part of n, which the factorization
+    # bound limits.
+    assert unbounded == {"vcubed.gf2poly._factor_odd"}
+
+
+@pytest.mark.parametrize("n, equal_only", [(7, False), (8, False), (15, True), (21, True)])
+def test_warm_search_matches_cold_search(n, equal_only):
+    _clear_caches()
+    cold = search_triples(n, equal_triples_only=equal_only)
+    misses = {name: _caches()[name].cache_info().misses for name in TIERS}
+    warm = search_triples(n, equal_triples_only=equal_only)
+    assert warm == cold
+    # the second run is served from the tiers without a new miss
+    assert {name: _caches()[name].cache_info().misses for name in TIERS} == misses
+
+
+def _messages(bad):
+    """The error text of each layer that checks that a polynomial divides x^8+1."""
+    calls = (
+        lambda: css_from_triple(8, bad, 1, 1),
+        lambda: css_from_triple(8, 1, 1, bad),
+        lambda: dual_containing_poly(8, bad),
+        lambda: build_ring_cyclic(8, 1, bad, 1),
+        lambda: binary_cyclic(8, bad),
+    )
+    out = []
+    for call in calls:
+        with pytest.raises(PreconditionError) as info:
+            call()
+        out.append(str(info.value))
+    return out
+
+
+@pytest.mark.parametrize("bad, text", [(P("x^2+x+1"), "x^2+x+1"), (0, "0")])
+def test_errors_are_never_cached(bad, text):
+    _clear_caches()
+    before = _messages(bad)
+    assert before == [f"f1 = {text} does not divide x^8+1",
+                      f"f3 = {text} does not divide x^8+1",
+                      f"{text} does not divide x^8+1",
+                      f"f2 = {text} does not divide x^8+1",
+                      f"{text} does not divide x^8+1"]
+    good = P("x^3+x^2+x+1")
+    assert dual_containing_poly(8, good)
+    css_from_triple(8, good, good, good)
+    assert _messages(bad) == before
+
+
+def test_min_hamming_errors_are_never_cached():
+    code = BinaryCode.from_rows(6, [0b000111, 0b111000])
+    zero = BinaryCode(6, ())
+    for _ in range(2):
+        with pytest.raises(CapExceeded, match=r"2\^2 codewords exceed distance cap 2"):
+            min_hamming(code, 2)
+        with pytest.raises(PreconditionError, match="zero code"):
+            min_hamming(zero)
+        assert min_hamming(code, 4) == 3

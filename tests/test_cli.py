@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -240,3 +241,17 @@ def test_polynomials_in_records_round_trip(capsys):
         for key in ("f1", "f2", "f3"):
             if key in rec:
                 assert parse_poly(rec[key]["poly"]) == parse_poly(rec[key]["hex"])
+
+
+# Digests of stdout from before the search was memoised; the caches must not
+# change a byte.
+@pytest.mark.parametrize("argv, digest", [
+    (("search", "--n", "8", "--format", "records"),
+     "aeae3bd73a82db013287e229af10bd752fb8e75d890fe32e82d70c1e194569e4"),
+    (("search", "--n", "7"),
+     "0a247e71ff7576ff64658a82b45ab57b63d1dd1e0fb8787a47b1ec15b13c2934"),
+])
+def test_search_stdout_is_pinned(capsys, argv, digest):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

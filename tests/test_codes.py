@@ -60,6 +60,7 @@ from oracles import (
     binary_dual_direct,
     binary_min_weight_direct,
     dual_witness_by_walk,
+    gray_image_basis_by_shifts,
     phi_by_thirds,
     rref_by_columns,
     span_by_all_combinations,
@@ -529,6 +530,24 @@ def test_gray_image_basis_matches_ring_scaling():
         )
         code = RingCode(n, gens, cyclic=bool(rng.getrandbits(1)))
         assert gray_image_basis(code) == _gray_image_by_ring_scaling(code)
+
+
+def test_gray_image_basis_matches_shift_oracle():
+    # the image is the union of per-generator spans, each memoised; compare
+    # with one elimination over every generator's shifts and v-multiples
+    codes = [build_ring_cyclic(n, *fs)
+             for n in range(1, 7) for fs in product(enumerate_divisors(n), repeat=3)]
+    for n in range(1, 5):
+        for fs in product(enumerate_divisors(n), repeat=3):
+            codes += [RingCode(n, (combined_generator(n, *fs),), cyclic=True),
+                      dual_ring_formula(n, *fs)]
+    codes += [RingCode(n, gens) for _, n, gens in AUDIT_CATALOG]
+    rng = random.Random(83)
+    codes += [RingCode(n, _random_generators(rng, n), cyclic=bool(rng.getrandbits(1)))
+              for n in (rng.randint(1, 10) for _ in range(200))]
+    assert sum(code.cyclic for code in codes[-200:]) in range(50, 151)
+    for code in codes:
+        assert gray_image_basis(code) == gray_image_basis_by_shifts(code), code
 
 
 def test_self_orthogonality_detection():

@@ -6,6 +6,7 @@ from vcubed.errors import CapExceeded, ParseError, PreconditionError
 from vcubed.gf2poly import (
     degree,
     derivative,
+    divides_xn1,
     enumerate_divisors,
     factor_xn1,
     format_poly,
@@ -220,3 +221,13 @@ def test_parse_errors_carry_position():
         P("x^")
     with pytest.raises(ParseError):
         P("0xZZ")
+
+
+def test_divides_xn1_matches_schoolbook_division():
+    for n in range(1, 11):
+        divisors = set(enumerate_divisors(n))
+        for f in range(1 << (n + 2)):
+            expected = f != 0 and schoolbook_divmod(xn1(n), f)[1] == 0
+            assert divides_xn1(n, f) == expected == (f in divisors), (n, f)
+    with pytest.raises(PreconditionError, match="n must be positive"):
+        divides_xn1(0, 1)
