@@ -5,29 +5,17 @@ behind the construction."""
 from .codes import (
     BinaryCode,
     RingCode,
-    audit_decomposition,
     audit_decomposition_image,
-    audit_decomposition_masks,
     audit_dual_formula,
     audit_single_generator,
     audit_size_formula,
     binary_cyclic,
     build_ring_cyclic,
     dual_binary,
-    dual_ring_bruteforce,
     dual_ring_formula,
     gray_image_basis,
-    is_cyclic,
-    is_quasicyclic3,
-    is_self_orthogonal,
     min_hamming,
-    min_lee_enum,
-    min_lee_formula,
     phi,
-    projections,
-    ring_dual,
-    sigma,
-    span_enumerate,
 )
 from .errors import CapExceeded, ParseError, PreconditionError
 from .gf2poly import (

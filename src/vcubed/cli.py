@@ -36,10 +36,10 @@ EXIT_CAP = 2
 EXIT_PRECONDITION = 3
 EXIT_MISMATCH = 4
 
-# The dual-formula audit runs only up to this length.  Ring duals are exact
-# null spaces at any length, so the limit no longer saves time: it keeps the
-# output identical to earlier versions, and lifting it belongs with the exact
-# algebra of the ring (ROADMAP, open item 2).
+# The dual-formula audit runs only up to this length.  The exact ring dual is
+# dual_binary of the Gray image at any length, so the limit saves no time: it
+# keeps the output identical to earlier versions, and lifting it belongs with
+# the exact algebra of the ring (ROADMAP, open item 2).
 AUDIT_BRUTE_N = 4
 
 
@@ -380,7 +380,7 @@ def cmd_audit(args) -> int:
         image = codes.gray_image_basis(codes.RingCode(n, gens))
         dec = _decompose(image, args.enum_cap)
         rec = _decomposition_record(dec, label)
-        rec["product_law_ok"] = image.size * codes.ring_dual(image).size == 8 ** n
+        rec["product_law_ok"] = image.size * codes.dual_binary(image).size == 8 ** n
         records.append(rec)
         status = "PASS" if dec.passed else "FAIL"
         detail = (

@@ -22,10 +22,10 @@ BinaryCode is immutable and hashable, so min_hamming and dual_binary run
 once per distinct image.  rref is canonical, so a cached result is the same
 basis a fresh one would be.
 
-The ring dual is exact and needs no enumeration: in Gray coordinates the
-ring inner product is three binary bilinear forms, so the dual's Gray image
-is a GF(2) null space (ring_dual).  The 8^n scan dual_ring_bruteforce is kept
-only as the reference the tests check it against.
+The exact ring dual is dual_binary of the Gray image.  The v^2-coefficient
+of <x, y> is the dot product of the Gray masks of x and y, so the image of
+C^perp lies in the binary dual of the image of C; R is a Frobenius ring, so
+|C| * |C^perp| = 8^n and the two are the same size.
 
 The decomposition, dual-formula and size-formula routines are audits: they
 compare a claimed identity against exact computation and report a witness
@@ -40,18 +40,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import combinations, product
+from itertools import combinations
 from operator import xor
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from . import ring
 from .errors import CapExceeded, PreconditionError
 from .gf2poly import degree, divides_xn1, format_poly, poly_divmod, poly_mod, reciprocal, xn1
-from .ring import gray_vec, gray_vec_inverse, ring_inner_product
+from .ring import gray_vec, gray_vec_inverse
 
 DEFAULT_ENUM_CAP = 1 << 24
 DEFAULT_DIST_CAP = 1 << 20
-DEFAULT_RING_DUAL_CAP = 1 << 24
 
 
 def rref(rows: Sequence[int], ncols: int) -> tuple[int, ...]:
@@ -210,11 +208,6 @@ class RingCode:
     cyclic: bool = False
 
 
-def sigma(vec: tuple[int, ...]) -> tuple[int, ...]:
-    """Right cyclic shift: (r0,...,r_{n-1}) -> (r_{n-1}, r0, ..., r_{n-2})."""
-    return vec[-1:] + vec[:-1]
-
-
 def _thirds(mask: int, n: int) -> tuple[int, int, int]:
     """Split a 3n-bit Gray mask (A|B|C) into its three n-bit thirds."""
     full = (1 << n) - 1
@@ -283,19 +276,6 @@ def check_enum_cap(image: BinaryCode, cap: int) -> None:
         )
 
 
-def capped_codewords(image: BinaryCode, cap: int = DEFAULT_ENUM_CAP) -> Iterator[int]:
-    """The codeword masks of a Gray image, refused when there are over cap."""
-    check_enum_cap(image, cap)
-    return image.codewords()
-
-
-def span_enumerate(code: RingCode, cap: int = DEFAULT_ENUM_CAP) -> frozenset[tuple[int, ...]]:
-    """The full codeword set, pulled back through the Gray bijection."""
-    n = code.n
-    return frozenset(gray_vec_inverse(mask, n)
-                     for mask in capped_codewords(gray_image_basis(code), cap))
-
-
 def build_ring_cyclic(n: int, f1: int, f2: int, f3: int) -> RingCode:
     """Cyclic ring code generated by v*f1, (1+v)*f2 and (1+v^2)*f3.
 
@@ -351,11 +331,6 @@ def _dual_polys(n: int, f1: int, f2: int, f3: int) -> tuple[int, ...]:
     return tuple(reciprocal(poly_divmod(modulus, f)[0]) for f in (f1, f2, f3))
 
 
-def projections(span: frozenset[tuple[int, ...]], n: int) -> tuple[BinaryCode, BinaryCode, BinaryCode]:
-    """The three binary projections: a-parts, b-parts and (a+c)-parts."""
-    return _image_projections(BinaryCode.from_rows(3 * n, [gray_vec(v) for v in span]))
-
-
 def _image_projections(image: BinaryCode) -> tuple[BinaryCode, BinaryCode, BinaryCode]:
     """The first, second and last thirds of a Gray image, as codes of length n.
 
@@ -366,92 +341,14 @@ def _image_projections(image: BinaryCode) -> tuple[BinaryCode, BinaryCode, Binar
     return tuple(BinaryCode.from_rows(n, [t[i] for t in thirds]) for i in range(3))
 
 
-def _span_f2_basis(span: frozenset[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
-    masks = rref([gray_vec(v) for v in span], 3 * n)
-    return [gray_vec_inverse(m, n) for m in masks]
-
-
-def _inner_product_rows(mask: int, n: int) -> tuple[int, int, int]:
-    """Masks r1, rv, rv2 with <x, y> = (r1.Y) + v*(rv.Y) + v^2*(rv2.Y).
-
-    Here mask = (A|B|C) is the Gray mask of x, Y = (A'|B'|C') that of y and
-    "." the binary dot product.  Expanding x*y coordinatewise gives the
-    1-coefficient A.A', the v-coefficient B.C' + C.B' and the v^2-coefficient
-    (A|B|C).(A'|B'|C'); the three rows are (A|0|0), (0|C|B) (the Gray mask of
-    v*x) and (A|B|C).
-    """
-    return mask & ((1 << n) - 1), _v_multiples(mask, n)[0], mask
-
-
-def ring_dual(image: BinaryCode) -> BinaryCode:
-    """Gray image of the exact ring dual, from the Gray image of a code.
-
-    The dual is the annihilator under the ring inner product, which is
-    biadditive, so it is the binary null space of the three inner-product
-    rows of every basis row of the image.
-    """
-    n = image.n // 3
-    rows = [r for mask in image.basis for r in _inner_product_rows(mask, n)]
-    return BinaryCode(image.n, nullspace(rows, image.n))
-
-
-def dual_ring_bruteforce(span: frozenset[tuple[int, ...]], n: int,
-                         cap: int = DEFAULT_RING_DUAL_CAP) -> frozenset[tuple[int, ...]]:
-    """Exact annihilator of the span under the ring inner product.
-
-    Scans all 8^n candidate vectors; orthogonality is checked against an
-    additive basis of the span, which suffices because the inner product is
-    biadditive.  No working path calls it: ring_dual computes the same set
-    as a null space, and this scan is the reference the tests compare it to.
-    """
-    if 8 ** n > cap:
-        raise CapExceeded(f"8^{n} candidates exceed ring dual cap {cap}")
-    basis = _span_f2_basis(span, n)
-    out = []
-    for cand in product(ring.ELEMENTS, repeat=n):
-        if all(ring_inner_product(cand, b) == 0 for b in basis):
-            out.append(cand)
-    return frozenset(out)
-
-
 def dual_ring_formula(n: int, f1: int, f2: int, f3: int) -> RingCode:
     """The claimed dual: one generator v*h1r + (1+v)*h2r + (1+v^2)*h3r,
     where hi = (x^n - 1)/fi and hir is the reciprocal of hi.
 
     This is a claim under audit, not a trusted construction; compare its
-    span against ring_dual.
+    span against the exact dual, dual_binary of the code's Gray image.
     """
     return RingCode(n, (combined_generator(n, *_dual_polys(n, f1, f2, f3)),), cyclic=True)
-
-
-def min_lee_enum(span: frozenset[tuple[int, ...]]) -> int:
-    """Minimum Lee weight over nonzero codewords of an enumerated span."""
-    weights = [ring.lee_weight_vec(v) for v in span if any(v)]
-    if not weights:
-        raise PreconditionError("zero code has no nonzero codeword")
-    return min(weights)
-
-
-def min_lee_formula(c1: BinaryCode, c2: BinaryCode, c3: BinaryCode,
-                    cap: int = DEFAULT_DIST_CAP) -> int:
-    """min of the three component Hamming distances (a claim under audit)."""
-    return min(min_hamming(c, cap) for c in (c1, c2, c3))
-
-
-def is_cyclic(span: frozenset[tuple[int, ...]]) -> bool:
-    return all(sigma(v) in span for v in span)
-
-
-def is_quasicyclic3(masks: frozenset[int] | set[int], length: int) -> bool:
-    return all(phi(m, length) in masks for m in masks)
-
-
-def is_self_orthogonal(span: frozenset[tuple[int, ...]], n: int) -> bool:
-    """Whether every pair of codewords is orthogonal (checked on a basis)."""
-    basis = _span_f2_basis(span, n)
-    return all(
-        ring_inner_product(x, y) == 0 for x in basis for y in basis
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -480,17 +377,8 @@ class DecompositionAudit:
         return self.tensor_equal and self.reconstruction_equal
 
 
-def audit_decomposition(span: frozenset[tuple[int, ...]], n: int) -> DecompositionAudit:
-    return audit_decomposition_masks(frozenset(gray_vec(vec) for vec in span), n)
-
-
-def audit_decomposition_masks(psi: frozenset[int], n: int) -> DecompositionAudit:
-    """audit_decomposition on the set of Gray masks of the code."""
-    return audit_decomposition_image(BinaryCode.from_rows(3 * n, psi))
-
-
 def audit_decomposition_image(image: BinaryCode) -> DecompositionAudit:
-    """audit_decomposition on the Gray image of the code, by rank algebra.
+    """The decomposition audit of a code, given its Gray image, by rank algebra.
 
     C1 x C2 x C3 is the direct sum of the three projections and always holds
     the image, so the tensor claim is a rank question.  The reconstruction
@@ -608,7 +496,7 @@ def _least_outside(x: BinaryCode, y: BinaryCode, key: Callable[[int], int]) -> i
 
 @dataclass(frozen=True)
 class DualFormulaAudit:
-    """Span of the claimed dual generator versus the exact dual (ring_dual).
+    """Span of the claimed dual generator versus the exact dual (dual_binary).
 
     Fields named "brute" describe the exact dual; they share their names
     with the audit record's keys, which stay fixed.
@@ -624,7 +512,7 @@ class DualFormulaAudit:
     witness: Optional[tuple[int, ...]]
     witness_side: str  # "", "only_in_brute", "only_in_formula"
     size_claim_matches: bool  # claimed 2^(sum deg fi) vs exact dual size
-    product_law_ok: bool  # |C| * |dual| == 8^n
+    product_law_ok: bool  # |C| * |dual| == 8^n, which rank-nullity ensures
     three_generator_matches_brute: bool  # the <v h1r, (1+v) h2r, (1+v^2) h3r> variant
 
 
@@ -637,7 +525,7 @@ def audit_dual_formula(n: int, f1: int, f2: int, f3: int,
     a small cap stops where it always did.
     """
     code = _cyclic_image(n, f1, f2, f3)
-    dual = ring_dual(code)
+    dual = dual_binary(code)
     formula = gray_image_basis(dual_ring_formula(n, f1, f2, f3))
     three_gen = _cyclic_image(n, *_dual_polys(n, f1, f2, f3))
 

@@ -74,29 +74,6 @@ def poly_gcd(p: int, q: int) -> int:
     return p
 
 
-def poly_pow_mod(p: int, e: int, m: int) -> int:
-    """p**e reduced modulo m."""
-    r = 1
-    p = poly_mod(p, m)
-    while e:
-        if e & 1:
-            r = poly_mod(poly_mul(r, p), m)
-        p = poly_mod(poly_mul(p, p), m)
-        e >>= 1
-    return r
-
-
-def derivative(p: int) -> int:
-    """Formal derivative: odd-index coefficients shift down, even ones vanish."""
-    r = 0
-    i = 1
-    while p >> i:
-        if (p >> i) & 1:
-            r |= 1 << (i - 1)
-        i += 2
-    return r
-
-
 def reciprocal(f: int) -> int:
     """x^deg(f) * f(1/x): the coefficient sequence reversed.
 
@@ -175,18 +152,6 @@ def is_irreducible(f: int) -> bool:
         if k in checkpoints and poly_gcd(h ^ X, f) != 1:
             return False
     return h == X
-
-
-def irreducible_by_trial_division(f: int) -> bool:
-    """Literal oracle: no divisor of any lower degree 1..deg-1.
-
-    Exponential in the degree; intended for cross-checking small factors,
-    not as the working test.
-    """
-    d = degree(f)
-    if d <= 0:
-        return False
-    return all(poly_mod(f, q) != 0 for q in range(2, 1 << d))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Independent brute-force oracles used to cross-check the library.
 
-Everything here deliberately avoids the library's representations and code
+The first oracles deliberately avoid the library's representations and code
 paths: polynomials are coefficient lists, ring elements are multiplied by
 expanding v-power convolutions, spans are built by iterating every scalar
 combination.  Slow and dumb on purpose.
@@ -11,10 +11,16 @@ closed-form rotation that replaced them.  The Gray image by shifts keeps the
 earlier, unmemoised gray_image_basis: one row space over every generator's
 shifts and v-multiples at once.
 
-The set-based audits at the end are the exception: they take the library's
-Gray images and walk their codewords, as the audits did before they became
-rank algebra, so they check the library's witnesses against plain set
-differences.
+The set-based audits take the library's Gray images and walk their
+codewords, as the audits did before they became rank algebra, so they check
+the library's witnesses against plain set differences.
+
+The last section holds references on the library's own representations,
+moved out of the package because only tests use them: full ring spans
+through the Gray bijection, the minimum Lee weight of a span, the 8^n scan
+for the ring dual, shift and self-orthogonality checks on spans, the
+decomposition audit of a set of ring tuples, and trial-division
+irreducibility and the formal derivative of polynomials as ints.
 """
 
 from __future__ import annotations
@@ -23,17 +29,26 @@ from functools import cache
 from itertools import product
 
 from vcubed.codes import (
+    DEFAULT_ENUM_CAP,
     BinaryCode,
     DecompositionAudit,
+    RingCode,
     _combination_mask,
     _v_multiples,
+    audit_decomposition_image,
     build_ring_cyclic,
+    check_enum_cap,
+    dual_binary,
     dual_ring_formula,
     gray_image_basis,
     phi,
-    ring_dual,
+    rref,
 )
-from vcubed.ring import gray_vec, gray_vec_inverse
+from vcubed.errors import CapExceeded, PreconditionError
+from vcubed.gf2poly import degree, poly_mod
+from vcubed.ring import ELEMENTS, gray_vec, gray_vec_inverse, lee_weight_vec, ring_inner_product
+
+DEFAULT_RING_DUAL_CAP = 1 << 24
 
 
 def to_coeffs(p: int) -> list[int]:
@@ -262,7 +277,7 @@ def audit_decomposition_by_sets(psi, n):
 def dual_witness_by_walk(n, f1, f2, f3):
     """(witness, side) of the dual-formula audit, found by walking every
     codeword of the side with extras and keeping those outside the other."""
-    dual = ring_dual(gray_image_basis(build_ring_cyclic(n, f1, f2, f3)))
+    dual = dual_binary(gray_image_basis(build_ring_cyclic(n, f1, f2, f3)))
     formula = gray_image_basis(dual_ring_formula(n, f1, f2, f3))
     if formula == dual:
         return None, ""
@@ -271,3 +286,95 @@ def dual_witness_by_walk(n, f1, f2, f3):
                            else (dual, formula, "only_in_brute"))
     outside = [m for m in extras.codewords() if not other.contains(m)]
     return _least_ring_vector(outside, n), side
+
+
+# ---------------------------------------------------------------------------
+# References on the library's representations, moved out of the package.
+# ---------------------------------------------------------------------------
+
+
+def span_enumerate(code: RingCode, cap: int = DEFAULT_ENUM_CAP) -> frozenset[tuple[int, ...]]:
+    """The full codeword set, pulled back through the Gray bijection."""
+    image = gray_image_basis(code)
+    check_enum_cap(image, cap)
+    return frozenset(gray_vec_inverse(mask, code.n) for mask in image.codewords())
+
+
+def min_lee_enum(span: frozenset[tuple[int, ...]]) -> int:
+    """Minimum Lee weight over nonzero codewords of an enumerated span."""
+    weights = [lee_weight_vec(v) for v in span if any(v)]
+    if not weights:
+        raise PreconditionError("zero code has no nonzero codeword")
+    return min(weights)
+
+
+def _span_f2_basis(span: frozenset[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
+    masks = rref([gray_vec(v) for v in span], 3 * n)
+    return [gray_vec_inverse(m, n) for m in masks]
+
+
+def dual_ring_bruteforce(span: frozenset[tuple[int, ...]], n: int,
+                         cap: int = DEFAULT_RING_DUAL_CAP) -> frozenset[tuple[int, ...]]:
+    """Exact annihilator of the span under the ring inner product.
+
+    Scans all 8^n candidate vectors; orthogonality is checked against an
+    additive basis of the span, which suffices because the inner product is
+    biadditive.
+    """
+    if 8 ** n > cap:
+        raise CapExceeded(f"8^{n} candidates exceed ring dual cap {cap}")
+    basis = _span_f2_basis(span, n)
+    out = []
+    for cand in product(ELEMENTS, repeat=n):
+        if all(ring_inner_product(cand, b) == 0 for b in basis):
+            out.append(cand)
+    return frozenset(out)
+
+
+def is_self_orthogonal(span: frozenset[tuple[int, ...]], n: int) -> bool:
+    """Whether every pair of codewords is orthogonal (checked on a basis)."""
+    basis = _span_f2_basis(span, n)
+    return all(
+        ring_inner_product(x, y) == 0 for x in basis for y in basis
+    )
+
+
+def sigma(vec: tuple[int, ...]) -> tuple[int, ...]:
+    """Right cyclic shift: (r0,...,r_{n-1}) -> (r_{n-1}, r0, ..., r_{n-2})."""
+    return vec[-1:] + vec[:-1]
+
+
+def is_cyclic(span: frozenset[tuple[int, ...]]) -> bool:
+    return all(sigma(v) in span for v in span)
+
+
+def is_quasicyclic3(masks: frozenset[int] | set[int], length: int) -> bool:
+    return all(phi(m, length) in masks for m in masks)
+
+
+def audit_decomposition(span: frozenset[tuple[int, ...]], n: int) -> DecompositionAudit:
+    """The decomposition audit of a code given as its set of ring tuples."""
+    return audit_decomposition_image(BinaryCode.from_rows(3 * n, [gray_vec(v) for v in span]))
+
+
+def irreducible_by_trial_division(f: int) -> bool:
+    """Literal oracle: no divisor of any lower degree 1..deg-1.
+
+    Exponential in the degree; intended for cross-checking small factors,
+    not as the working test.
+    """
+    d = degree(f)
+    if d <= 0:
+        return False
+    return all(poly_mod(f, q) != 0 for q in range(2, 1 << d))
+
+
+def derivative(p: int) -> int:
+    """Formal derivative: odd-index coefficients shift down, even ones vanish."""
+    r = 0
+    i = 1
+    while p >> i:
+        if (p >> i) & 1:
+            r |= 1 << (i - 1)
+        i += 2
+    return r

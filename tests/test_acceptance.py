@@ -20,25 +20,18 @@ from functools import lru_cache
 
 from vcubed.codes import (
     RingCode,
-    audit_decomposition,
     audit_dual_formula,
     binary_cyclic,
     build_ring_cyclic,
     dual_binary,
-    dual_ring_bruteforce,
     gray_image_basis,
-    is_quasicyclic3,
-    is_self_orthogonal,
     phi,
-    sigma,
-    span_enumerate,
 )
 from vcubed.gf2poly import (
     degree,
     enumerate_divisors,
     factor_xn1,
     format_poly,
-    irreducible_by_trial_division,
     is_irreducible,
     parse_poly,
     xn1,
@@ -53,6 +46,15 @@ from vcubed.ring import (
     lee_weight_vec,
     ring_add,
     ring_inner_product,
+)
+from oracles import (
+    audit_decomposition,
+    dual_ring_bruteforce,
+    irreducible_by_trial_division,
+    is_quasicyclic3,
+    is_self_orthogonal,
+    sigma,
+    span_enumerate,
 )
 
 P = parse_poly

@@ -4,40 +4,29 @@ from itertools import product
 import pytest
 
 from vcubed.codes import (
+    DEFAULT_ENUM_CAP,
     BinaryCode,
     RingCode,
-    _inner_product_rows,
+    _image_projections,
     _least_outside,
     _product_order_key,
     _ring_order_key,
     _v_multiples,
-    audit_decomposition,
     audit_decomposition_image,
-    audit_decomposition_masks,
     audit_dual_formula,
     audit_single_generator,
     audit_size_formula,
     binary_cyclic,
     build_ring_cyclic,
-    capped_codewords,
+    check_enum_cap,
     combined_generator,
     dual_binary,
-    dual_ring_bruteforce,
     dual_ring_formula,
     gray_image_basis,
-    is_cyclic,
-    is_quasicyclic3,
-    is_self_orthogonal,
     min_hamming,
-    min_lee_enum,
-    min_lee_formula,
     nullspace,
     phi,
-    projections,
-    ring_dual,
     rref,
-    sigma,
-    span_enumerate,
 )
 from vcubed.cli import AUDIT_CATALOG
 from vcubed.errors import CapExceeded, PreconditionError
@@ -56,14 +45,22 @@ from vcubed.ring import (
 )
 from oracles import (
     _least_ring_vector,
+    audit_decomposition,
     audit_decomposition_by_sets,
     binary_dual_direct,
     binary_min_weight_direct,
+    dual_ring_bruteforce,
     dual_witness_by_walk,
     gray_image_basis_by_shifts,
+    is_cyclic,
+    is_quasicyclic3,
+    is_self_orthogonal,
+    min_lee_enum,
     phi_by_thirds,
     rref_by_columns,
+    sigma,
     span_by_all_combinations,
+    span_enumerate,
 )
 
 P = parse_poly
@@ -306,16 +303,15 @@ def test_build_ring_cyclic_closed_under_shift():
 
 
 def test_projections_examples():
-    span = span_enumerate(RingCode(1, ((ONE_PLUS_V,),)))
-    c1, c2, c3 = projections(span, 1)
+    c1, c2, c3 = _image_projections(gray_image_basis(RingCode(1, ((ONE_PLUS_V,),))))
     assert (set(c1.codewords()), set(c2.codewords()), set(c3.codewords())) == (
         {0, 1}, {0, 1}, {0, 1}
     )
-    diag = span_enumerate(build_ring_cyclic(2, P("x+1"), P("x+1"), P("x+1")))
-    for c in projections(diag, 2):
+    diag = gray_image_basis(build_ring_cyclic(2, P("x+1"), P("x+1"), P("x+1")))
+    for c in _image_projections(diag):
         assert set(c.codewords()) == {0b00, 0b11}
-    zero = span_enumerate(RingCode(2, ()))
-    for c in projections(zero, 2):
+    zero = gray_image_basis(RingCode(2, ()))
+    for c in _image_projections(zero):
         assert set(c.codewords()) == {0}
 
 
@@ -392,15 +388,16 @@ def test_min_lee_examples():
 
 
 def test_min_lee_formula_examples():
+    # the claimed distance: the least of the three component distances
     c = binary_cyclic(8, P("x^3+x^2+x+1"))
-    assert min_lee_formula(c, c, c) == 2
+    assert min(min_hamming(x) for x in (c, c, c)) == 2
     h = binary_cyclic(7, P("x^3+x+1"))
-    assert min_lee_formula(h, h, h) == 3
+    assert min(min_hamming(x) for x in (h, h, h)) == 3
     c15 = binary_cyclic(15, P("x^4+x+1"))
-    assert min_lee_formula(c15, c15, c15) == 3
+    assert min(min_hamming(x) for x in (c15, c15, c15)) == 3
     zero = binary_cyclic(4, P("x^4+1"))
     with pytest.raises(PreconditionError):
-        min_lee_formula(c, zero, c)
+        min(min_hamming(x) for x in (c, zero, c))
 
 
 def test_min_lee_enum_equals_gray_min_hamming():
@@ -630,7 +627,7 @@ def test_audit_decomposition_matches_exhaustive_product():
     f = P("x+1")
     span = span_enumerate(build_ring_cyclic(2, f, f, 1))
     audit = audit_decomposition(span, 2)
-    c1, c2, c3 = projections(span, 2)
+    c1, c2, c3 = _image_projections(gray_image_basis(build_ring_cyclic(2, f, f, 1)))
     tensor = set()
     for a in c1.codewords():
         for b in c2.codewords():
@@ -643,7 +640,8 @@ def test_audit_decomposition_reconstruction_matches_ring_tuples():
     # the reconstruction v*a + (1+v)*b + (1+v^2)*c, built coordinate by
     # coordinate as ring tuples, against the audit's (b+c | a+b | b) masks
     def by_ring_tuples(span, n):
-        c1, c2, c3 = projections(span, n)
+        image = BinaryCode.from_rows(3 * n, [gray_vec(v) for v in span])
+        c1, c2, c3 = _image_projections(image)
         recon = {
             tuple((V if (a >> i) & 1 else 0) ^ (ONE_PLUS_V if (b >> i) & 1 else 0)
                   ^ (ONE_PLUS_V2 if (c >> i) & 1 else 0) for i in range(n))
@@ -684,22 +682,23 @@ def _random_generators(rng, n):
     )
 
 
-def test_inner_product_rows_match_ring_inner_product():
-    # bit k of <x, y> is the binary dot product of row k with the mask of y
-    def by_rows(x, y):
-        rows = _inner_product_rows(gray_vec(x), len(x))
-        return sum(((r & gray_vec(y)).bit_count() & 1) << k for k, r in enumerate(rows))
+def test_v2_coefficient_of_inner_product_is_gray_dot_product():
+    # bit 2 of <x, y> is the binary dot product of the Gray masks of x and y,
+    # so the Gray image of the ring dual lies in the binary dual of the image
+    def check(x, y):
+        dot = (gray_vec(x) & gray_vec(y)).bit_count() & 1
+        assert ring_inner_product(x, y) >> 2 == dot, (x, y)
 
     for n in (1, 2):
         vectors = list(product(range(8), repeat=n))
         for x in vectors:
             for y in vectors:
-                assert by_rows(x, y) == ring_inner_product(x, y), (x, y)
+                check(x, y)
     rng = random.Random(61)
     for _ in range(2000):
         n = rng.randint(3, 21)
         x, y = (tuple(rng.randrange(8) for _ in range(n)) for _ in range(2))
-        assert by_rows(x, y) == ring_inner_product(x, y), (x, y)
+        check(x, y)
 
 
 def test_ring_dual_matches_bruteforce_and_is_an_involution():
@@ -709,14 +708,16 @@ def test_ring_dual_matches_bruteforce_and_is_an_involution():
     rng = random.Random(67)
     codes += [RingCode(n, _random_generators(rng, n))
               for n in (rng.randint(1, 4) for _ in range(30))]
+    # the exact ring dual is the binary dual of the Gray image, and the
+    # product law |C| * |C^perp| = 8^n holds against the 8^n scan
     for code in codes:
         n = code.n
         image = gray_image_basis(code)
-        dual = ring_dual(image)
+        dual = dual_binary(image)
         brute = dual_ring_bruteforce(span_enumerate(code), n)
-        assert {gray_vec(v) for v in brute} == set(dual.codewords()), code
-        assert image.size * dual.size == 8 ** n
-        assert ring_dual(dual) == image, code
+        assert set(dual.codewords()) == {gray_vec(v) for v in brute}, code
+        assert image.size * len(brute) == 8 ** n, code
+        assert dual_binary(dual) == image, code
 
 
 def test_decomposition_on_masks_matches_ring_tuple_audit():
@@ -726,8 +727,10 @@ def test_decomposition_on_masks_matches_ring_tuple_audit():
     codes += [RingCode(n, _random_generators(rng, n))
               for n in (rng.randint(1, 3) for _ in range(40))]
     for code in codes:
-        masks = frozenset(capped_codewords(gray_image_basis(code)))
-        assert (audit_decomposition_masks(masks, code.n)
+        image = gray_image_basis(code)
+        check_enum_cap(image, DEFAULT_ENUM_CAP)
+        by_masks = BinaryCode.from_rows(3 * code.n, image.codewords())
+        assert (audit_decomposition_image(by_masks)
                 == audit_decomposition(span_enumerate(code), code.n)), code
 
 

@@ -5,12 +5,10 @@ import pytest
 from vcubed.errors import CapExceeded, ParseError, PreconditionError
 from vcubed.gf2poly import (
     degree,
-    derivative,
     divides_xn1,
     enumerate_divisors,
     factor_xn1,
     format_poly,
-    irreducible_by_trial_division,
     is_irreducible,
     parse_poly,
     poly_add,
@@ -21,7 +19,7 @@ from vcubed.gf2poly import (
     reciprocal,
     xn1,
 )
-from oracles import schoolbook_divmod, schoolbook_mul
+from oracles import derivative, irreducible_by_trial_division, schoolbook_divmod, schoolbook_mul
 
 P = parse_poly
 

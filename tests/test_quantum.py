@@ -4,11 +4,8 @@ from vcubed.codes import (
     binary_cyclic,
     build_ring_cyclic,
     dual_binary,
-    dual_ring_bruteforce,
     gray_image_basis,
     min_hamming,
-    min_lee_enum,
-    span_enumerate,
 )
 from vcubed.errors import PreconditionError
 from vcubed.gf2poly import degree, enumerate_divisors, parse_poly, poly_divmod, xn1
@@ -19,7 +16,7 @@ from vcubed.quantum import (
     validate_css_binary,
 )
 
-from oracles import binary_min_weight_direct
+from oracles import binary_min_weight_direct, dual_ring_bruteforce, min_lee_enum, span_enumerate
 
 P = parse_poly
 
