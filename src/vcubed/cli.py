@@ -36,13 +36,6 @@ EXIT_CAP = 2
 EXIT_PRECONDITION = 3
 EXIT_MISMATCH = 4
 
-# The dual-formula audit runs only up to this length.  The exact ring dual is
-# dual_binary of the Gray image at any length, so the limit saves no time: it
-# keeps the output identical to earlier versions, and lifting it belongs with
-# the exact algebra of the ring (ROADMAP, open item 2).
-AUDIT_BRUTE_N = 4
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems exit 1, not argparse's 2
         self.print_usage(sys.stderr)
@@ -157,10 +150,8 @@ def cmd_inspect(args) -> int:
         )
 
     if all(dc.values()):
-        rec = quantum.css_from_triple(
-            n, *fs, dist_enum_cap=args.enum_cap_distance, validate=args.validate,
-            rank_cap=args.rank_cap,
-        )
+        cap = min(args.enum_cap, quantum.DEFAULT_DIST_ENUM_CAP)
+        rec = quantum.css_from_triple(n, *fs, dist_enum_cap=cap)
         record["quantum"] = {
             "n": rec.n, "k": rec.k, "d": rec.d,
             "d_method": rec.d_method, "validated": rec.validated,
@@ -176,15 +167,11 @@ def cmd_inspect(args) -> int:
         record["quantum"] = None
         lines.append("not dual-containing: no quantum parameters")
 
-    audits = []
-    if image.size <= args.enum_cap and image.dim <= 16:
-        dec = codes.audit_decomposition_image(image)
-        audits.append(_decomposition_record(dec, "inspected code"))
-        if n <= AUDIT_BRUTE_N:
-            dual = codes.audit_dual_formula(n, *fs, enum_cap=args.enum_cap)
-            audits.append(_dual_formula_record(dual))
-    single = codes.audit_single_generator(n, *fs)
-    audits.append(_single_generator_record(single))
+    audits = [
+        _decomposition_record(codes.audit_decomposition_image(image), "inspected code"),
+        _dual_formula_record(codes.audit_dual_formula(n, *fs)),
+        _single_generator_record(codes.audit_single_generator(n, *fs)),
+    ]
     record["audits"] = audits
     for audit in audits:
         status = "PASS" if audit["pass"] else "FAIL"
@@ -271,8 +258,8 @@ def cmd_search(args) -> int:
         min_k=args.min_k,
         max_results=args.max_results,
         divisor_cap=args.divisor_cap,
-        dist_enum_cap=args.enum_cap_distance,
-        rank_cap=args.rank_cap,
+        # Distance enumeration keeps its own, tighter default.
+        dist_enum_cap=min(args.enum_cap, quantum.DEFAULT_DIST_ENUM_CAP),
     )
     records = []
     lines = []
@@ -366,19 +353,13 @@ AUDIT_CATALOG: tuple[tuple[str, int, tuple[tuple[int, ...], ...]], ...] = (
 )
 
 
-def _decompose(image: codes.BinaryCode, enum_cap: int) -> codes.DecompositionAudit:
-    """The decomposition audit of a Gray image, refused over enum_cap."""
-    codes.check_enum_cap(image, enum_cap)
-    return codes.audit_decomposition_image(image)
-
-
 def cmd_audit(args) -> int:
     records = []
     lines = []
 
     for label, n, gens in AUDIT_CATALOG:
         image = codes.gray_image_basis(codes.RingCode(n, gens))
-        dec = _decompose(image, args.enum_cap)
+        dec = codes.audit_decomposition_image(image)
         rec = _decomposition_record(dec, label)
         rec["product_law_ok"] = image.size * codes.dual_binary(image).size == 8 ** n
         records.append(rec)
@@ -401,20 +382,20 @@ def cmd_audit(args) -> int:
         for f1, f2, f3 in product(enumerate_divisors(n), repeat=3):
             label = (f"cyclic n={n}, ({format_poly(f1)}; "
                      f"{format_poly(f2)}; {format_poly(f3)})")
-            dec = _decompose(codes._cyclic_image(n, f1, f2, f3), args.enum_cap)
+            dec = codes.audit_decomposition_image(codes._cyclic_image(n, f1, f2, f3))
             records.append(_decomposition_record(dec, label))
             size = codes.audit_size_formula(n, f1, f2, f3)
             records.append(_size_record(size))
             single = codes.audit_single_generator(n, f1, f2, f3)
             records.append(_single_generator_record(single))
-            line = (f"{label}: decomposition={'PASS' if dec.passed else 'FAIL'} "
-                    f"size={'PASS' if size.matches else 'FAIL'} "
-                    f"single_generator={'PASS' if single.equal else 'FAIL'}")
-            if n <= AUDIT_BRUTE_N:
-                dual = codes.audit_dual_formula(n, f1, f2, f3, enum_cap=args.enum_cap)
-                records.append(_dual_formula_record(dual))
-                line += f" dual_formula={'PASS' if dual.formula_matches_brute else 'FAIL'}"
-            lines.append(line)
+            dual = codes.audit_dual_formula(n, f1, f2, f3)
+            records.append(_dual_formula_record(dual))
+            lines.append(
+                f"{label}: decomposition={'PASS' if dec.passed else 'FAIL'} "
+                f"size={'PASS' if size.matches else 'FAIL'} "
+                f"single_generator={'PASS' if single.equal else 'FAIL'} "
+                f"dual_formula={'PASS' if dual.formula_matches_brute else 'FAIL'}"
+            )
 
     failures = sum(not r["pass"] for r in records)
     lines.append(f"{len(records)} audits, {failures} failed claims (witnesses recorded)")
@@ -422,30 +403,28 @@ def cmd_audit(args) -> int:
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_format(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("table", "records"), default="table",
                         help="human table or line-delimited JSON records")
+
+
+def _add_enum_cap(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--enum-cap", dest="enum_cap", type=_positive_int,
                         default=codes.DEFAULT_ENUM_CAP,
-                        help="max code size 2^dim that distances and audits accept")
-    parser.add_argument("--divisor-cap", dest="divisor_cap", type=_positive_int,
-                        default=DEFAULT_DIVISOR_CAP,
-                        help="max number of divisors of x^n+1")
-    parser.add_argument("--rank-cap", dest="rank_cap", type=_positive_int,
-                        default=quantum.DEFAULT_RANK_CAP,
-                        help="max 3n for binary rank validation")
+                        help="max code size 2^dim whose distance is enumerated")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, each declaring only the options it reads."""
     parser = _Parser(prog="vcubed",
                      description="Cyclic codes over F2[v]/(v^3 - v), Gray images, "
                                  "and CSS quantum-code parameters.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("factor", parents=[], help="factor x^n+1 over GF(2)")
+    p = sub.add_parser("factor", help="factor x^n+1 over GF(2)")
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--bound", type=_positive_int, default=128)
-    _add_common(p)
+    _add_format(p)
     p.set_defaults(func=cmd_factor)
 
     p = sub.add_parser("inspect", help="inspect one generator triple")
@@ -453,8 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f1", required=True)
     p.add_argument("--f2", required=True)
     p.add_argument("--f3", required=True)
-    p.add_argument("--validate", action=argparse.BooleanOptionalAction, default=True)
-    _add_common(p)
+    _add_format(p)
+    _add_enum_cap(p)
     p.set_defaults(func=cmd_inspect)
 
     p = sub.add_parser("search", help="search divisor triples for quantum codes")
@@ -463,17 +442,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--equal-triples-only", action="store_true")
     p.add_argument("--max-results", dest="max_results", type=_positive_int,
                    default=None)
-    _add_common(p)
+    _add_format(p)
+    _add_enum_cap(p)
+    p.add_argument("--divisor-cap", dest="divisor_cap", type=_positive_int,
+                   default=DEFAULT_DIVISOR_CAP,
+                   help="max number of divisors of x^n+1")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("reproduce-paper",
                        help="recompute the published parameter table")
-    _add_common(p)
+    _add_format(p)
     p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser("audit", help="audit structural claims by exact rank algebra")
     p.add_argument("--n-max", dest="n_max", type=_positive_int, default=3)
-    _add_common(p)
+    _add_format(p)
     p.set_defaults(func=cmd_audit)
 
     return parser
@@ -482,8 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # Distance enumeration keeps its own, tighter default.
-    args.enum_cap_distance = min(args.enum_cap, quantum.DEFAULT_DIST_ENUM_CAP)
     try:
         return args.func(args)
     except ParseError as exc:

@@ -268,14 +268,6 @@ def _generator_span(n: int, gen: tuple[int, ...], cyclic: bool) -> tuple[int, ..
     return rref(rows, 3 * n)
 
 
-def check_enum_cap(image: BinaryCode, cap: int) -> None:
-    """Refuse a Gray image with more than cap codewords."""
-    if image.size > cap:
-        raise CapExceeded(
-            f"span estimate 2^{image.dim} exceeds enumeration cap {cap}"
-        )
-
-
 def build_ring_cyclic(n: int, f1: int, f2: int, f3: int) -> RingCode:
     """Cyclic ring code generated by v*f1, (1+v)*f2 and (1+v^2)*f3.
 
@@ -516,14 +508,8 @@ class DualFormulaAudit:
     three_generator_matches_brute: bool  # the <v h1r, (1+v) h2r, (1+v^2) h3r> variant
 
 
-def audit_dual_formula(n: int, f1: int, f2: int, f3: int,
-                       enum_cap: int = DEFAULT_ENUM_CAP) -> DualFormulaAudit:
-    """Compare Gray-image bases.
-
-    The side holding the witness is still checked against enum_cap, the
-    bound on the codeword walk that used to find the witness, so a run with
-    a small cap stops where it always did.
-    """
+def audit_dual_formula(n: int, f1: int, f2: int, f3: int) -> DualFormulaAudit:
+    """Compare Gray-image bases."""
     code = _cyclic_image(n, f1, f2, f3)
     dual = dual_binary(code)
     formula = gray_image_basis(dual_ring_formula(n, f1, f2, f3))
@@ -536,7 +522,6 @@ def audit_dual_formula(n: int, f1: int, f2: int, f3: int,
         extras, other, side = ((formula, dual, "only_in_formula")
                                if formula.contains_code(dual)
                                else (dual, formula, "only_in_brute"))
-        check_enum_cap(extras, enum_cap)
         witness = gray_vec_inverse(_least_outside(extras, other, _ring_order_key(n)), n)
 
     claimed = 1 << (degree(f1) + degree(f2) + degree(f3))

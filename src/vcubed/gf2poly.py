@@ -304,15 +304,14 @@ def factor_xn1(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> Factorization:
     return Factorization(n, tuple((f, mult) for f in _factor_odd(m)))
 
 
-def enumerate_divisors(n: int, cap: int = DEFAULT_DIVISOR_CAP,
-                       bound: int = DEFAULT_FACTOR_BOUND) -> list[int]:
+def enumerate_divisors(n: int, cap: int = DEFAULT_DIVISOR_CAP) -> list[int]:
     """All monic divisors of x^n + 1 in canonical order.
 
     The count is prod(multiplicity + 1) over the factorization; raises
     CapExceeded (naming the cap) before building anything larger than
     ``cap``.
     """
-    fact = factor_xn1(n, bound)
+    fact = factor_xn1(n)
     count = fact.divisor_count
     if count > cap:
         raise CapExceeded(f"{count} divisors of x^{n}+1 exceed divisor cap {cap}")

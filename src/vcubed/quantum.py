@@ -30,8 +30,6 @@ from functools import lru_cache
 from typing import Optional
 
 from .codes import (
-    DEFAULT_DIST_CAP,
-    BinaryCode,
     _cyclic_image,
     binary_cyclic,
     dual_binary,
@@ -52,7 +50,6 @@ from .gf2poly import (
 )
 
 DEFAULT_DIST_ENUM_CAP = 1 << 16
-DEFAULT_RANK_CAP = 96
 
 
 @lru_cache(maxsize=4096)
@@ -65,11 +62,11 @@ def dual_containing_poly(n: int, f: int) -> bool:
 
 
 @lru_cache(maxsize=4096)
-def _component_distance(n: int, f: int, cap: int) -> int:
+def _component_distance(n: int, f: int) -> int:
     # f = 1 generates the full space; no enumeration needed for distance 1.
     if f == 1:
         return 1
-    return min_hamming(binary_cyclic(n, f), cap)
+    return min_hamming(binary_cyclic(n, f))
 
 
 @dataclass(frozen=True)
@@ -116,34 +113,14 @@ class CssValidation:
     reason: str
 
 
-def validate_css_binary(n: int, f1: int, f2: int, f3: int,
-                        rank_cap: int = DEFAULT_RANK_CAP) -> CssValidation:
+def validate_css_binary(n: int, f1: int, f2: int, f3: int) -> CssValidation:
     """Build the Gray image, compute its dual by null space, and verify
-    containment plus the claimed dimension.  Never raises on a cap: a
-    too-large instance comes back marked not validated."""
-    image = None
-    if 3 * n <= rank_cap:
-        image = _cyclic_image(n, f1, f2, f3)
-    return _check_image(n, degree(f1) + degree(f2) + degree(f3), image, rank_cap)
-
-
-def _check_image(n: int, deg_sum: int, image: Optional[BinaryCode],
-                 rank_cap: int) -> CssValidation:
-    """The checks of validate_css_binary on an already built Gray image,
-    which is only read when 3n is within the rank cap."""
-    expected = 3 * n - deg_sum
-    k_formula = 2 * expected - 3 * n
-    if 3 * n > rank_cap:
-        return CssValidation(
-            ring_n=n, dim_code=-1, dim_dual=-1, expected_dim=expected,
-            dim_matches=False, containment_ok=False, k_formula=k_formula,
-            k_rank=0, validated=False,
-            reason=f"3n={3 * n} exceeds rank cap {rank_cap}",
-        )
+    containment plus the claimed dimension."""
+    image = _cyclic_image(n, f1, f2, f3)
+    expected = 3 * n - (degree(f1) + degree(f2) + degree(f3))
     dual = dual_binary(image)
     containment = image.contains_code(dual)
     dim_matches = image.dim == expected
-    k_rank = 2 * image.dim - 3 * n
     reasons = []
     if not containment:
         reasons.append("dual not contained in Gray image")
@@ -158,42 +135,33 @@ def _check_image(n: int, deg_sum: int, image: Optional[BinaryCode],
         expected_dim=expected,
         dim_matches=dim_matches,
         containment_ok=containment,
-        k_formula=k_formula,
-        k_rank=k_rank,
+        k_formula=2 * expected - 3 * n,
+        k_rank=2 * image.dim - 3 * n,
         validated=containment and dim_matches,
         reason="; ".join(reasons),
     )
 
 
 def css_from_triple(n: int, f1: int, f2: int, f3: int, *,
-                    dist_enum_cap: int = DEFAULT_DIST_ENUM_CAP,
-                    dist_cap: int = DEFAULT_DIST_CAP,
-                    rank_cap: int = DEFAULT_RANK_CAP,
-                    validate: bool = True,
-                    enforce_dual_containment: bool = True) -> QuantumCodeRecord:
+                    dist_enum_cap: int = DEFAULT_DIST_ENUM_CAP) -> QuantumCodeRecord:
     """Derive the quantum parameters for a dual-containing divisor triple.
 
     The distance is the exact minimum Hamming weight of the Gray image
     (``min_hamming``) when its size fits under ``dist_enum_cap``, otherwise
     the min-of-components rule on the binary cyclic codes generated by the fi.
-    The same image feeds the rank and containment checks.  With
-    ``enforce_dual_containment`` off, a failing fi is noted on the record
-    instead of raising.
+    The same cached image feeds the rank and containment checks of
+    validate_css_binary.
     """
-    dc_notes = []
     for label, f in (("f1", f1), ("f2", f2), ("f3", f3)):
         if not divides_xn1(n, f):
             raise PreconditionError(f"{label} = {format_poly(f)} does not divide x^{n}+1")
         if not dual_containing_poly(n, f):
-            if enforce_dual_containment:
-                raise PreconditionError(
-                    f"{label} = {format_poly(f)} fails the dual-containment criterion"
-                )
-            dc_notes.append(f"not dual-containing: {label} = {format_poly(f)}")
+            raise PreconditionError(
+                f"{label} = {format_poly(f)} fails the dual-containment criterion"
+            )
 
-    deg_sum = degree(f1) + degree(f2) + degree(f3)
-    k = 2 * (3 * n - deg_sum) - 3 * n
-    notes = list(dc_notes)
+    k = 2 * (3 * n - (degree(f1) + degree(f2) + degree(f3))) - 3 * n
+    notes = []
     if k <= 0:
         notes.append("degenerate parameters (k <= 0)")
 
@@ -206,7 +174,7 @@ def css_from_triple(n: int, f1: int, f2: int, f3: int, *,
         # Cross-check the min-of-components rule while enumeration is cheap;
         # on disagreement the enumerated value is authoritative.
         try:
-            formula_d = min(_component_distance(n, f, dist_cap) for f in (f1, f2, f3))
+            formula_d = min(_component_distance(n, f) for f in (f1, f2, f3))
         except (PreconditionError, CapExceeded):
             formula_d = None
         if formula_d is not None and formula_d != d:
@@ -215,22 +183,17 @@ def css_from_triple(n: int, f1: int, f2: int, f3: int, *,
                 f"enumerated d = {d} is authoritative"
             )
     else:
-        d = min(_component_distance(n, f, dist_cap) for f in (f1, f2, f3))
+        d = min(_component_distance(n, f) for f in (f1, f2, f3))
         d_method = "component_formula"
 
-    validated = False
-    if validate:
-        check = _check_image(n, deg_sum, image, rank_cap)
-        validated = check.validated and check.k_rank == k
-        if check.reason:
-            notes.append(check.reason)
-        if check.validated and check.k_rank != k:
-            notes.append(f"rank-derived k {check.k_rank} differs from formula k {k}")
+    check = validate_css_binary(n, f1, f2, f3)
+    if check.reason:
+        notes.append(check.reason)
 
     return QuantumCodeRecord(
         ring_n=n, f1=f1, f2=f2, f3=f3,
         n=3 * n, k=k, d=d,
-        d_method=d_method, validated=validated, notes=tuple(notes),
+        d_method=d_method, validated=check.validated, notes=tuple(notes),
     )
 
 
@@ -246,14 +209,11 @@ class SearchOutcome:
 
 
 def search_triples(n: int, *,
-                   require_dual_containing: bool = True,
                    equal_triples_only: bool = False,
                    min_k: Optional[int] = None,
                    max_results: Optional[int] = None,
                    divisor_cap: int = DEFAULT_DIVISOR_CAP,
-                   dist_enum_cap: int = DEFAULT_DIST_ENUM_CAP,
-                   rank_cap: int = DEFAULT_RANK_CAP,
-                   validate: bool = True) -> SearchOutcome:
+                   dist_enum_cap: int = DEFAULT_DIST_ENUM_CAP) -> SearchOutcome:
     """Evaluate divisor triples of x^n - 1 and emit records in canonical
     order: descending k, then the integer order of (f1, f2, f3).
 
@@ -262,10 +222,7 @@ def search_triples(n: int, *,
     """
     divisors = enumerate_divisors(n, cap=divisor_cap)
     modulus = xn1(n)
-    admitted = [
-        f for f in divisors
-        if f != modulus and (not require_dual_containing or dual_containing_poly(n, f))
-    ]
+    admitted = [f for f in divisors if f != modulus and dual_containing_poly(n, f)]
     if equal_triples_only:
         scanned = len(divisors)
         triples = [(f, f, f) for f in admitted]
@@ -275,11 +232,7 @@ def search_triples(n: int, *,
 
     records = []
     for f1, f2, f3 in triples:
-        rec = css_from_triple(
-            n, f1, f2, f3,
-            dist_enum_cap=dist_enum_cap, rank_cap=rank_cap, validate=validate,
-            enforce_dual_containment=require_dual_containing,
-        )
+        rec = css_from_triple(n, f1, f2, f3, dist_enum_cap=dist_enum_cap)
         if min_k is not None and rec.k < min_k:
             continue
         records.append(rec)

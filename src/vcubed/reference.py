@@ -61,11 +61,11 @@ class RowResult:
     notes: tuple[str, ...]
 
 
-def reproduce_row(row: ReferenceRow, dist_cap: int = 1 << 20) -> RowResult:
+def reproduce_row(row: ReferenceRow) -> RowResult:
     f = parse_poly(row.f)
     n = row.n
     component = binary_cyclic(n, f)
-    d = min_hamming(component, dist_cap)
+    d = min_hamming(component)
     validation = validate_css_binary(n, f, f, f)
     computed = (3 * n, validation.k_formula, d)
     notes = []
@@ -107,5 +107,5 @@ def reproduce_row(row: ReferenceRow, dist_cap: int = 1 << 20) -> RowResult:
     )
 
 
-def reproduce_all(dist_cap: int = 1 << 20) -> list[RowResult]:
-    return [reproduce_row(row, dist_cap) for row in REFERENCE_ROWS]
+def reproduce_all() -> list[RowResult]:
+    return [reproduce_row(row) for row in REFERENCE_ROWS]

@@ -17,7 +17,8 @@ the library's witnesses against plain set differences.
 
 The last section holds references on the library's own representations,
 moved out of the package because only tests use them: full ring spans
-through the Gray bijection, the minimum Lee weight of a span, the 8^n scan
+through the Gray bijection (refused over an enumeration cap, the one bound
+left on a codeword walk), the minimum Lee weight of a span, the 8^n scan
 for the ring dual, shift and self-orthogonality checks on spans, the
 decomposition audit of a set of ring tuples, and trial-division
 irreducibility and the formal derivative of polynomials as ints.
@@ -37,7 +38,6 @@ from vcubed.codes import (
     _v_multiples,
     audit_decomposition_image,
     build_ring_cyclic,
-    check_enum_cap,
     dual_binary,
     dual_ring_formula,
     gray_image_basis,
@@ -291,6 +291,14 @@ def dual_witness_by_walk(n, f1, f2, f3):
 # ---------------------------------------------------------------------------
 # References on the library's representations, moved out of the package.
 # ---------------------------------------------------------------------------
+
+
+def check_enum_cap(image: BinaryCode, cap: int) -> None:
+    """Refuse a Gray image with more than cap codewords."""
+    if image.size > cap:
+        raise CapExceeded(
+            f"span estimate 2^{image.dim} exceeds enumeration cap {cap}"
+        )
 
 
 def span_enumerate(code: RingCode, cap: int = DEFAULT_ENUM_CAP) -> frozenset[tuple[int, ...]]:

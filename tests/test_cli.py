@@ -1,9 +1,10 @@
+import argparse
 import hashlib
 import json
 
 import pytest
 
-from vcubed.cli import main
+from vcubed.cli import build_parser, main
 from vcubed.codes import BinaryCode
 from vcubed.gf2poly import parse_poly
 
@@ -50,7 +51,7 @@ def test_factor_out_of_bounds_exit_code(capsys):
 
 @pytest.mark.parametrize("argv", [
     ("search", "--n", "8", "--enum-cap", "-5"),
-    ("search", "--n", "8", "--rank-cap", "-1"),
+    ("inspect", "--n", "8", "--f1", "1", "--f2", "1", "--f3", "1", "--enum-cap", "0"),
     ("search", "--n", "8", "--divisor-cap", "-1"),
     ("search", "--n", "8", "--enum-cap", "0"),
     ("factor", "--n", "0"),
@@ -68,6 +69,56 @@ def test_nonpositive_caps_and_lengths_are_usage_errors(capsys, argv):
         main(list(argv))
     assert info.value.code == 1
     assert "argument --" in capsys.readouterr().err
+
+
+# The option dests each subcommand declares: exactly the ones it reads.
+PARSER_DESTS = {
+    "factor": {"n", "bound", "format"},
+    "inspect": {"n", "f1", "f2", "f3", "format", "enum_cap"},
+    "search": {"n", "min_k", "equal_triples_only", "max_results", "format",
+               "enum_cap", "divisor_cap"},
+    "reproduce-paper": {"format"},
+    "audit": {"n_max", "format"},
+}
+
+
+def test_each_subcommand_declares_only_the_options_it_reads():
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    dests = {name: {a.dest for a in p._actions if a.dest != "help"}
+             for name, p in sub.choices.items()}
+    assert dests == PARSER_DESTS
+    assert sum(map(len, dests.values())) == 19
+
+
+INSPECT_ARGV = ("inspect", "--n", "8", "--f1", "1", "--f2", "1", "--f3", "1")
+REMOVED_OPTIONS = [
+    (("factor", "--n", "8"), ("--enum-cap", "5")),
+    (("factor", "--n", "8"), ("--divisor-cap", "5")),
+    (("factor", "--n", "8"), ("--rank-cap", "5")),
+    (INSPECT_ARGV, ("--divisor-cap", "5")),
+    (INSPECT_ARGV, ("--rank-cap", "5")),
+    (INSPECT_ARGV, ("--validate",)),
+    (INSPECT_ARGV, ("--no-validate",)),
+    (("search", "--n", "8"), ("--rank-cap", "5")),
+    (("reproduce-paper",), ("--enum-cap", "5")),
+    (("reproduce-paper",), ("--divisor-cap", "5")),
+    (("reproduce-paper",), ("--rank-cap", "5")),
+    (("audit", "--n-max", "3"), ("--enum-cap", "100")),
+    (("audit", "--n-max", "3"), ("--divisor-cap", "5")),
+    (("audit", "--n-max", "3"), ("--rank-cap", "5")),
+]
+
+
+@pytest.mark.parametrize("argv, option", REMOVED_OPTIONS,
+                         ids=[argv[0] + option[0] for argv, option in REMOVED_OPTIONS])
+def test_removed_options_are_usage_errors(capsys, argv, option):
+    with pytest.raises(SystemExit) as info:
+        main([*argv, *option])
+    assert info.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"unrecognized arguments: {' '.join(option)}" in err
 
 
 def test_usage_error_exit_code(capsys):
@@ -101,6 +152,9 @@ def test_inspect_example22(capsys):
     (rec,) = records_of(out)
     assert (rec["quantum"]["n"], rec["quantum"]["k"], rec["quantum"]["d"]) == (45, 21, 3)
     assert rec["quantum"]["validated"] is True
+    # every audit runs at any length and dimension (here 2^33 codewords)
+    assert [a["target"] for a in rec["audits"]] == [
+        "decomposition", "dual_formula", "single_generator"]
 
 
 def test_inspect_zero_code(capsys):
@@ -202,14 +256,6 @@ def test_audit_counterexample_row(capsys):
     assert counterexample["tensor_witness"] == "(v^2)"
 
 
-def test_audit_enum_cap_exit_code(capsys):
-    # the first n = 3 code has 2^9 codewords, over the cap of 100
-    code, out, err = run(capsys, "audit", "--n-max", "3", "--enum-cap", "100")
-    assert code == 2
-    assert out == ""
-    assert err == "cap exceeded: span estimate 2^9 exceeds enumeration cap 100\n"
-
-
 def test_audit_and_inspect_walk_no_codewords(capsys, monkeypatch):
     # every audit is rank algebra on bases: no codeword set is walked
     def refuse(self):
@@ -224,7 +270,18 @@ def test_audit_and_inspect_walk_no_codewords(capsys, monkeypatch):
                        "--format", "records")
     assert code == 0
     (rec,) = records_of(out)
-    assert {a["target"] for a in rec["audits"]} == {"decomposition", "single_generator"}
+    assert {a["target"] for a in rec["audits"]} == {
+        "decomposition", "dual_formula", "single_generator"}
+
+
+def test_audit_runs_the_dual_formula_at_every_length(capsys):
+    # 8 catalog codes, then four audits of each of the 8 + 27 + 64 + 125 + 64
+    # divisor triples at n = 1..5
+    code, out, _ = run(capsys, "audit", "--n-max", "5", "--format", "records")
+    assert code == 0
+    recs = records_of(out)
+    assert len(recs) == 1160
+    assert sum(r["target"] == "dual_formula" and r["n"] == 5 for r in recs) == 64
 
 
 def test_audit_table_runs(capsys):
@@ -254,4 +311,18 @@ def test_polynomials_in_records_round_trip(capsys):
 def test_search_stdout_is_pinned(capsys, argv, digest):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# Digests of stdout from before the unread options and the codeword-walk
+# limits were removed; neither run may change a byte.
+@pytest.mark.parametrize("argv, exit_code, digest", [
+    (("audit", "--n-max", "4", "--format", "records"), 0,
+     "3ce118c891202507b6a940d5af025d353466555735ecf7ad18b6f8d98bcebd97"),
+    (("reproduce-paper", "--format", "records"), 4,
+     "62ff5bc215a0319f50fc6b7f53f734889c2c92be7c014e37610a857ffd2be6df"),
+])
+def test_audit_and_reproduction_stdout_is_pinned(capsys, argv, exit_code, digest):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (exit_code, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest

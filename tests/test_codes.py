@@ -18,7 +18,6 @@ from vcubed.codes import (
     audit_size_formula,
     binary_cyclic,
     build_ring_cyclic,
-    check_enum_cap,
     combined_generator,
     dual_binary,
     dual_ring_formula,
@@ -49,6 +48,7 @@ from oracles import (
     audit_decomposition_by_sets,
     binary_dual_direct,
     binary_min_weight_direct,
+    check_enum_cap,
     dual_ring_bruteforce,
     dual_witness_by_walk,
     gray_image_basis_by_shifts,

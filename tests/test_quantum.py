@@ -94,10 +94,10 @@ def test_validate_examples():
     assert val.dim_code == 0
     assert not val.validated
 
-    # over the rank cap: marked not validated, no error
-    val = validate_css_binary(64, 1, 1, 1, rank_cap=96)
-    assert not val.validated
-    assert "rank cap" in val.reason
+    # 3n = 99: a search record is checked by rank at every length
+    (rec,) = search_triples(33).records
+    assert rec.parameters == (99, 99, 1)
+    assert rec.validated and rec.notes == ()
 
 
 def test_search_n8_equal_triples():
@@ -203,14 +203,14 @@ def test_ring_containment_iff_criterion_for_equal_triples():
 
 
 def test_enumerated_distance_overrides_component_formula():
-    # distinct triple where the min-of-components rule is simply wrong:
-    # the span contains a Lee-weight-1 word although every component code
-    # generated by the fi has distance 2; the record carries the erratum
-    rec = css_from_triple(3, P("x+1"), P("x+1"), P("x^2+x+1"),
-                          enforce_dual_containment=False)
+    # dual-containing distinct triple where the min-of-components rule is
+    # simply wrong: the span contains a Lee-weight-1 word although every
+    # component code generated by the fi is a [7,4,3] Hamming code; the
+    # record carries the erratum
+    rec = css_from_triple(7, P("x^3+x+1"), P("x^3+x+1"), P("x^3+x^2+1"))
     assert rec.d == 1
     assert rec.d_method == "enumerated"
-    assert any("component formula gives d = 2" in note for note in rec.notes)
+    assert "component formula gives d = 3; enumerated d = 1 is authoritative" in rec.notes
 
 
 def test_criterion_not_necessary_for_mixed_triples():
