@@ -59,7 +59,6 @@ from .ring import (
     ring_inner_product,
     ring_mul,
     scale_vec,
-    vec_add,
 )
 
 __version__ = "0.1.0"

@@ -17,8 +17,9 @@ A search meets the same generators and the same Gray images many times
 over, so the work is memoised where it repeats, in bounded lru_caches.  A
 module is the sum of the submodules its generators span, so
 gray_image_basis is the rref of the union of per-generator spans, and each
-span is built once per (n, generator, cyclic) by _generator_span.
-BinaryCode is immutable and hashable, so min_hamming and dual_binary run
+span is built once per (n, generator, cyclic) by _generator_span, and each
+triple's image once by _cyclic_image.  BinaryCode is immutable and hashable,
+so min_hamming, dual_binary, contains_dual and audit_decomposition_image run
 once per distinct image.  rref is canonical, so a cached result is the same
 basis a fresh one would be.
 
@@ -33,7 +34,9 @@ when the claim fails, never assuming it.  Every set they compare is a GF(2)
 subspace, so the audits are rank algebra on bases: sizes are ranks, equality
 and containment are basis comparisons, and each witness, the least member
 of one subspace outside another, is read off an echelon form
-(_least_outside) without walking a single codeword.
+(_least_outside) without walking a single codeword.  That echelon form is a
+leading-bit pivot table (_echelon), a dict from each stored row's highest
+set bit to the row, the mirror of rref's lowest-bit table.
 """
 
 from __future__ import annotations
@@ -152,6 +155,12 @@ class BinaryCode:
 def dual_binary(code: BinaryCode) -> BinaryCode:
     """Null space of the basis; dimension n - dim."""
     return BinaryCode(code.n, nullspace(code.basis, code.n))
+
+
+@lru_cache(maxsize=1024)
+def contains_dual(code: BinaryCode) -> bool:
+    """Whether the code holds its binary dual (dual_binary), the CSS condition."""
+    return code.contains_code(dual_binary(code))
 
 
 def binary_cyclic(n: int, g: int) -> BinaryCode:
@@ -286,13 +295,15 @@ def build_ring_cyclic(n: int, f1: int, f2: int, f3: int) -> RingCode:
     return RingCode(n, tuple(gray_vec_inverse(m, n) for m in masks), cyclic=True)
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1024)
 def _cyclic_image(n: int, f1: int, f2: int, f3: int) -> BinaryCode:
     """Gray image of build_ring_cyclic(n, f1, f2, f3), the one place a
-    cyclic triple's image is built.
+    cyclic triple's image is built; BinaryCode is immutable.
 
-    The audits of one triple and its CSS record run back to back and share
-    this image, so a few cached entries are enough; BinaryCode is immutable.
+    The audits of one triple and its CSS record share this image, and the
+    dual-formula audit asks for the image of the dual triple (h1*, h2*, h3*),
+    which an audit of every divisor triple builds on its own turn, so the
+    cache holds as many triples as the other per-image tiers.
     """
     return gray_image_basis(build_ring_cyclic(n, f1, f2, f3))
 
@@ -312,6 +323,11 @@ def combined_generator(n: int, f1: int, f2: int, f3: int) -> tuple[int, ...]:
     modulus = xn1(n)
     a, b, c = (poly_mod(f, modulus) for f in (f1, f2, f3))
     return gray_vec_inverse(_combination_mask(a, b, c, n), n)
+
+
+def _single_generator_code(n: int, f1: int, f2: int, f3: int) -> RingCode:
+    """The cyclic code that combined_generator(n, f1, f2, f3) alone spans."""
+    return RingCode(n, (combined_generator(n, f1, f2, f3),), cyclic=True)
 
 
 def _dual_polys(n: int, f1: int, f2: int, f3: int) -> tuple[int, ...]:
@@ -340,7 +356,7 @@ def dual_ring_formula(n: int, f1: int, f2: int, f3: int) -> RingCode:
     This is a claim under audit, not a trusted construction; compare its
     span against the exact dual, dual_binary of the code's Gray image.
     """
-    return RingCode(n, (combined_generator(n, *_dual_polys(n, f1, f2, f3)),), cyclic=True)
+    return _single_generator_code(n, *_dual_polys(n, f1, f2, f3))
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +385,12 @@ class DecompositionAudit:
         return self.tensor_equal and self.reconstruction_equal
 
 
+@lru_cache(maxsize=1024)
 def audit_decomposition_image(image: BinaryCode) -> DecompositionAudit:
     """The decomposition audit of a code, given its Gray image, by rank algebra.
+
+    Many triples share one image, and the audit depends on the image alone,
+    so it runs once per distinct image; BinaryCode is immutable.
 
     C1 x C2 x C3 is the direct sum of the three projections and always holds
     the image, so the tensor claim is a rank question.  The reconstruction
@@ -432,36 +452,39 @@ def _ring_order_key(n: int) -> Callable[[int], int]:
 
     The vector of a mask (A|B|C) has entries e_i = a_i | b_i<<1 | c_i<<2 with
     c = A^C, so tuples compare as the integers sum e_i * 8^(n-1-i), that is
-    as S(A) | S(B)<<1 | S(A^C)<<2, where S moves bit i to bit 3(n-1-i).  S
-    reads the bits of its argument, lowest first, as octal digits.
+    as S(A) | S(B)<<1 | S(A^C)<<2, where S (_spread) moves bit i to bit
+    3(n-1-i).
     """
-    def spread(x: int) -> int:
-        return int(f"{x:0{n}b}"[::-1], 8)
-
     def key(mask: int) -> int:
         a, b, c = _thirds(mask, n)
-        return spread(a) | spread(b) << 1 | spread(a ^ c) << 2
+        return _spread(a, n) | _spread(b, n) << 1 | _spread(a ^ c, n) << 2
     return key
 
 
-def _reduce(row: int, basis: Sequence[int]) -> int:
-    """row with the leading (highest) bit of every basis row cleared; the
-    basis has distinct leading bits and is sorted in descending order."""
-    for b in basis:
-        row = min(row, row ^ b)
-    return row
+@lru_cache(maxsize=4096)
+def _spread(x: int, n: int) -> int:
+    """x with bit i moved to bit 3(n-1-i): its n bits, lowest first, read as
+    octal digits."""
+    return int(f"{x:0{n}b}"[::-1], 8)
 
 
-def _leading_basis(rows: Iterable[int]) -> list[int]:
-    """Echelon basis of the span of rows, one row per leading bit, sorted in
-    descending order."""
-    basis: list[int] = []
+def _echelon(rows: Iterable[int]) -> dict[int, int]:
+    """Leading-bit pivot table of the span of rows: a dict from each stored
+    row's highest set bit (as its bit_length) to that row.
+
+    An incoming row is XORed with the stored row at its highest bit until
+    that bit is new to the table (the row is stored) or the row is zero.
+    """
+    table: dict[int, int] = {}
     for row in rows:
-        row = _reduce(row, basis)
-        if row:
-            basis.append(row)
-            basis.sort(reverse=True)
-    return basis
+        while row:
+            lead = row.bit_length()
+            stored = table.get(lead)
+            if stored is None:
+                table[lead] = row
+                break
+            row ^= stored
+    return table
 
 
 def _least_outside(x: BinaryCode, y: BinaryCode, key: Callable[[int], int]) -> int:
@@ -470,20 +493,33 @@ def _least_outside(x: BinaryCode, y: BinaryCode, key: Callable[[int], int]) -> i
     key must be a linear bijection (here, a bit relabelling), so a mask m
     travels as key(m) << n | m and sums act on both halves at once.  Let
     Z = x & y.  x \\ y is the union of the cosets x' + Z with x' not in Z; the
-    least member of a coset is its reduction by Z's leading-bit echelon
-    basis, because adding any nonzero z sets z's leading bit, which the
-    reduction cleared.  Those reductions form a subspace W, and its least
-    nonzero member is the echelon row with the lowest leading bit.
+    least member of a coset is its reduction by Z's leading-bit pivot table
+    (every pivot bit cleared), because adding any nonzero z sets z's leading
+    bit, which the reduction cleared.  Those reductions form a subspace W,
+    and its least nonzero member is the row of W's pivot table with the
+    lowest leading bit.  That member is unique, so any echelon basis of Z
+    and W gives the same witness.
     """
     if y.contains_code(x):
         raise PreconditionError("no codeword outside the other code")
     n = x.n
     # Zassenhaus: among the sums of (m | m) for m in x and (m | 0) for m in
     # y, those with a zero left half carry x & y in their right half.
-    sums = _leading_basis([m << n | m for m in x.basis] + [m << n for m in y.basis])
-    z = _leading_basis(key(s) << n | s for s in sums if s >> n == 0)
-    w = _leading_basis(_reduce(key(m) << n | m, z) for m in x.basis)
-    return min(w) & ((1 << n) - 1)
+    sums = _echelon([*(m << n | m for m in x.basis), *(m << n for m in y.basis)])
+    z = _echelon(key(s) << n | s for lead, s in sums.items() if lead <= n)
+    pivots = sum(1 << (lead - 1) for lead in z)
+
+    def reduced(row: int) -> int:
+        # XOR with the row at the highest pivot bit set clears that bit and
+        # touches only lower ones, so each pass lowers the highest hit.
+        hits = row & pivots
+        while hits:
+            row ^= z[hits.bit_length()]
+            hits = row & pivots
+        return row
+
+    w = _echelon(reduced(key(m) << n | m) for m in x.basis)
+    return w[min(w)] & ((1 << n) - 1)
 
 
 @dataclass(frozen=True)
@@ -512,8 +548,9 @@ def audit_dual_formula(n: int, f1: int, f2: int, f3: int) -> DualFormulaAudit:
     """Compare Gray-image bases."""
     code = _cyclic_image(n, f1, f2, f3)
     dual = dual_binary(code)
-    formula = gray_image_basis(dual_ring_formula(n, f1, f2, f3))
-    three_gen = _cyclic_image(n, *_dual_polys(n, f1, f2, f3))
+    hs = _dual_polys(n, f1, f2, f3)
+    formula = gray_image_basis(_single_generator_code(n, *hs))
+    three_gen = _cyclic_image(n, *hs)
 
     witness = None
     side = ""
@@ -574,8 +611,7 @@ class SingleGeneratorAudit:
 
 def audit_single_generator(n: int, f1: int, f2: int, f3: int) -> SingleGeneratorAudit:
     code_basis = _cyclic_image(n, f1, f2, f3)
-    single = RingCode(n, (combined_generator(n, f1, f2, f3),), cyclic=True)
-    single_basis = gray_image_basis(single)
+    single_basis = gray_image_basis(_single_generator_code(n, f1, f2, f3))
     equal = code_basis == single_basis
     witness = None
     if not equal:

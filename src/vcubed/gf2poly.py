@@ -364,8 +364,12 @@ def parse_poly(text: str) -> int:
     return p
 
 
+@lru_cache(maxsize=4096)
 def format_poly(p: int) -> str:
-    """Canonical descending-degree text; inverse of parse_poly."""
+    """Canonical descending-degree text; inverse of parse_poly.
+
+    Every audit and search label names its divisors, so the text is cached.
+    """
     if p == 0:
         return "0"
     terms = []

@@ -18,9 +18,10 @@ likewise a claim rather than a theorem).
 The divisors of x^n - 1 are few and the triples many, so each layer of a
 search is memoised in a bounded lru_cache where its work repeats:
 divisibility (gf2poly.divides_xn1) and dual containment
-(dual_containing_poly) per divisor, the Gray span per generator, and the
-distance and dual per distinct Gray image (codes).  Errors are raised, not
-cached, and a warm search returns exactly what a cold one does.
+(dual_containing_poly) per divisor, the Gray span per generator, the Gray
+image per triple, and the distance, the dual and its containment per
+distinct Gray image (codes).  Errors are raised, not cached, and a warm
+search returns exactly what a cold one does.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from typing import Optional
 from .codes import (
     _cyclic_image,
     binary_cyclic,
+    contains_dual,
     dual_binary,
     gray_image_basis,  # noqa: F401  (bench/test_bench.py rebinds it here)
     min_hamming,
@@ -119,7 +121,7 @@ def validate_css_binary(n: int, f1: int, f2: int, f3: int) -> CssValidation:
     image = _cyclic_image(n, f1, f2, f3)
     expected = 3 * n - (degree(f1) + degree(f2) + degree(f3))
     dual = dual_binary(image)
-    containment = image.contains_code(dual)
+    containment = contains_dual(image)
     dim_matches = image.dim == expected
     reasons = []
     if not containment:

@@ -98,10 +98,6 @@ def gray_vec_inverse(mask: int, n: int) -> tuple[int, ...]:
     )
 
 
-def vec_add(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(a ^ b for a, b in zip(x, y))
-
-
 def scale_vec(s: int, vec: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(ring_mul(s, e) for e in vec)
 

@@ -16,10 +16,12 @@ from vcubed.quantum import css_from_triple, dual_containing_poly, search_triples
 P = parse_poly
 MODULES = (cli, codes, gf2poly, quantum, reference, ring)
 
-# The memo tiers of a search: per divisor, per generator, per distinct image.
+# The memo tiers of a search: per divisor, per generator, per triple and per
+# distinct image.
 TIERS = ("vcubed.gf2poly.divides_xn1", "vcubed.quantum.dual_containing_poly",
-         "vcubed.codes._generator_span", "vcubed.codes.min_hamming",
-         "vcubed.codes.dual_binary")
+         "vcubed.codes._generator_span", "vcubed.codes._cyclic_image",
+         "vcubed.codes.min_hamming", "vcubed.codes.dual_binary",
+         "vcubed.codes.contains_dual")
 
 
 def _caches():
@@ -61,6 +63,19 @@ def test_warm_search_matches_cold_search(n, equal_only):
     assert warm == cold
     # the second run is served from the tiers without a new miss
     assert {name: _caches()[name].cache_info().misses for name in TIERS} == misses
+
+
+def test_warm_audit_matches_cold_audit(capsys):
+    _clear_caches()
+    argv = ["audit", "--n-max", "4", "--format", "records"]
+    assert cli.main(argv) == 0
+    cold = capsys.readouterr().out
+    tiers = (codes.audit_decomposition_image, codes._cyclic_image)
+    misses = [fn.cache_info().misses for fn in tiers]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == cold
+    # the second run audits every image and builds every triple from the cache
+    assert [fn.cache_info().misses for fn in tiers] == misses
 
 
 def _messages(bad):

@@ -315,12 +315,20 @@ def test_search_stdout_is_pinned(capsys, argv, digest):
 
 
 # Digests of stdout from before the unread options and the codeword-walk
-# limits were removed; neither run may change a byte.
+# limits were removed and (the last three) from before the witnesses were
+# read off leading-bit pivot tables and the decomposition audit was cached
+# per image; no run may change a byte.
 @pytest.mark.parametrize("argv, exit_code, digest", [
     (("audit", "--n-max", "4", "--format", "records"), 0,
      "3ce118c891202507b6a940d5af025d353466555735ecf7ad18b6f8d98bcebd97"),
     (("reproduce-paper", "--format", "records"), 4,
      "62ff5bc215a0319f50fc6b7f53f734889c2c92be7c014e37610a857ffd2be6df"),
+    (("audit", "--n-max", "5", "--format", "records"), 0,
+     "370fc598f84eb3b9d1c2af808e102a375ffc3c7782b406cb186b5ee98b9d07df"),
+    (("audit", "--n-max", "4"), 0,
+     "8d860e8b849ff8b071d32f8325973d1567070e943d8db40aadf7c6633fdc21d1"),
+    (("audit", "--n-max", "6", "--format", "records"), 0,
+     "3e6dcc581ca45f960d327a14323f49d08e5da8ee6e44ddb94fc54538c08c1314"),
 ])
 def test_audit_and_reproduction_stdout_is_pinned(capsys, argv, exit_code, digest):
     code, out, err = run(capsys, *argv)

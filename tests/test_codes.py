@@ -7,6 +7,8 @@ from vcubed.codes import (
     DEFAULT_ENUM_CAP,
     BinaryCode,
     RingCode,
+    _combination_mask,
+    _cyclic_image,
     _image_projections,
     _least_outside,
     _product_order_key,
@@ -839,3 +841,58 @@ def test_dual_formula_witness_matches_walk():
         for fs in product(enumerate_divisors(n), repeat=3):
             audit = audit_dual_formula(n, *fs)
             assert (audit.witness, audit.witness_side) == dual_witness_by_walk(n, *fs), (n, fs)
+
+
+def _least_walked(x, y, key, n):
+    """The ring vector of the least mask of the set x outside the set y,
+    under key."""
+    return gray_vec_inverse(min(x - y, key=key), n)
+
+
+def test_audit_witnesses_are_the_least_walked_members():
+    # every witness of the decomposition and dual-formula audits is the least
+    # member, under the audit's own order key, of the walked codeword set of
+    # one side outside the other
+    for n in (1, 2, 3):
+        full = (1 << n) - 1
+        for fs in product(enumerate_divisors(n), repeat=3):
+            image = _cyclic_image(n, *fs)
+            psi = set(image.codewords())
+            a_set, b_set, c_set = ({(m >> (i * n)) & full for m in psi} for i in range(3))
+            direct_sum = {a | b << n | c << (2 * n)
+                          for a in a_set for b in b_set for c in c_set}
+            recon = {_combination_mask(a, b, c, n)
+                     for a in a_set for b in b_set for c in c_set}
+            dec = audit_decomposition_image(image)
+            assert dec.tensor_witness == (
+                _least_walked(direct_sum, psi, _product_order_key(n), n)
+                if direct_sum != psi else None), (n, fs)
+            if recon - psi:
+                expected = (_least_walked(recon, psi, _ring_order_key(n), n),
+                            "only_in_reconstruction")
+            elif psi - recon:
+                expected = _least_walked(psi, recon, _ring_order_key(n), n), "only_in_code"
+            else:
+                expected = None, ""
+            assert (dec.reconstruction_witness, dec.reconstruction_witness_side) == expected
+
+            dual = set(dual_binary(image).codewords())
+            formula = set(gray_image_basis(dual_ring_formula(n, *fs)).codewords())
+            if dual - formula:
+                expected = _least_walked(dual, formula, _ring_order_key(n), n), "only_in_brute"
+            elif formula - dual:
+                expected = (_least_walked(formula, dual, _ring_order_key(n), n),
+                            "only_in_formula")
+            else:
+                expected = None, ""
+            dual_audit = audit_dual_formula(n, *fs)
+            assert (dual_audit.witness, dual_audit.witness_side) == expected, (n, fs)
+
+
+def test_cached_decomposition_audit_matches_a_fresh_one():
+    # the audit is cached per distinct image; a fresh run gives the same record
+    images = {_cyclic_image(n, *fs)
+              for n in (1, 2, 3, 4) for fs in product(enumerate_divisors(n), repeat=3)}
+    assert len(images) == 88
+    for image in images:
+        assert audit_decomposition_image(image) == audit_decomposition_image.__wrapped__(image)
