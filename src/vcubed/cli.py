@@ -411,7 +411,12 @@ def _add_format(parser: argparse.ArgumentParser) -> None:
 def _add_enum_cap(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--enum-cap", dest="enum_cap", type=_positive_int,
                         default=codes.DEFAULT_ENUM_CAP,
-                        help="max code size 2^dim whose distance is enumerated")
+                        help="max code size 2^dim whose distance is enumerated; the "
+                             "Gray image's distance only up to min(this, 2^"
+                             f"{quantum.DEFAULT_DIST_ENUM_CAP.bit_length() - 1}) "
+                             "codewords, above which d comes from the component "
+                             "formula (d_method component_formula); inspect's "
+                             "component distances take this cap as given")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -41,11 +41,10 @@ set bit to the row, the mirror of rref's lowest-bit table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations
 from operator import xor
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import CapExceeded, PreconditionError
 from .gf2poly import degree, divides_xn1, format_poly, poly_divmod, poly_mod, reciprocal, xn1
@@ -113,8 +112,7 @@ def nullspace(rows: Sequence[int], ncols: int) -> tuple[int, ...]:
     return rref(basis, ncols)
 
 
-@dataclass(frozen=True)
-class BinaryCode:
+class BinaryCode(NamedTuple):
     """A binary linear code as its canonical RREF basis."""
 
     n: int
@@ -204,8 +202,7 @@ def min_hamming(code: BinaryCode, cap: int = DEFAULT_DIST_CAP) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RingCode:
+class RingCode(NamedTuple):
     """A code over the ring, given by generator vectors of length n.
 
     When ``cyclic`` is set the code is the span of all cyclic shifts of the
@@ -365,8 +362,7 @@ def dual_ring_formula(n: int, f1: int, f2: int, f3: int) -> RingCode:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DecompositionAudit:
+class DecompositionAudit(NamedTuple):
     """Does the Gray image equal C1 x C2 x C3, and does the reconstruction
     v*C1 + (1+v)*C2 + (1+v^2)*C3 reproduce the code?"""
 
@@ -522,8 +518,7 @@ def _least_outside(x: BinaryCode, y: BinaryCode, key: Callable[[int], int]) -> i
     return w[min(w)] & ((1 << n) - 1)
 
 
-@dataclass(frozen=True)
-class DualFormulaAudit:
+class DualFormulaAudit(NamedTuple):
     """Span of the claimed dual generator versus the exact dual (dual_binary).
 
     Fields named "brute" describe the exact dual; they share their names
@@ -578,8 +573,7 @@ def audit_dual_formula(n: int, f1: int, f2: int, f3: int) -> DualFormulaAudit:
     )
 
 
-@dataclass(frozen=True)
-class SizeFormulaAudit:
+class SizeFormulaAudit(NamedTuple):
     """Rank-computed code size versus the claimed 2^(3n - sum deg fi)."""
 
     n: int
@@ -596,8 +590,7 @@ def audit_size_formula(n: int, f1: int, f2: int, f3: int) -> SizeFormulaAudit:
                             claimed_log2=claimed, matches=dim == claimed)
 
 
-@dataclass(frozen=True)
-class SingleGeneratorAudit:
+class SingleGeneratorAudit(NamedTuple):
     """Span of the combined generator v*f1 + (1+v)*f2 + (1+v^2)*f3 versus
     the three-generator cyclic code (a uniqueness claim under audit)."""
 

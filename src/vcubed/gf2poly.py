@@ -15,9 +15,9 @@ as ``0xB``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 from .errors import CapExceeded, ParseError, PreconditionError
 
@@ -154,8 +154,7 @@ def is_irreducible(f: int) -> bool:
     return h == X
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """Complete factorization of x^n + 1 over GF(2).
 
     ``factors`` pairs each distinct irreducible with its multiplicity, in

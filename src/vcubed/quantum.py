@@ -26,9 +26,8 @@ search returns exactly what a cold one does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .codes import (
     _cyclic_image,
@@ -71,8 +70,7 @@ def _component_distance(n: int, f: int) -> int:
     return min_hamming(binary_cyclic(n, f))
 
 
-@dataclass(frozen=True)
-class QuantumCodeRecord:
+class QuantumCodeRecord(NamedTuple):
     """One derived quantum parameter set [[n, k, d]] with provenance.
 
     ``ring_n`` is the length over the ring, so n = 3 * ring_n physical
@@ -99,8 +97,7 @@ class QuantumCodeRecord:
         return f"[[{self.n},{self.k},{self.d}]]"
 
 
-@dataclass(frozen=True)
-class CssValidation:
+class CssValidation(NamedTuple):
     """Binary-level check of a triple: Gray-image rank and dual containment."""
 
     ring_n: int
@@ -199,8 +196,7 @@ def css_from_triple(n: int, f1: int, f2: int, f3: int, *,
     )
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     records: tuple[QuantumCodeRecord, ...]
     scanned: int
     admissible: int

@@ -12,16 +12,14 @@ reported as a note rather than silently corrected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .codes import binary_cyclic, min_hamming
 from .gf2poly import format_poly, parse_poly, poly_divmod, reciprocal, xn1
 from .quantum import CssValidation, validate_css_binary
 
 
-@dataclass(frozen=True)
-class ReferenceRow:
+class ReferenceRow(NamedTuple):
     label: str
     n: int
     f: str  # shared generator; published rows all use equal triples
@@ -51,8 +49,7 @@ REFERENCE_ROWS: tuple[ReferenceRow, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class RowResult:
+class RowResult(NamedTuple):
     row: ReferenceRow
     computed: tuple[int, int, int]
     component_distance: int

@@ -1,6 +1,10 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -312,6 +316,18 @@ def test_search_stdout_is_pinned(capsys, argv, digest):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_entry_point_process_prints_the_pinned_search():
+    # the real cold path: a fresh interpreter running the package's __main__
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    result = subprocess.run(
+        [sys.executable, "-m", "vcubed", "search", "--n", "8", "--format", "records"],
+        env=env, capture_output=True)
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert hashlib.sha256(result.stdout).hexdigest() == (
+        "aeae3bd73a82db013287e229af10bd752fb8e75d890fe32e82d70c1e194569e4")
 
 
 # Digests of stdout from before the unread options and the codeword-walk

@@ -29,9 +29,12 @@ from vcubed.codes import (
     phi,
     rref,
 )
+from vcubed import codes, gf2poly, quantum, reference
 from vcubed.cli import AUDIT_CATALOG
 from vcubed.errors import CapExceeded, PreconditionError
-from vcubed.gf2poly import enumerate_divisors, parse_poly
+from vcubed.gf2poly import enumerate_divisors, factor_xn1, parse_poly
+from vcubed.quantum import css_from_triple, search_triples, validate_css_binary
+from vcubed.reference import REFERENCE_ROWS, ReferenceRow, reproduce_row
 from vcubed.ring import (
     ONE,
     ONE_PLUS_V,
@@ -896,3 +899,70 @@ def test_cached_decomposition_audit_matches_a_fresh_one():
     assert len(images) == 88
     for image in images:
         assert audit_decomposition_image(image) == audit_decomposition_image.__wrapped__(image)
+
+
+# The record classes, each with its fields in order, its defaults and a
+# factory that builds a fresh instance from the library.
+F8 = parse_poly("x^3+x^2+x+1")
+RECORDS = [
+    (codes.BinaryCode, ("n", "basis"), {}, lambda: binary_cyclic(8, F8)),
+    (codes.RingCode, ("n", "generators", "cyclic"), {"cyclic": False},
+     lambda: build_ring_cyclic(8, F8, F8, F8)),
+    (codes.DecompositionAudit,
+     ("n", "code_size", "projection_sizes", "product_size", "tensor_equal",
+      "tensor_witness", "reconstruction_equal", "reconstruction_witness",
+      "reconstruction_witness_side"), {},
+     lambda: audit_decomposition_image.__wrapped__(_cyclic_image(8, F8, F8, F8))),
+    (codes.DualFormulaAudit,
+     ("n", "fs", "code_size", "brute_dual_size", "formula_span_size",
+      "claimed_dual_size", "formula_matches_brute", "witness", "witness_side",
+      "size_claim_matches", "product_law_ok", "three_generator_matches_brute"), {},
+     lambda: audit_dual_formula(8, F8, F8, F8)),
+    (codes.SizeFormulaAudit, ("n", "fs", "rank_log2", "claimed_log2", "matches"), {},
+     lambda: audit_size_formula(8, F8, F8, F8)),
+    (codes.SingleGeneratorAudit,
+     ("n", "fs", "code_log2", "single_log2", "equal", "witness"), {},
+     lambda: audit_single_generator(8, F8, F8, F8)),
+    (gf2poly.Factorization, ("n", "factors"), {}, lambda: factor_xn1(8)),
+    (quantum.QuantumCodeRecord,
+     ("ring_n", "f1", "f2", "f3", "n", "k", "d", "d_method", "validated", "notes"), {},
+     lambda: css_from_triple(8, F8, F8, F8)),
+    (quantum.CssValidation,
+     ("ring_n", "dim_code", "dim_dual", "expected_dim", "dim_matches",
+      "containment_ok", "k_formula", "k_rank", "validated", "reason"), {},
+     lambda: validate_css_binary(8, F8, F8, F8)),
+    (quantum.SearchOutcome, ("records", "scanned", "admissible"), {},
+     lambda: search_triples(8, equal_triples_only=True)),
+    (reference.ReferenceRow,
+     ("label", "n", "f", "published", "code_display", "dual_display"),
+     {"code_display": None, "dual_display": None},
+     lambda: ReferenceRow(*REFERENCE_ROWS[0])),
+    (reference.RowResult,
+     ("row", "computed", "component_distance", "validation", "matches", "notes"), {},
+     lambda: reproduce_row(REFERENCE_ROWS[0])),
+]
+
+
+@pytest.mark.parametrize("cls, fields, defaults, make", RECORDS,
+                         ids=[r[0].__name__ for r in RECORDS])
+def test_record_contract(cls, fields, defaults, make):
+    assert cls._fields == fields
+    assert cls._field_defaults == defaults
+    rec, again = make(), make()
+    assert type(rec) is cls
+    assert rec == again and hash(rec) == hash(again)
+    assert rec == tuple(rec)
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(rec, name, None)
+    with pytest.raises(AttributeError):
+        rec.extra = None
+
+
+def test_record_defaults_and_text():
+    assert RingCode(3, ((1, 0, 0),)).cyclic is False
+    row = ReferenceRow("n=1", 1, "1", (3, 3, 1))
+    assert (row.code_display, row.dual_display) == (None, None)
+    assert repr(BinaryCode(2, (1,))) == "BinaryCode(n=2, basis=(1,))"
+    # the search and inspect tables print a record through __str__
+    assert str(css_from_triple(8, F8, F8, F8)) == "[[24,6,2]]"
