@@ -150,8 +150,7 @@ def cmd_inspect(args) -> int:
         )
 
     if all(dc.values()):
-        cap = min(args.enum_cap, quantum.DEFAULT_DIST_ENUM_CAP)
-        rec = quantum.css_from_triple(n, *fs, dist_enum_cap=cap)
+        rec = quantum.css_from_triple(n, *fs)
         record["quantum"] = {
             "n": rec.n, "k": rec.k, "d": rec.d,
             "d_method": rec.d_method, "validated": rec.validated,
@@ -215,7 +214,6 @@ def _dual_formula_record(a: codes.DualFormulaAudit) -> dict:
         "formula_matches_brute": a.formula_matches_brute,
         "three_generator_matches_brute": a.three_generator_matches_brute,
         "size_claim_matches": a.size_claim_matches,
-        "product_law_ok": a.product_law_ok,
         "pass": a.formula_matches_brute,
     }
     if a.witness is not None:
@@ -258,8 +256,6 @@ def cmd_search(args) -> int:
         min_k=args.min_k,
         max_results=args.max_results,
         divisor_cap=args.divisor_cap,
-        # Distance enumeration keeps its own, tighter default.
-        dist_enum_cap=min(args.enum_cap, quantum.DEFAULT_DIST_ENUM_CAP),
     )
     records = []
     lines = []
@@ -360,9 +356,7 @@ def cmd_audit(args) -> int:
     for label, n, gens in AUDIT_CATALOG:
         image = codes.gray_image_basis(codes.RingCode(n, gens))
         dec = codes.audit_decomposition_image(image)
-        rec = _decomposition_record(dec, label)
-        rec["product_law_ok"] = image.size * codes.dual_binary(image).size == 8 ** n
-        records.append(rec)
+        records.append(_decomposition_record(dec, label))
         status = "PASS" if dec.passed else "FAIL"
         detail = (
             f"|C|={dec.code_size}, product={dec.product_size}, "
@@ -408,17 +402,6 @@ def _add_format(parser: argparse.ArgumentParser) -> None:
                         help="human table or line-delimited JSON records")
 
 
-def _add_enum_cap(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--enum-cap", dest="enum_cap", type=_positive_int,
-                        default=codes.DEFAULT_ENUM_CAP,
-                        help="max code size 2^dim whose distance is enumerated; the "
-                             "Gray image's distance only up to min(this, 2^"
-                             f"{quantum.DEFAULT_DIST_ENUM_CAP.bit_length() - 1}) "
-                             "codewords, above which d comes from the component "
-                             "formula (d_method component_formula); inspect's "
-                             "component distances take this cap as given")
-
-
 def build_parser() -> argparse.ArgumentParser:
     """One subparser per command, each declaring only the options it reads."""
     parser = _Parser(prog="vcubed",
@@ -438,7 +421,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f2", required=True)
     p.add_argument("--f3", required=True)
     _add_format(p)
-    _add_enum_cap(p)
+    p.add_argument("--enum-cap", dest="enum_cap", type=_positive_int,
+                   default=codes.DEFAULT_ENUM_CAP,
+                   help="max size 2^dim of a component <fi> whose distance the "
+                        "component reports search; the quantum d does not "
+                        "read it")
     p.set_defaults(func=cmd_inspect)
 
     p = sub.add_parser("search", help="search divisor triples for quantum codes")
@@ -448,7 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-results", dest="max_results", type=_positive_int,
                    default=None)
     _add_format(p)
-    _add_enum_cap(p)
     p.add_argument("--divisor-cap", dest="divisor_cap", type=_positive_int,
                    default=DEFAULT_DIVISOR_CAP,
                    help="max number of divisors of x^n+1")

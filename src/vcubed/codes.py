@@ -20,7 +20,7 @@ gray_image_basis is the rref of the union of per-generator spans, and each
 span is built once per (n, generator, cyclic) by _generator_span, and each
 triple's image once by _cyclic_image.  BinaryCode is immutable and hashable,
 so min_hamming, dual_binary, contains_dual and audit_decomposition_image run
-once per distinct image.  rref is canonical, so a cached result is the same
+once per distinct code.  rref is canonical, so a cached result is the same
 basis a fresh one would be.
 
 The exact ring dual is dual_binary of the Gray image.  The v^2-coefficient
@@ -535,7 +535,6 @@ class DualFormulaAudit(NamedTuple):
     witness: Optional[tuple[int, ...]]
     witness_side: str  # "", "only_in_brute", "only_in_formula"
     size_claim_matches: bool  # claimed 2^(sum deg fi) vs exact dual size
-    product_law_ok: bool  # |C| * |dual| == 8^n, which rank-nullity ensures
     three_generator_matches_brute: bool  # the <v h1r, (1+v) h2r, (1+v^2) h3r> variant
 
 
@@ -568,7 +567,6 @@ def audit_dual_formula(n: int, f1: int, f2: int, f3: int) -> DualFormulaAudit:
         witness=witness,
         witness_side=side,
         size_claim_matches=claimed == dual.size,
-        product_law_ok=code.size * dual.size == 8 ** n,
         three_generator_matches_brute=three_gen == dual,
     )
 

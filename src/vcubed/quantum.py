@@ -7,21 +7,22 @@ the emitted parameters are [[3n, 2k - 3n, d]] with k = 3n - sum(deg fi).
 
 That k is a claimed value: it can disagree with the actual Gray-image rank
 when the fi differ, so records are only marked validated after the binary
-rank and dual-containment checks pass.  The distance method is always
-recorded ("enumerated" for the exact minimum Hamming weight of the Gray
-image, searched over sums of its basis rows in order of how many rows they
-use, which equals the minimum Lee weight of the ring code because the Gray
-map is a weight-preserving isometry;
-"component_formula" for the min-of-component-distances rule, which is
-likewise a claim rather than a theorem).
+rank and dual-containment checks pass.  The distance d is exact at every
+length: under R = F2 x F2[w]/(w^2) the Gray image splits into three binary
+cyclic codes of length n (css_from_triple), and d is read off their
+distances, each the exact minimum weight of <g> (min_hamming, a search over
+sums of basis rows in order of how many rows they use), which equals the
+minimum Lee weight of the ring code because the Gray map is a
+weight-preserving isometry.  The paper's min-of-components rule is a claim,
+kept as a note where it disagrees.
 
 The divisors of x^n - 1 are few and the triples many, so each layer of a
 search is memoised in a bounded lru_cache where its work repeats:
-divisibility (gf2poly.divides_xn1) and dual containment
-(dual_containing_poly) per divisor, the Gray span per generator, the Gray
-image per triple, and the distance, the dual and its containment per
-distinct Gray image (codes).  Errors are raised, not cached, and a warm
-search returns exactly what a cold one does.
+divisibility (gf2poly.divides_xn1), dual containment
+(dual_containing_poly) and the distance of <g> (_component_distance) per
+divisor, the Gray span per generator, the Gray image per triple, and the
+dual and its containment per distinct Gray image (codes).  Errors are
+raised, not cached, and a warm search returns exactly what a cold one does.
 """
 
 from __future__ import annotations
@@ -37,20 +38,19 @@ from .codes import (
     gray_image_basis,  # noqa: F401  (bench/test_bench.py rebinds it here)
     min_hamming,
 )
-from .errors import CapExceeded, PreconditionError
+from .errors import PreconditionError
 from .gf2poly import (
     DEFAULT_DIVISOR_CAP,
     degree,
     divides_xn1,
     enumerate_divisors,
     format_poly,
+    poly_gcd,
     poly_mod,
     poly_mul,
     reciprocal,
     xn1,
 )
-
-DEFAULT_DIST_ENUM_CAP = 1 << 16
 
 
 @lru_cache(maxsize=4096)
@@ -64,6 +64,7 @@ def dual_containing_poly(n: int, f: int) -> bool:
 
 @lru_cache(maxsize=4096)
 def _component_distance(n: int, f: int) -> int:
+    """Minimum distance of the binary cyclic code <f> of length n."""
     # f = 1 generates the full space; no enumeration needed for distance 1.
     if f == 1:
         return 1
@@ -85,7 +86,7 @@ class QuantumCodeRecord(NamedTuple):
     n: int
     k: int
     d: int
-    d_method: str  # "enumerated" | "component_formula"
+    d_method: str  # "enumerated": exact, from the three binary parts
     validated: bool
     notes: tuple[str, ...]
 
@@ -141,15 +142,25 @@ def validate_css_binary(n: int, f1: int, f2: int, f3: int) -> CssValidation:
     )
 
 
-def css_from_triple(n: int, f1: int, f2: int, f3: int, *,
-                    dist_enum_cap: int = DEFAULT_DIST_ENUM_CAP) -> QuantumCodeRecord:
+def css_from_triple(n: int, f1: int, f2: int, f3: int) -> QuantumCodeRecord:
     """Derive the quantum parameters for a dual-containing divisor triple.
 
-    The distance is the exact minimum Hamming weight of the Gray image
-    (``min_hamming``) when its size fits under ``dist_enum_cap``, otherwise
-    the min-of-components rule on the binary cyclic codes generated by the fi.
-    The same cached image feeds the rank and containment checks of
-    validate_css_binary.
+    d = min(D(gcd(f2, f3)), 2 D(gcd(f1, f2)), D(f1)), where D(g) is the
+    minimum distance of the binary cyclic code <g> of length n.  Proof
+    sketch: write x = a + v b + v^2 c, so its Gray image is (a | b | a+c).
+    The idempotents 1+v^2 and v^2 split R as F2 x F2[w]/(w^2) with
+    w = v+v^2, and the Gray image of the code is
+    {(a | u | u+y) : a in C_A, u in C_u, y in C_v} with C_A = <gcd(f2, f3)>,
+    C_u = <gcd(f1, f2)> and C_v = <f1>: the direct sum of C_A on the first
+    third and the Plotkin code (u | u+y) on the other two.  A direct sum has
+    the smaller distance of its parts, and (u | u+y) has distance
+    min(2 d(C_u), d(C_v)) (MacWilliams and Sloane, ch. 2 sec. 9).  No part
+    is zero, because x^n - 1 fails the criterion and each gcd divides f1 or
+    f2.
+
+    The paper's rule min(D(f1), D(f2), D(f3)) is a claim; where it differs
+    from d the record carries it as a note.  The cached Gray image feeds
+    the rank and containment checks of validate_css_binary.
     """
     for label, f in (("f1", f1), ("f2", f2), ("f3", f3)):
         if not divides_xn1(n, f):
@@ -164,26 +175,17 @@ def css_from_triple(n: int, f1: int, f2: int, f3: int, *,
     if k <= 0:
         notes.append("degenerate parameters (k <= 0)")
 
-    image = _cyclic_image(n, f1, f2, f3)
-    if image.dim == 0:
-        raise PreconditionError("zero code has no distance")
-    if image.size <= dist_enum_cap:
-        d = min_hamming(image, dist_enum_cap)
-        d_method = "enumerated"
-        # Cross-check the min-of-components rule while enumeration is cheap;
-        # on disagreement the enumerated value is authoritative.
-        try:
-            formula_d = min(_component_distance(n, f) for f in (f1, f2, f3))
-        except (PreconditionError, CapExceeded):
-            formula_d = None
-        if formula_d is not None and formula_d != d:
-            notes.append(
-                f"component formula gives d = {formula_d}; "
-                f"enumerated d = {d} is authoritative"
-            )
-    else:
-        d = min(_component_distance(n, f) for f in (f1, f2, f3))
-        d_method = "component_formula"
+    d = min(_component_distance(n, poly_gcd(f2, f3)),
+            2 * _component_distance(n, poly_gcd(f1, f2)),
+            _component_distance(n, f1))
+    # <f2> lies in <gcd(f1, f2)> and <f3> in <gcd(f2, f3)>, so these are no
+    # larger than the parts just searched, unless a part is the whole space.
+    formula_d = min(_component_distance(n, f) for f in (f1, f2, f3))
+    if formula_d != d:
+        notes.append(
+            f"component formula gives d = {formula_d}; "
+            f"enumerated d = {d} is authoritative"
+        )
 
     check = validate_css_binary(n, f1, f2, f3)
     if check.reason:
@@ -192,7 +194,7 @@ def css_from_triple(n: int, f1: int, f2: int, f3: int, *,
     return QuantumCodeRecord(
         ring_n=n, f1=f1, f2=f2, f3=f3,
         n=3 * n, k=k, d=d,
-        d_method=d_method, validated=check.validated, notes=tuple(notes),
+        d_method="enumerated", validated=check.validated, notes=tuple(notes),
     )
 
 
@@ -210,8 +212,7 @@ def search_triples(n: int, *,
                    equal_triples_only: bool = False,
                    min_k: Optional[int] = None,
                    max_results: Optional[int] = None,
-                   divisor_cap: int = DEFAULT_DIVISOR_CAP,
-                   dist_enum_cap: int = DEFAULT_DIST_ENUM_CAP) -> SearchOutcome:
+                   divisor_cap: int = DEFAULT_DIVISOR_CAP) -> SearchOutcome:
     """Evaluate divisor triples of x^n - 1 and emit records in canonical
     order: descending k, then the integer order of (f1, f2, f3).
 
@@ -230,7 +231,7 @@ def search_triples(n: int, *,
 
     records = []
     for f1, f2, f3 in triples:
-        rec = css_from_triple(n, f1, f2, f3, dist_enum_cap=dist_enum_cap)
+        rec = css_from_triple(n, f1, f2, f3)
         if min_k is not None and rec.k < min_k:
             continue
         records.append(rec)

@@ -3,8 +3,9 @@
 Each row pins the length, the generator triple (all published rows use
 f1 = f2 = f3) and the published [[n, k, d]].  Reproduction recomputes the
 parameters from scratch: k from the degree formula cross-checked against the
-Gray-image rank, d as the exact minimum weight of each binary component code
-(``min_hamming``, a search over sums of basis rows by how many rows they use).
+Gray-image rank, d as the exact minimum weight of the shared binary component
+code <f>, the per-divisor distance that css_from_triple reads (for an equal
+triple its d = min(D(f), 2 D(f), D(f)) = D(f)).
 A row passes only if the recomputed triple equals the published one; every
 discrepancy, including cosmetic ones in the published generator displays, is
 reported as a note rather than silently corrected.
@@ -14,9 +15,8 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .codes import binary_cyclic, min_hamming
 from .gf2poly import format_poly, parse_poly, poly_divmod, reciprocal, xn1
-from .quantum import CssValidation, validate_css_binary
+from .quantum import CssValidation, _component_distance, validate_css_binary
 
 
 class ReferenceRow(NamedTuple):
@@ -61,8 +61,7 @@ class RowResult(NamedTuple):
 def reproduce_row(row: ReferenceRow) -> RowResult:
     f = parse_poly(row.f)
     n = row.n
-    component = binary_cyclic(n, f)
-    d = min_hamming(component)
+    d = _component_distance(n, f)
     validation = validate_css_binary(n, f, f, f)
     computed = (3 * n, validation.k_formula, d)
     notes = []

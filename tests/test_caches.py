@@ -19,6 +19,7 @@ MODULES = (cli, codes, gf2poly, quantum, reference, ring)
 # The memo tiers of a search: per divisor, per generator, per triple and per
 # distinct image.
 TIERS = ("vcubed.gf2poly.divides_xn1", "vcubed.quantum.dual_containing_poly",
+         "vcubed.quantum._component_distance",
          "vcubed.codes._generator_span", "vcubed.codes._cyclic_image",
          "vcubed.codes.min_hamming", "vcubed.codes.dual_binary",
          "vcubed.codes.contains_dual")

@@ -54,10 +54,10 @@ def test_factor_out_of_bounds_exit_code(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("search", "--n", "8", "--enum-cap", "-5"),
+    ("inspect", "--n", "8", "--f1", "1", "--f2", "1", "--f3", "1", "--enum-cap", "-5"),
     ("inspect", "--n", "8", "--f1", "1", "--f2", "1", "--f3", "1", "--enum-cap", "0"),
     ("search", "--n", "8", "--divisor-cap", "-1"),
-    ("search", "--n", "8", "--enum-cap", "0"),
+    ("search", "--n", "8", "--divisor-cap", "0"),
     ("factor", "--n", "0"),
     ("search", "--n", "0"),
     ("inspect", "--n", "0", "--f1", "1", "--f2", "1", "--f3", "1"),
@@ -80,7 +80,7 @@ PARSER_DESTS = {
     "factor": {"n", "bound", "format"},
     "inspect": {"n", "f1", "f2", "f3", "format", "enum_cap"},
     "search": {"n", "min_k", "equal_triples_only", "max_results", "format",
-               "enum_cap", "divisor_cap"},
+               "divisor_cap"},
     "reproduce-paper": {"format"},
     "audit": {"n_max", "format"},
 }
@@ -92,7 +92,7 @@ def test_each_subcommand_declares_only_the_options_it_reads():
     dests = {name: {a.dest for a in p._actions if a.dest != "help"}
              for name, p in sub.choices.items()}
     assert dests == PARSER_DESTS
-    assert sum(map(len, dests.values())) == 19
+    assert sum(map(len, dests.values())) == 18
 
 
 INSPECT_ARGV = ("inspect", "--n", "8", "--f1", "1", "--f2", "1", "--f3", "1")
@@ -105,6 +105,7 @@ REMOVED_OPTIONS = [
     (INSPECT_ARGV, ("--validate",)),
     (INSPECT_ARGV, ("--no-validate",)),
     (("search", "--n", "8"), ("--rank-cap", "5")),
+    (("search", "--n", "8"), ("--enum-cap", "5")),
     (("reproduce-paper",), ("--enum-cap", "5")),
     (("reproduce-paper",), ("--divisor-cap", "5")),
     (("reproduce-paper",), ("--rank-cap", "5")),
@@ -304,13 +305,15 @@ def test_polynomials_in_records_round_trip(capsys):
                 assert parse_poly(rec[key]["poly"]) == parse_poly(rec[key]["hex"])
 
 
-# Digests of stdout from before the search was memoised; the caches must not
-# change a byte.
+# Digests of stdout from before the search was memoised, each record then
+# given the d of the rank-path oracle (min_hamming of the whole Gray image),
+# d_method "enumerated" and, where the min-of-components rule differs, its
+# note; the caches and the split distance must not change a byte.
 @pytest.mark.parametrize("argv, digest", [
     (("search", "--n", "8", "--format", "records"),
-     "aeae3bd73a82db013287e229af10bd752fb8e75d890fe32e82d70c1e194569e4"),
+     "36198c998e6345ee3861a226d6e496f841f267c7397de6cfb139aa4b58e1e27d"),
     (("search", "--n", "7"),
-     "0a247e71ff7576ff64658a82b45ab57b63d1dd1e0fb8787a47b1ec15b13c2934"),
+     "d12c27a574957851c00c4f073eebb20db8778a52d3dd9669da3f07e55ef15dc4"),
 ])
 def test_search_stdout_is_pinned(capsys, argv, digest):
     code, out, err = run(capsys, *argv)
@@ -327,24 +330,25 @@ def test_entry_point_process_prints_the_pinned_search():
         env=env, capture_output=True)
     assert (result.returncode, result.stderr) == (0, b"")
     assert hashlib.sha256(result.stdout).hexdigest() == (
-        "aeae3bd73a82db013287e229af10bd752fb8e75d890fe32e82d70c1e194569e4")
+        "36198c998e6345ee3861a226d6e496f841f267c7397de6cfb139aa4b58e1e27d")
 
 
 # Digests of stdout from before the unread options and the codeword-walk
 # limits were removed and (the last three) from before the witnesses were
 # read off leading-bit pivot tables and the decomposition audit was cached
-# per image; no run may change a byte.
+# per image, with the always-true product_law_ok key then deleted from each
+# audit record; no run may change a byte.
 @pytest.mark.parametrize("argv, exit_code, digest", [
     (("audit", "--n-max", "4", "--format", "records"), 0,
-     "3ce118c891202507b6a940d5af025d353466555735ecf7ad18b6f8d98bcebd97"),
+     "84bf15f73d02abdd86a02c23e0572841253c450bc509cbcf77efd74abd285535"),
     (("reproduce-paper", "--format", "records"), 4,
      "62ff5bc215a0319f50fc6b7f53f734889c2c92be7c014e37610a857ffd2be6df"),
     (("audit", "--n-max", "5", "--format", "records"), 0,
-     "370fc598f84eb3b9d1c2af808e102a375ffc3c7782b406cb186b5ee98b9d07df"),
+     "347beb44184644e65fc07281ef6e34d742cd89a571e6fa21e701a0e8824dd9dc"),
     (("audit", "--n-max", "4"), 0,
      "8d860e8b849ff8b071d32f8325973d1567070e943d8db40aadf7c6633fdc21d1"),
     (("audit", "--n-max", "6", "--format", "records"), 0,
-     "3e6dcc581ca45f960d327a14323f49d08e5da8ee6e44ddb94fc54538c08c1314"),
+     "eb9fd7d9e4b645007086c72053512d2541d46c4f1883fabaf87684237df7361c"),
 ])
 def test_audit_and_reproduction_stdout_is_pinned(capsys, argv, exit_code, digest):
     code, out, err = run(capsys, *argv)

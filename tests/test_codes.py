@@ -380,7 +380,7 @@ def test_dual_formula_audit_diag_code():
     assert audit.witness is not None
     assert audit.three_generator_matches_brute
     assert audit.size_claim_matches  # 2^(1+1+1) == 8
-    assert audit.product_law_ok
+    assert audit.code_size * audit.brute_dual_size == 8 ** 2  # |C| |C^perp| = 8^n
 
 
 def test_min_lee_examples():
@@ -916,7 +916,7 @@ RECORDS = [
     (codes.DualFormulaAudit,
      ("n", "fs", "code_size", "brute_dual_size", "formula_span_size",
       "claimed_dual_size", "formula_matches_brute", "witness", "witness_side",
-      "size_claim_matches", "product_law_ok", "three_generator_matches_brute"), {},
+      "size_claim_matches", "three_generator_matches_brute"), {},
      lambda: audit_dual_formula(8, F8, F8, F8)),
     (codes.SizeFormulaAudit, ("n", "fs", "rank_log2", "claimed_log2", "matches"), {},
      lambda: audit_size_formula(8, F8, F8, F8)),

@@ -1,6 +1,7 @@
 import pytest
 
 from vcubed.codes import (
+    _cyclic_image,
     binary_cyclic,
     build_ring_cyclic,
     dual_binary,
@@ -53,7 +54,7 @@ def test_css_paper_rows():
     h = P("x^6+x^5+x^4+x^2+1")
     rec = css_from_triple(21, h, h, h)
     assert rec.parameters == (63, 27, 3)
-    assert rec.d_method == "component_formula"
+    assert rec.d_method == "enumerated"
     assert rec.validated
 
 
@@ -236,27 +237,35 @@ def test_record_invariants():
             assert 2 * (3 * rec.ring_n - deg_sum) >= 3 * rec.ring_n
 
 
+# The Lee-weight and direct walks visit every codeword, so they check the
+# records whose Gray image has at most this many.
+WALK_CAP = 1 << 16
+
+
+def _walkable(rec):
+    return _cyclic_image(rec.ring_n, rec.f1, rec.f2, rec.f3).size <= WALK_CAP
+
+
 def test_enumerated_distance_equals_minimum_lee_weight_of_the_span():
-    # the popcount distance on the Gray image against the Lee-weight walk
-    # over the ring span that it replaced
+    # the split distance against the Lee-weight walk over the ring span
     records = (search_triples(7).records
                + search_triples(8, equal_triples_only=True).records)
-    enumerated = [r for r in records if r.d_method == "enumerated"]
-    assert enumerated
-    for rec in enumerated:
+    walkable = [r for r in records if _walkable(r)]
+    assert walkable
+    for rec in walkable:
         span = span_enumerate(build_ring_cyclic(rec.ring_n, rec.f1, rec.f2, rec.f3))
         assert rec.d == min_lee_enum(span), rec
 
 
 @pytest.mark.parametrize("n, equal", [(7, False), (8, False), (15, True), (21, True)])
 def test_search_distances_match_direct_oracle(n, equal):
-    # Every searched d that min_hamming computes, against the walk over every
-    # coefficient vector: the Gray image where d is enumerated, the shared
-    # component where an equal triple takes d from the component formula
-    # (at n = 15 and 21 every image is over the enumeration cap).
+    # Searched distances against the walk over every coefficient vector: the
+    # Gray image where it has at most WALK_CAP codewords, else the shared
+    # component of an equal triple, whose d is the image's (at n = 15 and 21
+    # every image is over the cap).
     checked = 0
     for rec in search_triples(n, equal_triples_only=equal).records:
-        if rec.d_method == "enumerated":
+        if _walkable(rec):
             code = gray_image_basis(build_ring_cyclic(n, rec.f1, rec.f2, rec.f3))
         elif equal and rec.f1 != 1:  # f = 1 is the full space, d = 1 unwalked
             code = binary_cyclic(n, rec.f1)
@@ -265,3 +274,21 @@ def test_search_distances_match_direct_oracle(n, equal):
         assert min_hamming(code) == binary_min_weight_direct(code.basis, code.n) == rec.d, rec
         checked += 1
     assert checked
+
+
+# Searched records per length where the paper's min-of-components rule
+# overstates d; each carries the rule as a note.
+FORMULA_OVERSTATES = {6: 6, 7: 6, 8: 0, 9: 0, 15: 6, 16: 0, 21: 322}
+
+
+@pytest.mark.parametrize("n", sorted(FORMULA_OVERSTATES))
+def test_split_distance_equals_the_rank_path_distance(n):
+    # d = min(D(gcd(f2, f3)), 2 D(gcd(f1, f2)), D(f1)) against the exact
+    # minimum weight of the whole Gray image, on every searched triple
+    noted = 0
+    for rec in search_triples(n).records:
+        image = _cyclic_image(n, rec.f1, rec.f2, rec.f3)
+        assert rec.d == min_hamming(image, 1 << image.dim), rec
+        assert rec.d_method == "enumerated"
+        noted += any(note.startswith("component formula gives") for note in rec.notes)
+    assert noted == FORMULA_OVERSTATES[n]
