@@ -17,11 +17,13 @@ A search meets the same generators and the same Gray images many times
 over, so the work is memoised where it repeats, in bounded lru_caches.  A
 module is the sum of the submodules its generators span, so
 gray_image_basis is the rref of the union of per-generator spans, and each
-span is built once per (n, generator, cyclic) by _generator_span, and each
-triple's image once by _cyclic_image.  BinaryCode is immutable and hashable,
-so min_hamming, dual_binary, contains_dual and audit_decomposition_image run
-once per distinct code.  rref is canonical, so a cached result is the same
-basis a fresh one would be.
+span is built once per (n, generator, cyclic) by _generator_span.  A
+triple's image depends only on its code key (gcd(f2, f3), gcd(f1, f2), f1),
+so _cyclic_image maps each triple to its key and _key_image builds the image
+once per key.  BinaryCode is immutable and hashable, so min_hamming,
+dual_binary, contains_dual and audit_decomposition_image run once per
+distinct code.  rref is canonical, so a cached result is the same basis a
+fresh one would be.
 
 The exact ring dual is dual_binary of the Gray image.  The v^2-coefficient
 of <x, y> is the dot product of the Gray masks of x and y, so the image of
@@ -47,7 +49,9 @@ from operator import xor
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import CapExceeded, PreconditionError
-from .gf2poly import degree, divides_xn1, format_poly, poly_divmod, poly_mod, reciprocal, xn1
+from .gf2poly import (
+    degree, divides_xn1, format_poly, poly_divmod, poly_gcd, poly_mod, poly_mul, reciprocal, xn1,
+)
 from .ring import gray_vec, gray_vec_inverse
 
 DEFAULT_ENUM_CAP = 1 << 24
@@ -280,29 +284,69 @@ def build_ring_cyclic(n: int, f1: int, f2: int, f3: int) -> RingCode:
     Each fi must divide x^n - 1.  A divisor is its own remainder mod x^n - 1
     except x^n - 1 itself, which contributes the zero vector.
     """
+    _check_divisors(n, f1, f2, f3)
     modulus = xn1(n)
-    for label, f in (("f1", f1), ("f2", f2), ("f3", f3)):
-        if not divides_xn1(n, f):
-            raise PreconditionError(
-                f"{label} = {format_poly(f)} does not divide x^{n}+1"
-            )
     f1, f2, f3 = (0 if f == modulus else f for f in (f1, f2, f3))
     masks = (_combination_mask(f1, 0, 0, n), _combination_mask(0, f2, 0, n),
              _combination_mask(0, 0, f3, n))
     return RingCode(n, tuple(gray_vec_inverse(m, n) for m in masks), cyclic=True)
 
 
+def _check_divisors(n: int, f1: int, f2: int, f3: int) -> None:
+    """Raise a PreconditionError naming the first fi that does not divide
+    x^n - 1."""
+    for label, f in (("f1", f1), ("f2", f2), ("f3", f3)):
+        if not divides_xn1(n, f):
+            raise PreconditionError(
+                f"{label} = {format_poly(f)} does not divide x^{n}+1"
+            )
+
+
 @lru_cache(maxsize=1024)
 def _cyclic_image(n: int, f1: int, f2: int, f3: int) -> BinaryCode:
     """Gray image of build_ring_cyclic(n, f1, f2, f3), the one place a
-    cyclic triple's image is built; BinaryCode is immutable.
+    cyclic triple's image is looked up; BinaryCode is immutable.
 
-    The audits of one triple and its CSS record share this image, and the
-    dual-formula audit asks for the image of the dual triple (h1*, h2*, h3*),
-    which an audit of every divisor triple builds on its own turn, so the
-    cache holds as many triples as the other per-image tiers.
+    The divisibility of each fi is checked first, with build_ring_cyclic's
+    errors; the image is then _key_image of the triple's code key
+    (gcd(f2, f3), gcd(f1, f2), f1), so triples that share a key share one
+    image, one dual and one containment check.  This tier stays per triple
+    because the audits of one triple and its CSS record ask for its image
+    several times, and the dual-formula audit asks for the image of the
+    dual triple (h1*, h2*, h3*), which an audit of every divisor triple
+    builds on its own turn; it holds as many triples as the other per-image
+    tiers.
     """
-    return gray_image_basis(build_ring_cyclic(n, f1, f2, f3))
+    _check_divisors(n, f1, f2, f3)
+    return _key_image(n, poly_gcd(f2, f3), poly_gcd(f1, f2), f1)
+
+
+@lru_cache(maxsize=1024)
+def _key_image(n: int, g_a: int, g_u: int, g_v: int) -> BinaryCode:
+    """Gray image of every divisor triple with code key (g_a, g_u, g_v) =
+    (gcd(f2, f3), gcd(f1, f2), f1), built by the rank path once per key.
+
+    Write x = a + v b + v^2 c, so its Gray image is (a | b | a+c).  The
+    idempotents 1+v^2 and v^2 split R as F2 x F2[w]/(w^2) with w = v+v^2,
+    and the image of <v f1, (1+v) f2, (1+v^2) f3> is the direct sum of
+    <gcd(f2, f3)> on the first third and the Plotkin code (u | u+y) with u
+    in <gcd(f1, f2)> and y in <f1>: a sum of cyclic ideals is the ideal of
+    the gcd (Bonnecaze and Udaya, IEEE Trans. IT 1999; Abualrub and Siap,
+    Des. Codes Cryptogr. 2007).  So the image depends on the key alone.
+
+    The triple built here, (g_v, lcm(g_u, g_a), g_a), has the same key.  gcd
+    takes the least and lcm the greatest exponent of each irreducible
+    factor; with e1, e2, e3 the exponents of one factor in f1, f2, f3 (equal
+    or not, so repeated factors are covered),
+      min(e1, max(min(e1, e2), min(e2, e3))) = min(e1, e2),
+      min(max(min(e1, e2), min(e2, e3)), min(e2, e3)) = min(e2, e3),
+    the first because the max exceeds min(e1, e2) only when
+    min(e2, e3) > min(e1, e2), which forces min(e1, e2) = e1, the second
+    because the max is at least min(e2, e3); the third part is f1 itself.
+    Every entry of the triple divides x^n - 1, as lcm(g_u, g_a) does.
+    """
+    lcm = poly_mul(g_u, poly_divmod(g_a, poly_gcd(g_u, g_a))[0])
+    return gray_image_basis(build_ring_cyclic(n, g_v, lcm, g_a))
 
 
 def _combination_mask(a: int, b: int, c: int, n: int) -> int:

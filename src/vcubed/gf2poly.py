@@ -65,8 +65,13 @@ def poly_mod(p: int, d: int) -> int:
     return poly_divmod(p, d)[1]
 
 
+@lru_cache(maxsize=4096)
 def poly_gcd(p: int, q: int) -> int:
-    """Greatest common divisor (over GF(2) every nonzero gcd is monic)."""
+    """Greatest common divisor (over GF(2) every nonzero gcd is monic).
+
+    Cached: a search takes the gcds of the same few divisor pairs for every
+    triple, once for the distance and once for the code key.
+    """
     if p == 0 and q == 0:
         raise PreconditionError("gcd(0, 0) is undefined")
     while q:

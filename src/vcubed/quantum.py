@@ -20,9 +20,11 @@ The divisors of x^n - 1 are few and the triples many, so each layer of a
 search is memoised in a bounded lru_cache where its work repeats:
 divisibility (gf2poly.divides_xn1), dual containment
 (dual_containing_poly) and the distance of <g> (_component_distance) per
-divisor, the Gray span per generator, the Gray image per triple, and the
-dual and its containment per distinct Gray image (codes).  Errors are
-raised, not cached, and a warm search returns exactly what a cold one does.
+divisor, the gcd per pair of divisors (gf2poly.poly_gcd), the Gray span
+per generator, the Gray image per triple and per code key
+(gcd(f2, f3), gcd(f1, f2), f1), which many triples share, and the dual and
+its containment per distinct Gray image (codes).  Errors are raised, not
+cached, and a warm search returns exactly what a cold one does.
 """
 
 from __future__ import annotations
@@ -180,7 +182,12 @@ def css_from_triple(n: int, f1: int, f2: int, f3: int) -> QuantumCodeRecord:
             _component_distance(n, f1))
     # <f2> lies in <gcd(f1, f2)> and <f3> in <gcd(f2, f3)>, so these are no
     # larger than the parts just searched, unless a part is the whole space.
-    formula_d = min(_component_distance(n, f) for f in (f1, f2, f3))
+    # D(1) = 1 is the least distance there is, so a rule holding <1> needs
+    # no walk of the other parts.
+    if 1 in (f1, f2, f3):
+        formula_d = 1
+    else:
+        formula_d = min(_component_distance(n, f) for f in (f1, f2, f3))
     if formula_d != d:
         notes.append(
             f"component formula gives d = {formula_d}; "

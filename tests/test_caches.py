@@ -16,11 +16,12 @@ from vcubed.quantum import css_from_triple, dual_containing_poly, search_triples
 P = parse_poly
 MODULES = (cli, codes, gf2poly, quantum, reference, ring)
 
-# The memo tiers of a search: per divisor, per generator, per triple and per
-# distinct image.
+# The memo tiers of a search: per divisor, per pair of divisors, per
+# generator, per triple, per code key and per distinct image.
 TIERS = ("vcubed.gf2poly.divides_xn1", "vcubed.quantum.dual_containing_poly",
-         "vcubed.quantum._component_distance",
+         "vcubed.quantum._component_distance", "vcubed.gf2poly.poly_gcd",
          "vcubed.codes._generator_span", "vcubed.codes._cyclic_image",
+         "vcubed.codes._key_image",
          "vcubed.codes.min_hamming", "vcubed.codes.dual_binary",
          "vcubed.codes.contains_dual")
 
@@ -66,6 +67,14 @@ def test_warm_search_matches_cold_search(n, equal_only):
     assert {name: _caches()[name].cache_info().misses for name in TIERS} == misses
 
 
+@pytest.mark.parametrize("n, triples, keys", [(8, 125, 45), (21, 729, 121)])
+def test_search_builds_one_image_per_code_key(n, triples, keys):
+    _clear_caches()
+    assert search_triples(n).admissible == triples
+    assert codes._cyclic_image.cache_info().misses == triples
+    assert codes._key_image.cache_info().misses == keys
+
+
 def test_warm_audit_matches_cold_audit(capsys):
     _clear_caches()
     argv = ["audit", "--n-max", "4", "--format", "records"]
@@ -86,6 +95,7 @@ def _messages(bad):
         lambda: css_from_triple(8, 1, 1, bad),
         lambda: dual_containing_poly(8, bad),
         lambda: build_ring_cyclic(8, 1, bad, 1),
+        lambda: codes._cyclic_image(8, 1, 1, bad),
         lambda: binary_cyclic(8, bad),
     )
     out = []
@@ -104,6 +114,7 @@ def test_errors_are_never_cached(bad, text):
                       f"f3 = {text} does not divide x^8+1",
                       f"{text} does not divide x^8+1",
                       f"f2 = {text} does not divide x^8+1",
+                      f"f3 = {text} does not divide x^8+1",
                       f"{text} does not divide x^8+1"]
     good = P("x^3+x^2+x+1")
     assert dual_containing_poly(8, good)
@@ -120,3 +131,12 @@ def test_min_hamming_errors_are_never_cached():
         with pytest.raises(PreconditionError, match="zero code"):
             min_hamming(zero)
         assert min_hamming(code, 4) == 3
+
+
+def test_gcd_errors_are_never_cached():
+    gf2poly.poly_gcd.cache_clear()
+    for _ in range(2):
+        with pytest.raises(PreconditionError, match=r"gcd\(0, 0\) is undefined"):
+            gf2poly.poly_gcd(0, 0)
+    assert gf2poly.poly_gcd.cache_info().currsize == 0
+    assert gf2poly.poly_gcd(0, P("x+1")) == P("x+1")

@@ -162,6 +162,18 @@ def test_inspect_example22(capsys):
         "decomposition", "dual_formula", "single_generator"]
 
 
+def test_inspect_with_a_full_space_part_walks_no_large_code(capsys):
+    # <x+1> at n = 22 has 2^21 codewords, over the distance cap, but the
+    # paper's rule holds <1>, whose distance 1 is already the least.
+    code, out, _ = run(capsys, "inspect", "--n", "22", "--f1", "1", "--f2", "1",
+                       "--f3", "x+1", "--format", "records")
+    assert code == 0
+    (rec,) = records_of(out)
+    q = rec["quantum"]
+    assert (q["n"], q["k"], q["d"]) == (66, 64, 1)
+    assert not any(note.startswith("component formula") for note in q["notes"])
+
+
 def test_inspect_zero_code(capsys):
     code, out, _ = run(capsys, "inspect", "--n", "1", "--f1", "x+1",
                        "--f2", "x+1", "--f3", "x+1")
@@ -308,12 +320,19 @@ def test_polynomials_in_records_round_trip(capsys):
 # Digests of stdout from before the search was memoised, each record then
 # given the d of the rank-path oracle (min_hamming of the whole Gray image),
 # d_method "enumerated" and, where the min-of-components rule differs, its
-# note; the caches and the split distance must not change a byte.
+# note; the caches and the split distance must not change a byte.  The last
+# two are from before the Gray image was built once per code key: n = 16
+# has repeated factors (729 triples over 201 keys), n = 21 has 729 triples
+# over 121 keys.
 @pytest.mark.parametrize("argv, digest", [
     (("search", "--n", "8", "--format", "records"),
      "36198c998e6345ee3861a226d6e496f841f267c7397de6cfb139aa4b58e1e27d"),
     (("search", "--n", "7"),
      "d12c27a574957851c00c4f073eebb20db8778a52d3dd9669da3f07e55ef15dc4"),
+    (("search", "--n", "16", "--format", "records"),
+     "4c70823c119d9c6b5b1208ab513169fdf7b3d5e0909f69f6853ef72195a4b959"),
+    (("search", "--n", "21", "--format", "records"),
+     "80af4ea1a56b0cfefddabd69a8592b66bde14f1e79ab5f5489b4d293f7238964"),
 ])
 def test_search_stdout_is_pinned(capsys, argv, digest):
     code, out, err = run(capsys, *argv)

@@ -300,6 +300,15 @@ def test_build_ring_cyclic_examples():
         build_ring_cyclic(8, P("x^2+x+1"), f, f)
 
 
+def test_key_image_equals_the_rank_path_on_every_triple():
+    # _cyclic_image builds one image per code key (gcd(f2, f3), gcd(f1, f2),
+    # f1) from a stand-in triple; the oracle builds each triple's own image.
+    for n in (*range(1, 10), 12):
+        divisors = enumerate_divisors(n)
+        for fs in product(divisors, repeat=3):
+            assert _cyclic_image(n, *fs) == gray_image_basis(build_ring_cyclic(n, *fs)), (n, fs)
+
+
 def test_build_ring_cyclic_closed_under_shift():
     for n, fs in [(2, ("x+1",) * 3), (3, ("x+1", "x^2+x+1", "1")),
                   (4, ("x^2+1", "x+1", "x^3+x^2+x+1"))]:
