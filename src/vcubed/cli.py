@@ -21,7 +21,6 @@ from . import codes, quantum, reference
 from .errors import CapExceeded, ParseError, PreconditionError
 from .gf2poly import (
     DEFAULT_DIVISOR_CAP,
-    degree,
     enumerate_divisors,
     factor_xn1,
     format_poly,
@@ -106,8 +105,7 @@ def cmd_inspect(args) -> int:
     n = args.n
     fs = tuple(parse_poly(t) for t in (args.f1, args.f2, args.f3))
     image = codes._cyclic_image(n, *fs)  # raises PreconditionError on bad fi
-    deg_sum = sum(degree(f) for f in fs)
-    claimed_dim = 3 * n - deg_sum
+    size = codes.audit_size_formula(n, *fs)
 
     record = {
         "kind": "inspection",
@@ -117,16 +115,16 @@ def cmd_inspect(args) -> int:
         "f3": _poly_fields(fs[2]),
         "size_log2": image.dim,
         "size_method": "rank",
-        "size_formula_log2": claimed_dim,
-        "size_formula_matches": image.dim == claimed_dim,
+        "size_formula_log2": size.claimed_log2,
+        "size_formula_matches": size.matches,
     }
     lines = [
         f"n = {n}",
         f"f1 = {format_poly(fs[0])}  [{poly_hex(fs[0])}]",
         f"f2 = {format_poly(fs[1])}  [{poly_hex(fs[1])}]",
         f"f3 = {format_poly(fs[2])}  [{poly_hex(fs[2])}]",
-        f"code size = 2^{image.dim} (rank); claimed 2^{claimed_dim}"
-        + ("" if image.dim == claimed_dim else "  ** size formula mismatch"),
+        f"code size = 2^{image.dim} (rank); claimed 2^{size.claimed_log2}"
+        + ("" if size.matches else "  ** size formula mismatch"),
     ]
 
     if image.dim == 0:

@@ -18,12 +18,14 @@ over, so the work is memoised where it repeats, in bounded lru_caches.  A
 module is the sum of the submodules its generators span, so
 gray_image_basis is the rref of the union of per-generator spans, and each
 span is built once per (n, generator, cyclic) by _generator_span.  A
-triple's image depends only on its code key (gcd(f2, f3), gcd(f1, f2), f1),
-so _cyclic_image maps each triple to its key and _key_image builds the image
-once per key.  BinaryCode is immutable and hashable, so min_hamming,
+triple's image depends only on its code key (code_key), so _cyclic_image
+maps each triple to its key and _key_image builds the image once per key,
+from the key's own generators.  BinaryCode is immutable and hashable, so
 dual_binary, contains_dual and audit_decomposition_image run once per
-distinct code.  rref is canonical, so a cached result is the same basis a
-fresh one would be.
+distinct code.  min_hamming is not cached: a search asks it for the
+distance of each divisor's code, which quantum._component_distance caches.
+rref is canonical, so a cached result is the same basis a fresh one would
+be.
 
 The exact ring dual is dual_binary of the Gray image.  The v^2-coefficient
 of <x, y> is the dot product of the Gray masks of x and y, so the image of
@@ -50,7 +52,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import CapExceeded, PreconditionError
 from .gf2poly import (
-    degree, divides_xn1, format_poly, poly_divmod, poly_gcd, poly_mod, poly_mul, reciprocal, xn1,
+    degree, poly_divmod, poly_gcd, poly_mod, reciprocal, require_divisor, xn1,
 )
 from .ring import gray_vec, gray_vec_inverse
 
@@ -167,15 +169,11 @@ def contains_dual(code: BinaryCode) -> bool:
 
 def binary_cyclic(n: int, g: int) -> BinaryCode:
     """Cyclic code of length n generated by g, which must divide x^n - 1."""
-    if not divides_xn1(n, g):
-        raise PreconditionError(
-            f"{format_poly(g)} does not divide x^{n}+1"
-        )
+    require_divisor(n, g)
     rows = [g << i for i in range(n - degree(g))]
     return BinaryCode.from_rows(n, rows)
 
 
-@lru_cache(maxsize=1024)
 def min_hamming(code: BinaryCode, cap: int = DEFAULT_DIST_CAP) -> int:
     """Exact minimum weight over nonzero codewords.
 
@@ -281,14 +279,13 @@ def _generator_span(n: int, gen: tuple[int, ...], cyclic: bool) -> tuple[int, ..
 def build_ring_cyclic(n: int, f1: int, f2: int, f3: int) -> RingCode:
     """Cyclic ring code generated by v*f1, (1+v)*f2 and (1+v^2)*f3.
 
-    Each fi must divide x^n - 1.  A divisor is its own remainder mod x^n - 1
-    except x^n - 1 itself, which contributes the zero vector.
+    Each fi must divide x^n - 1; it enters reduced mod x^n - 1, so x^n - 1
+    itself contributes the zero vector.
     """
     _check_divisors(n, f1, f2, f3)
-    modulus = xn1(n)
-    f1, f2, f3 = (0 if f == modulus else f for f in (f1, f2, f3))
-    masks = (_combination_mask(f1, 0, 0, n), _combination_mask(0, f2, 0, n),
-             _combination_mask(0, 0, f3, n))
+    a, b, c = (poly_mod(f, xn1(n)) for f in (f1, f2, f3))
+    masks = (_combination_mask(a, 0, 0, n), _combination_mask(0, b, 0, n),
+             _combination_mask(0, 0, c, n))
     return RingCode(n, tuple(gray_vec_inverse(m, n) for m in masks), cyclic=True)
 
 
@@ -296,10 +293,27 @@ def _check_divisors(n: int, f1: int, f2: int, f3: int) -> None:
     """Raise a PreconditionError naming the first fi that does not divide
     x^n - 1."""
     for label, f in (("f1", f1), ("f2", f2), ("f3", f3)):
-        if not divides_xn1(n, f):
-            raise PreconditionError(
-                f"{label} = {format_poly(f)} does not divide x^{n}+1"
-            )
+        require_divisor(n, f, label)
+
+
+def code_key(n: int, f1: int, f2: int, f3: int) -> tuple[int, int, int]:
+    """The code key (g_a, g_u, g_v) = (gcd(f2, f3), gcd(f1, f2), f1) of a
+    divisor triple; a PreconditionError names the first fi that does not
+    divide x^n - 1.
+
+    Write x = a + v b + v^2 c, so its Gray image is (a | b | a+c).  The
+    idempotents 1+v^2 and v^2 split R as F2 x F2[w]/(w^2) with w = v+v^2:
+    1+v^2 takes v f1, (1+v) f2 and (1+v^2) f3 to 0, (1+v^2) f2 and
+    (1+v^2) f3, and v^2 takes them to (v^2+w) f1, w f2 and 0.  A sum of
+    cyclic ideals is the ideal of the gcd (Bonnecaze and Udaya, IEEE Trans.
+    IT 1999; Abualrub and Siap, Des. Codes Cryptogr. 2007), so the code is
+    generated by (1+v^2) g_a, w g_u and v^2 g_v, and its Gray image is
+    {(a | u | u+y) : a in C_A, u in C_u, y in C_v} with C_A = <g_a>,
+    C_u = <g_u> and C_v = <g_v>: C_A on the first third and the Plotkin
+    code (u | u+y) on the other two.  So the code depends on its key alone.
+    """
+    _check_divisors(n, f1, f2, f3)
+    return poly_gcd(f2, f3), poly_gcd(f1, f2), f1
 
 
 @lru_cache(maxsize=1024)
@@ -307,46 +321,29 @@ def _cyclic_image(n: int, f1: int, f2: int, f3: int) -> BinaryCode:
     """Gray image of build_ring_cyclic(n, f1, f2, f3), the one place a
     cyclic triple's image is looked up; BinaryCode is immutable.
 
-    The divisibility of each fi is checked first, with build_ring_cyclic's
-    errors; the image is then _key_image of the triple's code key
-    (gcd(f2, f3), gcd(f1, f2), f1), so triples that share a key share one
-    image, one dual and one containment check.  This tier stays per triple
-    because the audits of one triple and its CSS record ask for its image
-    several times, and the dual-formula audit asks for the image of the
-    dual triple (h1*, h2*, h3*), which an audit of every divisor triple
-    builds on its own turn; it holds as many triples as the other per-image
-    tiers.
+    It is _key_image of the triple's code_key, so triples that share a key
+    share one image, one dual and one containment check.  This tier stays
+    per triple because the audits of one triple and its CSS record ask for
+    its image several times, and the dual-formula audit asks for the image
+    of the dual triple (h1*, h2*, h3*), which an audit of every divisor
+    triple builds on its own turn; it holds as many triples as the other
+    per-image tiers.
     """
-    _check_divisors(n, f1, f2, f3)
-    return _key_image(n, poly_gcd(f2, f3), poly_gcd(f1, f2), f1)
+    return _key_image(n, *code_key(n, f1, f2, f3))
 
 
 @lru_cache(maxsize=1024)
 def _key_image(n: int, g_a: int, g_u: int, g_v: int) -> BinaryCode:
-    """Gray image of every divisor triple with code key (g_a, g_u, g_v) =
-    (gcd(f2, f3), gcd(f1, f2), f1), built by the rank path once per key.
+    """Gray image of every divisor triple with code key (g_a, g_u, g_v),
+    built by the rank path once per key.
 
-    Write x = a + v b + v^2 c, so its Gray image is (a | b | a+c).  The
-    idempotents 1+v^2 and v^2 split R as F2 x F2[w]/(w^2) with w = v+v^2,
-    and the image of <v f1, (1+v) f2, (1+v^2) f3> is the direct sum of
-    <gcd(f2, f3)> on the first third and the Plotkin code (u | u+y) with u
-    in <gcd(f1, f2)> and y in <f1>: a sum of cyclic ideals is the ideal of
-    the gcd (Bonnecaze and Udaya, IEEE Trans. IT 1999; Abualrub and Siap,
-    Des. Codes Cryptogr. 2007).  So the image depends on the key alone.
-
-    The triple built here, (g_v, lcm(g_u, g_a), g_a), has the same key.  gcd
-    takes the least and lcm the greatest exponent of each irreducible
-    factor; with e1, e2, e3 the exponents of one factor in f1, f2, f3 (equal
-    or not, so repeated factors are covered),
-      min(e1, max(min(e1, e2), min(e2, e3))) = min(e1, e2),
-      min(max(min(e1, e2), min(e2, e3)), min(e2, e3)) = min(e2, e3),
-    the first because the max exceeds min(e1, e2) only when
-    min(e2, e3) > min(e1, e2), which forces min(e1, e2) = e1, the second
-    because the max is at least min(e2, e3); the third part is f1 itself.
-    Every entry of the triple divides x^n - 1, as lcm(g_u, g_a) does.
+    The key's own generators (1+v^2) g_a, (v+v^2) g_u and v^2 g_v generate
+    the code (code_key); their Gray masks are (g_a|0|0), (0|g_u|g_u) and
+    (0|0|g_v), with each g reduced mod x^n - 1 as in build_ring_cyclic.
     """
-    lcm = poly_mul(g_u, poly_divmod(g_a, poly_gcd(g_u, g_a))[0])
-    return gray_image_basis(build_ring_cyclic(n, g_v, lcm, g_a))
+    g_a, g_u, g_v = (poly_mod(g, xn1(n)) for g in (g_a, g_u, g_v))
+    masks = (g_a, g_u << n | g_u << (2 * n), g_v << (2 * n))
+    return gray_image_basis(RingCode(n, tuple(gray_vec_inverse(m, n) for m in masks), cyclic=True))
 
 
 def _combination_mask(a: int, b: int, c: int, n: int) -> int:
@@ -375,8 +372,7 @@ def _dual_polys(n: int, f1: int, f2: int, f3: int) -> tuple[int, ...]:
     """(h1*, h2*, h3*): the reciprocals of hi = (x^n - 1)/fi."""
     modulus = xn1(n)
     for f in (f1, f2, f3):
-        if not divides_xn1(n, f):
-            raise PreconditionError(f"{format_poly(f)} does not divide x^{n}+1")
+        require_divisor(n, f)
     return tuple(reciprocal(poly_divmod(modulus, f)[0]) for f in (f1, f2, f3))
 
 
@@ -626,6 +622,7 @@ class SizeFormulaAudit(NamedTuple):
 
 
 def audit_size_formula(n: int, f1: int, f2: int, f3: int) -> SizeFormulaAudit:
+    """The one place the claimed dimension 3n - sum deg fi is computed."""
     dim = _cyclic_image(n, f1, f2, f3).dim
     claimed = 3 * n - (degree(f1) + degree(f2) + degree(f3))
     return SizeFormulaAudit(n=n, fs=(f1, f2, f3), rank_log2=dim,

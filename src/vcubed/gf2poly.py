@@ -70,7 +70,7 @@ def poly_gcd(p: int, q: int) -> int:
     """Greatest common divisor (over GF(2) every nonzero gcd is monic).
 
     Cached: a search takes the gcds of the same few divisor pairs for every
-    triple, once for the distance and once for the code key.
+    triple, in codes.code_key, once for the distance and once for the image.
     """
     if p == 0 and q == 0:
         raise PreconditionError("gcd(0, 0) is undefined")
@@ -110,6 +110,14 @@ def divides_xn1(n: int, f: int) -> bool:
     decided once per process.
     """
     return f != 0 and poly_mod(xn1(n), f) == 0
+
+
+def require_divisor(n: int, f: int, label: str = "") -> None:
+    """Raise a PreconditionError unless f divides x^n - 1; the message names
+    f as "label = f" when a label is given."""
+    if not divides_xn1(n, f):
+        name = f"{label} = {format_poly(f)}" if label else format_poly(f)
+        raise PreconditionError(f"{name} does not divide x^{n}+1")
 
 
 def _sqr(p: int) -> int:

@@ -22,9 +22,10 @@ divisibility (gf2poly.divides_xn1), dual containment
 (dual_containing_poly) and the distance of <g> (_component_distance) per
 divisor, the gcd per pair of divisors (gf2poly.poly_gcd), the Gray span
 per generator, the Gray image per triple and per code key
-(gcd(f2, f3), gcd(f1, f2), f1), which many triples share, and the dual and
-its containment per distinct Gray image (codes).  Errors are raised, not
-cached, and a warm search returns exactly what a cold one does.
+(codes.code_key), which many triples share, and the dual and its
+containment per distinct Gray image (codes); min_hamming keeps no cache of
+its own.  Errors are raised, not cached, and a warm search returns exactly
+what a cold one does.
 """
 
 from __future__ import annotations
@@ -34,7 +35,9 @@ from typing import NamedTuple, Optional
 
 from .codes import (
     _cyclic_image,
+    audit_size_formula,
     binary_cyclic,
+    code_key,
     contains_dual,
     dual_binary,
     gray_image_basis,  # noqa: F401  (bench/test_bench.py rebinds it here)
@@ -43,14 +46,12 @@ from .codes import (
 from .errors import PreconditionError
 from .gf2poly import (
     DEFAULT_DIVISOR_CAP,
-    degree,
-    divides_xn1,
     enumerate_divisors,
     format_poly,
-    poly_gcd,
     poly_mod,
     poly_mul,
     reciprocal,
+    require_divisor,
     xn1,
 )
 
@@ -59,8 +60,7 @@ from .gf2poly import (
 def dual_containing_poly(n: int, f: int) -> bool:
     """Whether x^n - 1 = 0 (mod f * f_reciprocal); f must divide x^n - 1."""
     modulus = xn1(n)
-    if not divides_xn1(n, f):
-        raise PreconditionError(f"{format_poly(f)} does not divide x^{n}+1")
+    require_divisor(n, f)
     return poly_mod(modulus, poly_mul(f, reciprocal(f))) == 0
 
 
@@ -119,27 +119,26 @@ def validate_css_binary(n: int, f1: int, f2: int, f3: int) -> CssValidation:
     """Build the Gray image, compute its dual by null space, and verify
     containment plus the claimed dimension."""
     image = _cyclic_image(n, f1, f2, f3)
-    expected = 3 * n - (degree(f1) + degree(f2) + degree(f3))
+    size = audit_size_formula(n, f1, f2, f3)
     dual = dual_binary(image)
     containment = contains_dual(image)
-    dim_matches = image.dim == expected
     reasons = []
     if not containment:
         reasons.append("dual not contained in Gray image")
-    if not dim_matches:
+    if not size.matches:
         reasons.append(
-            f"Gray-image rank {image.dim} differs from claimed {expected}"
+            f"Gray-image rank {image.dim} differs from claimed {size.claimed_log2}"
         )
     return CssValidation(
         ring_n=n,
         dim_code=image.dim,
         dim_dual=dual.dim,
-        expected_dim=expected,
-        dim_matches=dim_matches,
+        expected_dim=size.claimed_log2,
+        dim_matches=size.matches,
         containment_ok=containment,
-        k_formula=2 * expected - 3 * n,
+        k_formula=2 * size.claimed_log2 - 3 * n,
         k_rank=2 * image.dim - 3 * n,
-        validated=containment and dim_matches,
+        validated=containment and size.matches,
         reason="; ".join(reasons),
     )
 
@@ -147,39 +146,36 @@ def validate_css_binary(n: int, f1: int, f2: int, f3: int) -> CssValidation:
 def css_from_triple(n: int, f1: int, f2: int, f3: int) -> QuantumCodeRecord:
     """Derive the quantum parameters for a dual-containing divisor triple.
 
-    d = min(D(gcd(f2, f3)), 2 D(gcd(f1, f2)), D(f1)), where D(g) is the
-    minimum distance of the binary cyclic code <g> of length n.  Proof
-    sketch: write x = a + v b + v^2 c, so its Gray image is (a | b | a+c).
-    The idempotents 1+v^2 and v^2 split R as F2 x F2[w]/(w^2) with
-    w = v+v^2, and the Gray image of the code is
-    {(a | u | u+y) : a in C_A, u in C_u, y in C_v} with C_A = <gcd(f2, f3)>,
-    C_u = <gcd(f1, f2)> and C_v = <f1>: the direct sum of C_A on the first
-    third and the Plotkin code (u | u+y) on the other two.  A direct sum has
-    the smaller distance of its parts, and (u | u+y) has distance
-    min(2 d(C_u), d(C_v)) (MacWilliams and Sloane, ch. 2 sec. 9).  No part
-    is zero, because x^n - 1 fails the criterion and each gcd divides f1 or
-    f2.
+    d = min(D(g_a), 2 D(g_u), D(g_v)) for the code key (g_a, g_u, g_v) =
+    (gcd(f2, f3), gcd(f1, f2), f1), where D(g) is the minimum distance of
+    the binary cyclic code <g> of length n.  The Gray image is the direct
+    sum of C_A = <g_a> on the first third and the Plotkin code (u | u+y),
+    u in C_u = <g_u> and y in C_v = <g_v>, on the other two (codes.code_key).
+    A direct sum has the smaller distance of its parts, and (u | u+y) has
+    distance min(2 d(C_u), d(C_v)) (MacWilliams and Sloane, ch. 2 sec. 9).
+    No part is zero, because x^n - 1 fails the criterion and each gcd
+    divides f1 or f2.
 
     The paper's rule min(D(f1), D(f2), D(f3)) is a claim; where it differs
     from d the record carries it as a note.  The cached Gray image feeds
     the rank and containment checks of validate_css_binary.
     """
     for label, f in (("f1", f1), ("f2", f2), ("f3", f3)):
-        if not divides_xn1(n, f):
-            raise PreconditionError(f"{label} = {format_poly(f)} does not divide x^{n}+1")
+        require_divisor(n, f, label)
         if not dual_containing_poly(n, f):
             raise PreconditionError(
                 f"{label} = {format_poly(f)} fails the dual-containment criterion"
             )
 
-    k = 2 * (3 * n - (degree(f1) + degree(f2) + degree(f3))) - 3 * n
+    check = validate_css_binary(n, f1, f2, f3)
+    k = check.k_formula
     notes = []
     if k <= 0:
         notes.append("degenerate parameters (k <= 0)")
 
-    d = min(_component_distance(n, poly_gcd(f2, f3)),
-            2 * _component_distance(n, poly_gcd(f1, f2)),
-            _component_distance(n, f1))
+    g_a, g_u, g_v = code_key(n, f1, f2, f3)
+    d = min(_component_distance(n, g_a), 2 * _component_distance(n, g_u),
+            _component_distance(n, g_v))
     # <f2> lies in <gcd(f1, f2)> and <f3> in <gcd(f2, f3)>, so these are no
     # larger than the parts just searched, unless a part is the whole space.
     # D(1) = 1 is the least distance there is, so a rule holding <1> needs
@@ -194,7 +190,6 @@ def css_from_triple(n: int, f1: int, f2: int, f3: int) -> QuantumCodeRecord:
             f"enumerated d = {d} is authoritative"
         )
 
-    check = validate_css_binary(n, f1, f2, f3)
     if check.reason:
         notes.append(check.reason)
 

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .gf2poly import format_poly, parse_poly, poly_divmod, reciprocal, xn1
+from .codes import _dual_polys
+from .gf2poly import format_poly, parse_poly
 from .quantum import CssValidation, _component_distance, validate_css_binary
 
 
@@ -77,8 +78,7 @@ def reproduce_row(row: ReferenceRow) -> RowResult:
             )
     if row.dual_display is not None:
         shown = parse_poly(row.dual_display)
-        h = poly_divmod(xn1(n), f)[0]
-        hr = reciprocal(h)
+        hr = _dual_polys(n, f, f, f)[0]
         if shown != hr:
             notes.append(
                 f"published dual generator shows v^2*({row.dual_display}); "

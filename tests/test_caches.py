@@ -21,8 +21,7 @@ MODULES = (cli, codes, gf2poly, quantum, reference, ring)
 TIERS = ("vcubed.gf2poly.divides_xn1", "vcubed.quantum.dual_containing_poly",
          "vcubed.quantum._component_distance", "vcubed.gf2poly.poly_gcd",
          "vcubed.codes._generator_span", "vcubed.codes._cyclic_image",
-         "vcubed.codes._key_image",
-         "vcubed.codes.min_hamming", "vcubed.codes.dual_binary",
+         "vcubed.codes._key_image", "vcubed.codes.dual_binary",
          "vcubed.codes.contains_dual")
 
 
@@ -97,6 +96,7 @@ def _messages(bad):
         lambda: build_ring_cyclic(8, 1, bad, 1),
         lambda: codes._cyclic_image(8, 1, 1, bad),
         lambda: binary_cyclic(8, bad),
+        lambda: codes.dual_ring_formula(8, 1, 1, bad),
     )
     out = []
     for call in calls:
@@ -115,6 +115,7 @@ def test_errors_are_never_cached(bad, text):
                       f"{text} does not divide x^8+1",
                       f"f2 = {text} does not divide x^8+1",
                       f"f3 = {text} does not divide x^8+1",
+                      f"{text} does not divide x^8+1",
                       f"{text} does not divide x^8+1"]
     good = P("x^3+x^2+x+1")
     assert dual_containing_poly(8, good)

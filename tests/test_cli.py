@@ -4,13 +4,14 @@ import json
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 from vcubed.cli import build_parser, main
 from vcubed.codes import BinaryCode
-from vcubed.gf2poly import parse_poly
+from vcubed.gf2poly import enumerate_divisors, parse_poly
 
 
 def run(capsys, *argv):
@@ -179,6 +180,23 @@ def test_inspect_zero_code(capsys):
                        "--f2", "x+1", "--f3", "x+1")
     assert code == 0
     assert "zero code" in out
+
+
+def test_inspect_stdout_is_pinned_on_every_small_triple(capsys):
+    # Digest of the joined stdout from before the code key was read in one
+    # place (codes.code_key) and the image built from the key's own
+    # generators; no inspection may change a byte.
+    outs = []
+    for n in range(1, 5):
+        for fs in product(enumerate_divisors(n), repeat=3):
+            code, out, err = run(capsys, "inspect", "--n", str(n), "--f1", hex(fs[0]),
+                                 "--f2", hex(fs[1]), "--f3", hex(fs[2]),
+                                 "--format", "records")
+            assert (code, err) == (0, ""), (n, fs)
+            outs.append(out)
+    assert len(outs) == 224
+    assert hashlib.sha256("".join(outs).encode()).hexdigest() == (
+        "35df71eb864d960b34b8b40c920c282393ec2eb782480dd1e2b8e9a5df247230")
 
 
 def test_inspect_non_divisor_exit_code(capsys):

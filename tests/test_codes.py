@@ -302,7 +302,8 @@ def test_build_ring_cyclic_examples():
 
 def test_key_image_equals_the_rank_path_on_every_triple():
     # _cyclic_image builds one image per code key (gcd(f2, f3), gcd(f1, f2),
-    # f1) from a stand-in triple; the oracle builds each triple's own image.
+    # f1) from the key's own generators; the oracle builds each triple's own
+    # image.
     for n in (*range(1, 10), 12):
         divisors = enumerate_divisors(n)
         for fs in product(divisors, repeat=3):
