@@ -20,10 +20,12 @@ gray_image_basis is the rref of the union of per-generator spans, and each
 span is built once per (n, generator, cyclic) by _generator_span.  A
 triple's image depends only on its code key (code_key), so _cyclic_image
 maps each triple to its key and _key_image builds the image once per key,
-from the key's own generators.  BinaryCode is immutable and hashable, so
-dual_binary, contains_dual and audit_decomposition_image run once per
-distinct code.  min_hamming is not cached: a search asks it for the
-distance of each divisor's code, which quantum._component_distance caches.
+from the key's own generators.  A search needs only the image's rank: it
+decides dual containment from the key (quantum.validate_css_binary).
+BinaryCode is immutable and hashable, so the audits' dual_binary and
+audit_decomposition_image run once per distinct code.  min_hamming is not
+cached: a search asks it for the distance of each divisor's code, which
+quantum._component_distance caches.
 rref is canonical, so a cached result is the same basis a fresh one would
 be.
 
@@ -159,12 +161,6 @@ class BinaryCode(NamedTuple):
 def dual_binary(code: BinaryCode) -> BinaryCode:
     """Null space of the basis; dimension n - dim."""
     return BinaryCode(code.n, nullspace(code.basis, code.n))
-
-
-@lru_cache(maxsize=1024)
-def contains_dual(code: BinaryCode) -> bool:
-    """Whether the code holds its binary dual (dual_binary), the CSS condition."""
-    return code.contains_code(dual_binary(code))
 
 
 def binary_cyclic(n: int, g: int) -> BinaryCode:
@@ -322,7 +318,7 @@ def _cyclic_image(n: int, f1: int, f2: int, f3: int) -> BinaryCode:
     cyclic triple's image is looked up; BinaryCode is immutable.
 
     It is _key_image of the triple's code_key, so triples that share a key
-    share one image, one dual and one containment check.  This tier stays
+    share one image, and in the audits one dual.  This tier stays
     per triple because the audits of one triple and its CSS record ask for
     its image several times, and the dual-formula audit asks for the image
     of the dual triple (h1*, h2*, h3*), which an audit of every divisor

@@ -7,23 +7,25 @@ the emitted parameters are [[3n, 2k - 3n, d]] with k = 3n - sum(deg fi).
 
 That k is a claimed value: it can disagree with the actual Gray-image rank
 when the fi differ, so records are only marked validated after the binary
-rank and dual-containment checks pass.  The distance d is exact at every
-length: under R = F2 x F2[w]/(w^2) the Gray image splits into three binary
-cyclic codes of length n (css_from_triple), and d is read off their
-distances, each the exact minimum weight of <g> (min_hamming, a search over
-sums of basis rows in order of how many rows they use), which equals the
-minimum Lee weight of the ring code because the Gray map is a
-weight-preserving isometry.  The paper's min-of-components rule is a claim,
-kept as a note where it disagrees.
+rank check and the dual-containment check pass; containment is decided in
+closed form from the code key (validate_css_binary), with no null space.
+The distance d is exact at every length: under R = F2 x F2[w]/(w^2) the
+Gray image splits into three binary cyclic codes of length n
+(css_from_triple), and d is read off their distances, each the exact
+minimum weight of <g> (min_hamming, a search over sums of basis rows in
+order of how many rows they use), which equals the minimum Lee weight of
+the ring code because the Gray map is a weight-preserving isometry.  The
+paper's min-of-components rule is a claim, kept as a note where it
+disagrees.
 
 The divisors of x^n - 1 are few and the triples many, so each layer of a
 search is memoised in a bounded lru_cache where its work repeats:
 divisibility (gf2poly.divides_xn1), dual containment
 (dual_containing_poly) and the distance of <g> (_component_distance) per
-divisor, the gcd per pair of divisors (gf2poly.poly_gcd), the Gray span
-per generator, the Gray image per triple and per code key
-(codes.code_key), which many triples share, and the dual and its
-containment per distinct Gray image (codes); min_hamming keeps no cache of
+divisor, the gcd per pair of divisors (gf2poly.poly_gcd), whether <g>
+holds <h>^perp per pair of divisors (_holds_dual_of), the Gray span per
+generator, and the Gray image per triple and per code key
+(codes.code_key), which many triples share; min_hamming keeps no cache of
 its own.  Errors are raised, not cached, and a warm search returns exactly
 what a cold one does.
 """
@@ -34,12 +36,9 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .codes import (
-    _cyclic_image,
     audit_size_formula,
     binary_cyclic,
     code_key,
-    contains_dual,
-    dual_binary,
     gray_image_basis,  # noqa: F401  (bench/test_bench.py rebinds it here)
     min_hamming,
 )
@@ -58,10 +57,24 @@ from .gf2poly import (
 
 @lru_cache(maxsize=4096)
 def dual_containing_poly(n: int, f: int) -> bool:
-    """Whether x^n - 1 = 0 (mod f * f_reciprocal); f must divide x^n - 1."""
-    modulus = xn1(n)
+    """Whether x^n - 1 = 0 (mod f * f_reciprocal); f must divide x^n - 1.
+
+    This is _holds_dual_of(n, f, f): <f> holds its own dual.
+    """
     require_divisor(n, f)
-    return poly_mod(modulus, poly_mul(f, reciprocal(f))) == 0
+    return _holds_dual_of(n, f, f)
+
+
+@lru_cache(maxsize=4096)
+def _holds_dual_of(n: int, g: int, h: int) -> bool:
+    """Whether <g> holds <h>^perp, for divisors g and h of x^n - 1.
+
+    <h>^perp is <p*> with p = (x^n - 1)/h, and <q> lies in <g> exactly when
+    g divides q (MacWilliams and Sloane, ch. 7).  The reciprocal is
+    multiplicative, so g | p* holds exactly when g* | p, that is when
+    g* h divides x^n - 1.
+    """
+    return poly_mod(xn1(n), poly_mul(reciprocal(g), h)) == 0
 
 
 @lru_cache(maxsize=4096)
@@ -116,28 +129,47 @@ class CssValidation(NamedTuple):
 
 
 def validate_css_binary(n: int, f1: int, f2: int, f3: int) -> CssValidation:
-    """Build the Gray image, compute its dual by null space, and verify
-    containment plus the claimed dimension."""
-    image = _cyclic_image(n, f1, f2, f3)
+    """Check a triple's claimed dimension against its Gray-image rank, and
+    whether its code C holds its dual C^perp, the CSS condition.
+
+    The rank and the claimed dimension come from audit_size_formula, and
+    C^perp has dimension 3n minus the rank.  Containment is decided from the
+    code key (g_a, g_u, g_v) (codes.code_key), with no null space.  The image
+    is C_A (+) P, with C_A = <g_a> on the first third and the Plotkin code
+    P = {(u | u+y) : u in C_u, y in C_v} on the other two, so C^perp =
+    C_A^perp (+) P^perp with P^perp = {(b+c | b) : b in C_v^perp,
+    c in C_u^perp}.  (b+c | b) lies in P exactly when c is in C_v and b+c in
+    C_u.  With b = 0 this asks for C_u^perp in C_v, which is the same as
+    C_v^perp in C_u; and then b+c is in C_u, because C_v lies in C_u (g_u
+    divides g_v).  So P^perp lies in P exactly when C_v^perp lies in C_u, and
+    C^perp lies in C exactly when <g_a> holds <g_a>^perp and <g_u> holds
+    <g_v>^perp (_holds_dual_of).
+    """
+    return _css_check(n, f1, f2, f3, code_key(n, f1, f2, f3))
+
+
+def _css_check(n: int, f1: int, f2: int, f3: int,
+               key: tuple[int, int, int]) -> CssValidation:
+    """validate_css_binary for a triple whose code key is already known."""
     size = audit_size_formula(n, f1, f2, f3)
-    dual = dual_binary(image)
-    containment = contains_dual(image)
+    g_a, g_u, g_v = key
+    containment = _holds_dual_of(n, g_a, g_a) and _holds_dual_of(n, g_u, g_v)
     reasons = []
     if not containment:
         reasons.append("dual not contained in Gray image")
     if not size.matches:
         reasons.append(
-            f"Gray-image rank {image.dim} differs from claimed {size.claimed_log2}"
+            f"Gray-image rank {size.rank_log2} differs from claimed {size.claimed_log2}"
         )
     return CssValidation(
         ring_n=n,
-        dim_code=image.dim,
-        dim_dual=dual.dim,
+        dim_code=size.rank_log2,
+        dim_dual=3 * n - size.rank_log2,
         expected_dim=size.claimed_log2,
         dim_matches=size.matches,
         containment_ok=containment,
         k_formula=2 * size.claimed_log2 - 3 * n,
-        k_rank=2 * image.dim - 3 * n,
+        k_rank=2 * size.rank_log2 - 3 * n,
         validated=containment and size.matches,
         reason="; ".join(reasons),
     )
@@ -157,8 +189,9 @@ def css_from_triple(n: int, f1: int, f2: int, f3: int) -> QuantumCodeRecord:
     divides f1 or f2.
 
     The paper's rule min(D(f1), D(f2), D(f3)) is a claim; where it differs
-    from d the record carries it as a note.  The cached Gray image feeds
-    the rank and containment checks of validate_css_binary.
+    from d the record carries it as a note.  The key also decides the
+    containment check of validate_css_binary; the cached Gray image feeds
+    only its rank check.
     """
     for label, f in (("f1", f1), ("f2", f2), ("f3", f3)):
         require_divisor(n, f, label)
@@ -167,13 +200,14 @@ def css_from_triple(n: int, f1: int, f2: int, f3: int) -> QuantumCodeRecord:
                 f"{label} = {format_poly(f)} fails the dual-containment criterion"
             )
 
-    check = validate_css_binary(n, f1, f2, f3)
+    key = code_key(n, f1, f2, f3)
+    check = _css_check(n, f1, f2, f3, key)
     k = check.k_formula
     notes = []
     if k <= 0:
         notes.append("degenerate parameters (k <= 0)")
 
-    g_a, g_u, g_v = code_key(n, f1, f2, f3)
+    g_a, g_u, g_v = key
     d = min(_component_distance(n, g_a), 2 * _component_distance(n, g_u),
             _component_distance(n, g_v))
     # <f2> lies in <gcd(f1, f2)> and <f3> in <gcd(f2, f3)>, so these are no

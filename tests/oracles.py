@@ -16,7 +16,8 @@ codewords, as the audits did before they became rank algebra, so they check
 the library's witnesses against plain set differences.
 
 The last section holds references on the library's own representations,
-moved out of the package because only tests use them: full ring spans
+moved out of the package because only tests use them: whether a binary
+code holds its null-space dual, full ring spans
 through the Gray bijection (refused over an enumeration cap, the one bound
 left on a codeword walk), the minimum Lee weight of a span, the 8^n scan
 for the ring dual, shift and self-orthogonality checks on spans, the
@@ -291,6 +292,12 @@ def dual_witness_by_walk(n, f1, f2, f3):
 # ---------------------------------------------------------------------------
 # References on the library's representations, moved out of the package.
 # ---------------------------------------------------------------------------
+
+
+def contains_dual(code: BinaryCode) -> bool:
+    """Whether a binary code holds its dual, taken as a null space
+    (dual_binary): the CSS condition, decided without the code key."""
+    return code.contains_code(dual_binary(code))
 
 
 def check_enum_cap(image: BinaryCode, cap: int) -> None:

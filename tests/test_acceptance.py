@@ -8,7 +8,10 @@ lines.  Two criteria are implemented exactly as stated and fail honestly:
   component), so 9/9 golden rows cannot all match;
 * criterion 7: the dual-containment criterion is sufficient but not
   necessary, so the claimed equivalence has mixed-triple counterexamples
-  (first one found: n=2 with f1=f2=1, f3=x^2+1).
+  (first one found: n=2 with f1=f2=1, f3=x^2+1);
+  test_exact_criterion_explains_criterion_7 shows they are the 86 triples
+  that the exact criterion, read from the code key, admits and the paper's
+  rejects.
 
 Everything else is green.  Shared spans and brute-force duals are cached
 across criteria to keep the suite quick.
@@ -16,10 +19,12 @@ across criteria to keep the suite quick.
 
 import random
 import time
+from collections import Counter
 from functools import lru_cache
 
 from vcubed.codes import (
     RingCode,
+    _cyclic_image,
     audit_dual_formula,
     binary_cyclic,
     build_ring_cyclic,
@@ -49,6 +54,7 @@ from vcubed.ring import (
 )
 from oracles import (
     audit_decomposition,
+    contains_dual,
     dual_ring_bruteforce,
     irreducible_by_trial_division,
     is_quasicyclic3,
@@ -246,6 +252,22 @@ def test_criterion_7_ring_level_equivalence():
             f"{format_poly(f3)}) containment={contained} criterion={criterion}"
         )
     assert _report(7, ok, detail)
+
+
+def test_exact_criterion_explains_criterion_7():
+    # The exact criterion (validate_css_binary, from the code key) agrees
+    # with containment in the Gray image and in the ring on every triple.
+    # The paper's per-fi criterion is sufficient, never wrong when it says
+    # yes, and it misses exactly criterion 7's 86 triples.
+    tally = Counter()
+    for n in (2, 3, 4):
+        for fs in _triples(n):
+            exact = validate_css_binary(n, *fs).containment_ok
+            assert exact == contains_dual(_cyclic_image(n, *fs)), (n, fs)
+            assert exact == (_brute_dual(n, *fs) <= _span(n, *fs)), (n, fs)
+            paper = all(dual_containing_poly(n, f) for f in fs)
+            tally[paper, exact] += 1
+    assert tally == {(True, True): 36, (False, True): 86, (False, False): 94}
 
 
 def test_criterion_8_dual_formula_audit():

@@ -17,12 +17,11 @@ P = parse_poly
 MODULES = (cli, codes, gf2poly, quantum, reference, ring)
 
 # The memo tiers of a search: per divisor, per pair of divisors, per
-# generator, per triple, per code key and per distinct image.
+# generator, per triple and per code key.
 TIERS = ("vcubed.gf2poly.divides_xn1", "vcubed.quantum.dual_containing_poly",
          "vcubed.quantum._component_distance", "vcubed.gf2poly.poly_gcd",
-         "vcubed.codes._generator_span", "vcubed.codes._cyclic_image",
-         "vcubed.codes._key_image", "vcubed.codes.dual_binary",
-         "vcubed.codes.contains_dual")
+         "vcubed.quantum._holds_dual_of", "vcubed.codes._generator_span",
+         "vcubed.codes._cyclic_image", "vcubed.codes._key_image")
 
 
 def _caches():
@@ -72,6 +71,8 @@ def test_search_builds_one_image_per_code_key(n, triples, keys):
     assert search_triples(n).admissible == triples
     assert codes._cyclic_image.cache_info().misses == triples
     assert codes._key_image.cache_info().misses == keys
+    # containment comes from the key: no image's dual is taken
+    assert codes.dual_binary.cache_info().misses == 0
 
 
 def test_warm_audit_matches_cold_audit(capsys):

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from vcubed.codes import (
@@ -9,15 +11,31 @@ from vcubed.codes import (
     min_hamming,
 )
 from vcubed.errors import PreconditionError
-from vcubed.gf2poly import degree, enumerate_divisors, parse_poly, poly_divmod, xn1
+from vcubed.gf2poly import (
+    degree,
+    enumerate_divisors,
+    parse_poly,
+    poly_divmod,
+    poly_mod,
+    poly_mul,
+    reciprocal,
+    xn1,
+)
 from vcubed.quantum import (
+    _holds_dual_of,
     css_from_triple,
     dual_containing_poly,
     search_triples,
     validate_css_binary,
 )
 
-from oracles import binary_min_weight_direct, dual_ring_bruteforce, min_lee_enum, span_enumerate
+from oracles import (
+    binary_min_weight_direct,
+    contains_dual,
+    dual_ring_bruteforce,
+    min_lee_enum,
+    span_enumerate,
+)
 
 P = parse_poly
 
@@ -37,6 +55,36 @@ def test_dual_containing_agrees_with_binary_dual_containment():
             code = binary_cyclic(n, f)
             direct = code.contains_code(dual_binary(code))
             assert dual_containing_poly(n, f) == direct
+
+
+def test_holds_dual_of_matches_the_null_space_dual():
+    # <g> holds <h>^perp exactly when g* h divides x^n - 1, for every ordered
+    # pair of divisors; the diagonal is the paper's f f* | x^n - 1
+    for n in range(1, 17):
+        divisors = enumerate_divisors(n)
+        cyclic = {f: binary_cyclic(n, f) for f in divisors}
+        for g in divisors:
+            for h in divisors:
+                direct = cyclic[g].contains_code(dual_binary(cyclic[h]))
+                assert _holds_dual_of(n, g, h) == direct, (n, g, h)
+            paper = poly_mod(xn1(n), poly_mul(g, reciprocal(g))) == 0
+            assert dual_containing_poly(n, g) == _holds_dual_of(n, g, g) == paper, (n, g)
+
+
+def test_closed_form_containment_matches_the_image_dual_on_every_triple():
+    # C^perp in C read from the code key against the null space of the Gray
+    # image, on all 18,395 divisor triples at n <= 9 and n = 12, x^n - 1
+    # parts included
+    checked = 0
+    for n in (*range(1, 10), 12):
+        held = {}
+        for fs in product(enumerate_divisors(n), repeat=3):
+            image = _cyclic_image(n, *fs)
+            if image not in held:
+                held[image] = contains_dual(image)
+            assert validate_css_binary(n, *fs).containment_ok == held[image], (n, fs)
+            checked += 1
+    assert checked == 18395
 
 
 def test_css_paper_rows():
