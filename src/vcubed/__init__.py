@@ -37,13 +37,11 @@ from .gf2poly import (
     xn1,
 )
 from .quantum import (
-    CssValidation,
     QuantumCodeRecord,
     SearchOutcome,
     css_from_triple,
     dual_containing_poly,
     search_triples,
-    validate_css_binary,
 )
 from .reference import REFERENCE_ROWS, reproduce_all
 from .ring import (

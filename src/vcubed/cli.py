@@ -310,7 +310,7 @@ def cmd_reproduce(args) -> int:
             "published": list(published),
             "computed": list(res.computed),
             "match": res.matches,
-            "validated": res.validation.validated,
+            "validated": res.record.validated,
             "notes": list(res.notes),
         })
         status = "PASS" if res.matches else "FAIL"

@@ -20,8 +20,8 @@ gray_image_basis is the rref of the union of per-generator spans, and each
 span is built once per (n, generator, cyclic) by _generator_span.  A
 triple's image depends only on its code key (code_key), so _cyclic_image
 maps each triple to its key and _key_image builds the image once per key,
-from the key's own generators.  A search needs only the image's rank: it
-decides dual containment from the key (quantum.validate_css_binary).
+from the key's own generators.  A search needs only the image's rank: the
+paper's criterion already implies dual containment (quantum.css_from_triple).
 BinaryCode is immutable and hashable, so the audits' dual_binary and
 audit_decomposition_image run once per distinct code.  min_hamming is not
 cached: a search asks it for the distance of each divisor's code, which

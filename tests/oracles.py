@@ -17,7 +17,8 @@ the library's witnesses against plain set differences.
 
 The last section holds references on the library's own representations,
 moved out of the package because only tests use them: whether a binary
-code holds its null-space dual, full ring spans
+code holds its null-space dual, the exact CSS check of a divisor triple
+from its code key, full ring spans
 through the Gray bijection (refused over an enumeration cap, the one bound
 left on a codeword walk), the minimum Lee weight of a span, the 8^n scan
 for the ring dual, shift and self-orthogonality checks on spans, the
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import product
+from typing import NamedTuple
 
 from vcubed.codes import (
     DEFAULT_ENUM_CAP,
@@ -38,7 +40,9 @@ from vcubed.codes import (
     _combination_mask,
     _v_multiples,
     audit_decomposition_image,
+    audit_size_formula,
     build_ring_cyclic,
+    code_key,
     dual_binary,
     dual_ring_formula,
     gray_image_basis,
@@ -46,7 +50,7 @@ from vcubed.codes import (
     rref,
 )
 from vcubed.errors import CapExceeded, PreconditionError
-from vcubed.gf2poly import degree, poly_mod
+from vcubed.gf2poly import degree, poly_mod, poly_mul, reciprocal, xn1
 from vcubed.ring import ELEMENTS, gray_vec, gray_vec_inverse, lee_weight_vec, ring_inner_product
 
 DEFAULT_RING_DUAL_CAP = 1 << 24
@@ -298,6 +302,73 @@ def contains_dual(code: BinaryCode) -> bool:
     """Whether a binary code holds its dual, taken as a null space
     (dual_binary): the CSS condition, decided without the code key."""
     return code.contains_code(dual_binary(code))
+
+
+def holds_dual_of(n: int, g: int, h: int) -> bool:
+    """Whether <g> holds <h>^perp, for divisors g and h of x^n - 1.
+
+    <h>^perp is <p*> with p = (x^n - 1)/h, and <q> lies in <g> exactly when
+    g divides q (MacWilliams and Sloane, ch. 7).  The reciprocal is
+    multiplicative, so g | p* holds exactly when g* | p, that is when
+    g* h divides x^n - 1.  The diagonal h = g is the paper's criterion.
+    """
+    return poly_mod(xn1(n), poly_mul(reciprocal(g), h)) == 0
+
+
+class CssValidation(NamedTuple):
+    """Binary-level check of a triple: Gray-image rank and dual containment."""
+
+    ring_n: int
+    dim_code: int
+    dim_dual: int
+    expected_dim: int
+    dim_matches: bool
+    containment_ok: bool
+    k_formula: int
+    k_rank: int
+    validated: bool
+    reason: str
+
+
+def validate_css_binary(n: int, f1: int, f2: int, f3: int) -> CssValidation:
+    """Check any divisor triple's claimed dimension against its Gray-image
+    rank, and whether its code C holds its dual C^perp, the CSS condition.
+
+    The rank and the claimed dimension come from audit_size_formula, and
+    C^perp has dimension 3n minus the rank.  Containment is decided from the
+    code key (g_a, g_u, g_v) (code_key), with no null space.  The image
+    is C_A (+) P, with C_A = <g_a> on the first third and the Plotkin code
+    P = {(u | u+y) : u in C_u, y in C_v} on the other two, so C^perp =
+    C_A^perp (+) P^perp with P^perp = {(b+c | b) : b in C_v^perp,
+    c in C_u^perp}.  (b+c | b) lies in P exactly when c is in C_v and b+c in
+    C_u.  With b = 0 this asks for C_u^perp in C_v, which is the same as
+    C_v^perp in C_u; and then b+c is in C_u, because C_v lies in C_u (g_u
+    divides g_v).  So P^perp lies in P exactly when C_v^perp lies in C_u, and
+    C^perp lies in C exactly when <g_a> holds <g_a>^perp and <g_u> holds
+    <g_v>^perp (holds_dual_of).
+    """
+    size = audit_size_formula(n, f1, f2, f3)
+    g_a, g_u, g_v = code_key(n, f1, f2, f3)
+    containment = holds_dual_of(n, g_a, g_a) and holds_dual_of(n, g_u, g_v)
+    reasons = []
+    if not containment:
+        reasons.append("dual not contained in Gray image")
+    if not size.matches:
+        reasons.append(
+            f"Gray-image rank {size.rank_log2} differs from claimed {size.claimed_log2}"
+        )
+    return CssValidation(
+        ring_n=n,
+        dim_code=size.rank_log2,
+        dim_dual=3 * n - size.rank_log2,
+        expected_dim=size.claimed_log2,
+        dim_matches=size.matches,
+        containment_ok=containment,
+        k_formula=2 * size.claimed_log2 - 3 * n,
+        k_rank=2 * size.rank_log2 - 3 * n,
+        validated=containment and size.matches,
+        reason="; ".join(reasons),
+    )
 
 
 def check_enum_cap(image: BinaryCode, cap: int) -> None:

@@ -41,7 +41,7 @@ from vcubed.gf2poly import (
     parse_poly,
     xn1,
 )
-from vcubed.quantum import dual_containing_poly, validate_css_binary
+from vcubed.quantum import dual_containing_poly
 from vcubed.reference import REFERENCE_ROWS, reproduce_all
 from vcubed.ring import (
     ELEMENTS,
@@ -61,6 +61,7 @@ from oracles import (
     is_self_orthogonal,
     sigma,
     span_enumerate,
+    validate_css_binary,
 )
 
 P = parse_poly

@@ -20,8 +20,8 @@ MODULES = (cli, codes, gf2poly, quantum, reference, ring)
 # generator, per triple and per code key.
 TIERS = ("vcubed.gf2poly.divides_xn1", "vcubed.quantum.dual_containing_poly",
          "vcubed.quantum._component_distance", "vcubed.gf2poly.poly_gcd",
-         "vcubed.quantum._holds_dual_of", "vcubed.codes._generator_span",
-         "vcubed.codes._cyclic_image", "vcubed.codes._key_image")
+         "vcubed.codes._generator_span", "vcubed.codes._cyclic_image",
+         "vcubed.codes._key_image")
 
 
 def _caches():

@@ -33,7 +33,7 @@ from vcubed import codes, gf2poly, quantum, reference
 from vcubed.cli import AUDIT_CATALOG
 from vcubed.errors import CapExceeded, PreconditionError
 from vcubed.gf2poly import enumerate_divisors, factor_xn1, parse_poly
-from vcubed.quantum import css_from_triple, search_triples, validate_css_binary
+from vcubed.quantum import css_from_triple, search_triples
 from vcubed.reference import REFERENCE_ROWS, ReferenceRow, reproduce_row
 from vcubed.ring import (
     ONE,
@@ -937,10 +937,6 @@ RECORDS = [
     (quantum.QuantumCodeRecord,
      ("ring_n", "f1", "f2", "f3", "n", "k", "d", "d_method", "validated", "notes"), {},
      lambda: css_from_triple(8, F8, F8, F8)),
-    (quantum.CssValidation,
-     ("ring_n", "dim_code", "dim_dual", "expected_dim", "dim_matches",
-      "containment_ok", "k_formula", "k_rank", "validated", "reason"), {},
-     lambda: validate_css_binary(8, F8, F8, F8)),
     (quantum.SearchOutcome, ("records", "scanned", "admissible"), {},
      lambda: search_triples(8, equal_triples_only=True)),
     (reference.ReferenceRow,
@@ -948,7 +944,7 @@ RECORDS = [
      {"code_display": None, "dual_display": None},
      lambda: ReferenceRow(*REFERENCE_ROWS[0])),
     (reference.RowResult,
-     ("row", "computed", "component_distance", "validation", "matches", "notes"), {},
+     ("row", "computed", "record", "matches", "notes"), {},
      lambda: reproduce_row(REFERENCE_ROWS[0])),
 ]
 

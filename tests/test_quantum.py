@@ -21,20 +21,16 @@ from vcubed.gf2poly import (
     reciprocal,
     xn1,
 )
-from vcubed.quantum import (
-    _holds_dual_of,
-    css_from_triple,
-    dual_containing_poly,
-    search_triples,
-    validate_css_binary,
-)
+from vcubed.quantum import css_from_triple, dual_containing_poly, search_triples
 
 from oracles import (
     binary_min_weight_direct,
     contains_dual,
     dual_ring_bruteforce,
+    holds_dual_of,
     min_lee_enum,
     span_enumerate,
+    validate_css_binary,
 )
 
 P = parse_poly
@@ -66,16 +62,17 @@ def test_holds_dual_of_matches_the_null_space_dual():
         for g in divisors:
             for h in divisors:
                 direct = cyclic[g].contains_code(dual_binary(cyclic[h]))
-                assert _holds_dual_of(n, g, h) == direct, (n, g, h)
+                assert holds_dual_of(n, g, h) == direct, (n, g, h)
             paper = poly_mod(xn1(n), poly_mul(g, reciprocal(g))) == 0
-            assert dual_containing_poly(n, g) == _holds_dual_of(n, g, g) == paper, (n, g)
+            assert dual_containing_poly(n, g) == holds_dual_of(n, g, g) == paper, (n, g)
 
 
 def test_closed_form_containment_matches_the_image_dual_on_every_triple():
     # C^perp in C read from the code key against the null space of the Gray
     # image, on all 18,395 divisor triples at n <= 9 and n = 12, x^n - 1
-    # parts included
-    checked = 0
+    # parts included.  Every triple the paper's criterion admits holds its
+    # dual, which is why css_from_triple computes no containment.
+    checked = admitted = 0
     for n in (*range(1, 10), 12):
         held = {}
         for fs in product(enumerate_divisors(n), repeat=3):
@@ -84,7 +81,11 @@ def test_closed_form_containment_matches_the_image_dual_on_every_triple():
                 held[image] = contains_dual(image)
             assert validate_css_binary(n, *fs).containment_ok == held[image], (n, fs)
             checked += 1
+            if all(dual_containing_poly(n, f) for f in fs):
+                assert held[image], (n, fs)
+                admitted += 1
     assert checked == 18395
+    assert admitted == 984
 
 
 def test_css_paper_rows():
@@ -194,7 +195,10 @@ def test_search_n1_only_full_space():
 
 
 def test_search_excludes_zero_code():
-    # x^n - 1 itself never passes the criterion and is never emitted
+    # x^n - 1 itself never passes the criterion, since (x^n - 1)^2 does not
+    # divide x^n - 1, and is never emitted
+    for n in range(1, 129):
+        assert not dual_containing_poly(n, xn1(n)), n
     for outcome in (search_triples(7, equal_triples_only=True), search_triples(4)):
         for rec in outcome.records:
             assert xn1(rec.ring_n) not in (rec.f1, rec.f2, rec.f3)
@@ -273,12 +277,19 @@ def test_criterion_not_necessary_for_mixed_triples():
 
 
 def test_record_invariants():
-    for rec in search_triples(8, equal_triples_only=True).records:
+    # every searched record against the oracle's rank and containment check
+    records = [rec for n in (7, 8, 16, 21) for rec in search_triples(n).records]
+    assert len(records) == 27 + 125 + 729 + 729
+    for rec in records:
         deg_sum = degree(rec.f1) + degree(rec.f2) + degree(rec.f3)
         assert rec.n == 3 * rec.ring_n
         assert rec.k == 2 * (3 * rec.ring_n - deg_sum) - 3 * rec.ring_n
+        val = validate_css_binary(rec.ring_n, rec.f1, rec.f2, rec.f3)
+        assert rec.validated == val.validated, rec
+        assert rec.k == val.k_formula, rec
+        rank_note = f"Gray-image rank {val.dim_code} differs from claimed {val.expected_dim}"
+        assert (rank_note in rec.notes) == (not rec.validated), rec
         if rec.validated:
-            val = validate_css_binary(rec.ring_n, rec.f1, rec.f2, rec.f3)
             assert rec.k == 2 * val.dim_code - 3 * rec.ring_n
             assert val.dim_dual == 3 * rec.ring_n - val.dim_code
         if rec.k >= 0:
