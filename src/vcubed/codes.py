@@ -23,9 +23,10 @@ maps each triple to its key and _key_image builds the image once per key,
 from the key's own generators.  A search needs only the image's rank: the
 paper's criterion already implies dual containment (quantum.css_from_triple).
 BinaryCode is immutable and hashable, so the audits' dual_binary and
-audit_decomposition_image run once per distinct code.  min_hamming is not
-cached: a search asks it for the distance of each divisor's code, which
-quantum._component_distance caches.
+audit_decomposition_image run once per distinct code.  The audits build the
+single generator's image once per triple (_single_image) and h* once per
+divisor (_dual_poly).  min_hamming is not cached: a search asks it for the
+distance of each divisor's code, which quantum._component_distance caches.
 rref is canonical, so a cached result is the same basis a fresh one would
 be.
 
@@ -39,10 +40,12 @@ compare a claimed identity against exact computation and report a witness
 when the claim fails, never assuming it.  Every set they compare is a GF(2)
 subspace, so the audits are rank algebra on bases: sizes are ranks, equality
 and containment are basis comparisons, and each witness, the least member
-of one subspace outside another, is read off an echelon form
-(_least_outside) without walking a single codeword.  That echelon form is a
-leading-bit pivot table (_echelon), a dict from each stored row's highest
-set bit to the row, the mirror of rref's lowest-bit table.
+of one subspace outside another, is read off one echelon form of the first
+subspace (_least_outside) without walking a single codeword.  That echelon
+form is a leading-bit pivot table (_echelon), a dict from each stored row's
+highest set bit to the row, the mirror of rref's lowest-bit table; the
+witness is the first of its rows, by ascending leading bit and reduced by
+the rows below, that the other subspace does not contain.
 """
 
 from __future__ import annotations
@@ -364,12 +367,31 @@ def _single_generator_code(n: int, f1: int, f2: int, f3: int) -> RingCode:
     return RingCode(n, (combined_generator(n, f1, f2, f3),), cyclic=True)
 
 
+@lru_cache(maxsize=1024)
+def _single_image(n: int, f1: int, f2: int, f3: int) -> BinaryCode:
+    """Gray image of _single_generator_code(n, f1, f2, f3), built once per
+    triple.
+
+    The single-generator audit of a triple T and the dual-formula audit of
+    the triple whose dual polynomials (_dual_polys) are T both read it; h*
+    is an involution on the divisors of x^n - 1, so every divisor triple is
+    asked for twice by an audit of all of them.
+    """
+    return gray_image_basis(_single_generator_code(n, f1, f2, f3))
+
+
 def _dual_polys(n: int, f1: int, f2: int, f3: int) -> tuple[int, ...]:
     """(h1*, h2*, h3*): the reciprocals of hi = (x^n - 1)/fi."""
-    modulus = xn1(n)
-    for f in (f1, f2, f3):
-        require_divisor(n, f)
-    return tuple(reciprocal(poly_divmod(modulus, f)[0]) for f in (f1, f2, f3))
+    return tuple(_dual_poly(n, f) for f in (f1, f2, f3))
+
+
+@lru_cache(maxsize=1024)
+def _dual_poly(n: int, f: int) -> int:
+    """h* = reciprocal((x^n - 1)/f), computed once per divisor f of x^n - 1;
+    a PreconditionError, which is never cached, names an f that does not
+    divide."""
+    require_divisor(n, f)
+    return reciprocal(poly_divmod(xn1(n), f)[0])
 
 
 def _image_projections(image: BinaryCode) -> tuple[BinaryCode, BinaryCode, BinaryCode]:
@@ -523,35 +545,35 @@ def _least_outside(x: BinaryCode, y: BinaryCode, key: Callable[[int], int]) -> i
     """The least mask of x outside y, under the order of key(mask).
 
     key must be a linear bijection (here, a bit relabelling), so a mask m
-    travels as key(m) << n | m and sums act on both halves at once.  Let
-    Z = x & y.  x \\ y is the union of the cosets x' + Z with x' not in Z; the
-    least member of a coset is its reduction by Z's leading-bit pivot table
-    (every pivot bit cleared), because adding any nonzero z sets z's leading
-    bit, which the reduction cleared.  Those reductions form a subspace W,
-    and its least nonzero member is the row of W's pivot table with the
-    lowest leading bit.  That member is unique, so any echelon basis of Z
-    and W gives the same witness.
+    travels as key(m) << n | m and sums act on both halves at once.  The
+    rows of x go into one leading-bit pivot table (_echelon), which is walked
+    by ascending leading bit; each row is reduced by the rows below it, and
+    the first reduced row that y rejects gives the witness.  The rows below
+    it lie in y, so the whole coset of that row lies outside y.  Every member
+    of x with a smaller leading bit lies in the span of those rows, which is
+    inside y.  The reduced row is the least member of its coset (adding any
+    nonzero sum of the rows below sets that sum's leading bit, which the
+    reduction cleared), so it is the unique least member of x \\ y, and any
+    basis of x gives the same witness.
     """
-    if y.contains_code(x):
-        raise PreconditionError("no codeword outside the other code")
     n = x.n
-    # Zassenhaus: among the sums of (m | m) for m in x and (m | 0) for m in
-    # y, those with a zero left half carry x & y in their right half.
-    sums = _echelon([*(m << n | m for m in x.basis), *(m << n for m in y.basis)])
-    z = _echelon(key(s) << n | s for lead, s in sums.items() if lead <= n)
-    pivots = sum(1 << (lead - 1) for lead in z)
-
-    def reduced(row: int) -> int:
-        # XOR with the row at the highest pivot bit set clears that bit and
-        # touches only lower ones, so each pass lowers the highest hit.
+    low = (1 << n) - 1
+    table = _echelon(key(m) << n | m for m in x.basis)
+    pivots = 0  # the leading bits of the rows below the current one
+    for lead in sorted(table):
+        row = table[lead]
+        # Each reduced row below has no bit in another one's pivot column,
+        # so one XOR per pivot bit of the row clears them all.
         hits = row & pivots
         while hits:
-            row ^= z[hits.bit_length()]
-            hits = row & pivots
-        return row
-
-    w = _echelon(reduced(key(m) << n | m) for m in x.basis)
-    return w[min(w)] & ((1 << n) - 1)
+            bit = hits & -hits
+            row ^= table[bit.bit_length()]
+            hits ^= bit
+        if not y.contains(row & low):
+            return row & low
+        table[lead] = row
+        pivots |= 1 << (lead - 1)
+    raise PreconditionError("no codeword outside the other code")
 
 
 class DualFormulaAudit(NamedTuple):
@@ -579,7 +601,7 @@ def audit_dual_formula(n: int, f1: int, f2: int, f3: int) -> DualFormulaAudit:
     code = _cyclic_image(n, f1, f2, f3)
     dual = dual_binary(code)
     hs = _dual_polys(n, f1, f2, f3)
-    formula = gray_image_basis(_single_generator_code(n, *hs))
+    formula = _single_image(n, *hs)
     three_gen = _cyclic_image(n, *hs)
 
     witness = None
@@ -639,7 +661,7 @@ class SingleGeneratorAudit(NamedTuple):
 
 def audit_single_generator(n: int, f1: int, f2: int, f3: int) -> SingleGeneratorAudit:
     code_basis = _cyclic_image(n, f1, f2, f3)
-    single_basis = gray_image_basis(_single_generator_code(n, f1, f2, f3))
+    single_basis = _single_image(n, f1, f2, f3)
     equal = code_basis == single_basis
     witness = None
     if not equal:

@@ -80,12 +80,35 @@ def test_warm_audit_matches_cold_audit(capsys):
     argv = ["audit", "--n-max", "4", "--format", "records"]
     assert cli.main(argv) == 0
     cold = capsys.readouterr().out
-    tiers = (codes.audit_decomposition_image, codes._cyclic_image)
+    tiers = (codes.audit_decomposition_image, codes._cyclic_image, codes._single_image,
+             codes._dual_poly)
     misses = [fn.cache_info().misses for fn in tiers]
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == cold
     # the second run audits every image and builds every triple from the cache
     assert [fn.cache_info().misses for fn in tiers] == misses
+
+
+def test_audit_builds_each_single_generator_image_once(monkeypatch, capsys):
+    _clear_caches()
+    build = codes.gray_image_basis
+    built = []
+
+    def counted(code):
+        built.append(code)
+        return build(code)
+
+    monkeypatch.setattr(codes, "gray_image_basis", counted)
+    assert cli.main(["audit", "--n-max", "4", "--format", "records"]) == 0
+    capsys.readouterr()
+    # h* is an involution on divisor triples, so the dual-formula audit of T
+    # reads the image that the single-generator audit of hs(T) built
+    info = codes._single_image.cache_info()
+    assert (info.misses, info.hits) == (224, 224)
+    # 8 catalog codes, 88 code keys and 224 single-generator images
+    assert len(built) == 320
+    # h* once for each of the 14 divisors of x^n - 1, n <= 4
+    assert codes._dual_poly.cache_info().misses == 14
 
 
 def _messages(bad):

@@ -380,6 +380,17 @@ def test_dual_ring_formula_collapses_for_equal_triples():
     assert gray_image_basis(build_ring_cyclic(8, f, f, f)).dim == 15  # dual dim 24-15=9
 
 
+def test_dual_polynomial_map_is_an_involution_on_divisors():
+    # f -> h* = reciprocal((x^n - 1)/f) permutes the divisors of x^n - 1 and
+    # undoes itself, so the audits of all divisor triples ask for each
+    # single-generator image twice
+    for n in range(1, 41):
+        divisors = enumerate_divisors(n)
+        duals = [codes._dual_poly(n, f) for f in divisors]
+        assert sorted(duals) == divisors, n
+        assert [codes._dual_poly(n, h) for h in duals] == divisors, n
+
+
 def test_dual_formula_audit_diag_code():
     # (2, x+1 x3): the diagonal code is self-dual; the single-generator
     # claim misses half of it, while the three-generator variant matches.
@@ -825,6 +836,39 @@ def test_least_outside_refuses_a_contained_code():
     for x in (y, BinaryCode.from_rows(6, [0b001111]), BinaryCode(6, ())):
         with pytest.raises(PreconditionError):
             _least_outside(x, y, _ring_order_key(2))
+
+
+def test_least_outside_matches_walk_on_audit_inputs():
+    # every pair of codes the audits compare at n <= 4, taken in both orders:
+    # the claimed dual against the exact dual, and the direct sum of the
+    # projections and the reconstruction against the Gray image
+    pairs = set()
+    for n in (1, 2, 3, 4):
+        for fs in product(enumerate_divisors(n), repeat=3):
+            image = _cyclic_image(n, *fs)
+            formula = gray_image_basis(dual_ring_formula(n, *fs))
+            pairs.add((formula, dual_binary(image), _ring_order_key))
+            c1, c2, c3 = _image_projections(image)
+            direct_sum = BinaryCode.from_rows(3 * n, [
+                *c1.basis, *(b << n for b in c2.basis), *(c << (2 * n) for c in c3.basis)])
+            recon = BinaryCode.from_rows(3 * n, [
+                *(_combination_mask(a, 0, 0, n) for a in c1.basis),
+                *(_combination_mask(0, b, 0, n) for b in c2.basis),
+                *(_combination_mask(0, 0, c, n) for c in c3.basis)])
+            pairs.add((direct_sum, image, _product_order_key))
+            pairs.add((recon, image, _ring_order_key))
+    witnesses = 0
+    for a, b, order in pairs:
+        key = order(a.n // 3)
+        for x, y in ((a, b), (b, a)):
+            outside = set(x.codewords()) - set(y.codewords())
+            if outside:
+                assert _least_outside(x, y, key) == min(outside, key=key)
+                witnesses += 1
+            else:
+                with pytest.raises(PreconditionError):
+                    _least_outside(x, y, key)
+    assert witnesses == 447
 
 
 def test_ring_order_key_is_the_tuple_order():
