@@ -10,9 +10,8 @@ from .codes import (
     audit_single_generator,
     audit_size_formula,
     binary_cyclic,
-    build_ring_cyclic,
+    cyclic_image,
     dual_binary,
-    dual_ring_formula,
     gray_image_basis,
     min_hamming,
     phi,

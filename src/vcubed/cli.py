@@ -104,7 +104,7 @@ def _component_report(n: int, f: int, dist_cap: int) -> dict:
 def cmd_inspect(args) -> int:
     n = args.n
     fs = tuple(parse_poly(t) for t in (args.f1, args.f2, args.f3))
-    image = codes._cyclic_image(n, *fs)  # raises PreconditionError on bad fi
+    image = codes.cyclic_image(n, *fs)  # raises PreconditionError on bad fi
     size = codes.audit_size_formula(n, *fs)
 
     record = {
@@ -374,7 +374,7 @@ def cmd_audit(args) -> int:
         for f1, f2, f3 in product(enumerate_divisors(n), repeat=3):
             label = (f"cyclic n={n}, ({format_poly(f1)}; "
                      f"{format_poly(f2)}; {format_poly(f3)})")
-            dec = codes.audit_decomposition_image(codes._cyclic_image(n, f1, f2, f3))
+            dec = codes.audit_decomposition_image(codes.cyclic_image(n, f1, f2, f3))
             records.append(_decomposition_record(dec, label))
             size = codes.audit_size_formula(n, f1, f2, f3)
             records.append(_size_record(size))

@@ -18,10 +18,12 @@ over, so the work is memoised where it repeats, in bounded lru_caches.  A
 module is the sum of the submodules its generators span, so
 gray_image_basis is the rref of the union of per-generator spans, and each
 span is built once per (n, generator, cyclic) by _generator_span.  A
-triple's image depends only on its code key (code_key), so _cyclic_image
-maps each triple to its key and _key_image builds the image once per key,
-from the key's own generators.  A search needs only the image's rank: the
-paper's criterion already implies dual containment (quantum.css_from_triple).
+divisor triple (f1, f2, f3) names the cyclic code <v f1, (1+v) f2,
+(1+v^2) f3>, and cyclic_image is the one way to its Gray image.  The code
+depends only on its code key (code_key), so cyclic_image maps each triple to
+its key and _key_image builds the image once per key, from the key's own
+generators.  A search needs only the image's rank: the paper's criterion
+already implies dual containment (quantum.css_from_triple).
 BinaryCode is immutable and hashable, so the audits' dual_binary and
 audit_decomposition_image run once per distinct code.  The audits build the
 single generator's image once per triple (_single_image) and h* once per
@@ -275,26 +277,6 @@ def _generator_span(n: int, gen: tuple[int, ...], cyclic: bool) -> tuple[int, ..
     return rref(rows, 3 * n)
 
 
-def build_ring_cyclic(n: int, f1: int, f2: int, f3: int) -> RingCode:
-    """Cyclic ring code generated by v*f1, (1+v)*f2 and (1+v^2)*f3.
-
-    Each fi must divide x^n - 1; it enters reduced mod x^n - 1, so x^n - 1
-    itself contributes the zero vector.
-    """
-    _check_divisors(n, f1, f2, f3)
-    a, b, c = (poly_mod(f, xn1(n)) for f in (f1, f2, f3))
-    masks = (_combination_mask(a, 0, 0, n), _combination_mask(0, b, 0, n),
-             _combination_mask(0, 0, c, n))
-    return RingCode(n, tuple(gray_vec_inverse(m, n) for m in masks), cyclic=True)
-
-
-def _check_divisors(n: int, f1: int, f2: int, f3: int) -> None:
-    """Raise a PreconditionError naming the first fi that does not divide
-    x^n - 1."""
-    for label, f in (("f1", f1), ("f2", f2), ("f3", f3)):
-        require_divisor(n, f, label)
-
-
 def code_key(n: int, f1: int, f2: int, f3: int) -> tuple[int, int, int]:
     """The code key (g_a, g_u, g_v) = (gcd(f2, f3), gcd(f1, f2), f1) of a
     divisor triple; a PreconditionError names the first fi that does not
@@ -311,14 +293,17 @@ def code_key(n: int, f1: int, f2: int, f3: int) -> tuple[int, int, int]:
     C_u = <g_u> and C_v = <g_v>: C_A on the first third and the Plotkin
     code (u | u+y) on the other two.  So the code depends on its key alone.
     """
-    _check_divisors(n, f1, f2, f3)
+    for label, f in (("f1", f1), ("f2", f2), ("f3", f3)):
+        require_divisor(n, f, label)
     return poly_gcd(f2, f3), poly_gcd(f1, f2), f1
 
 
 @lru_cache(maxsize=1024)
-def _cyclic_image(n: int, f1: int, f2: int, f3: int) -> BinaryCode:
-    """Gray image of build_ring_cyclic(n, f1, f2, f3), the one place a
-    cyclic triple's image is looked up; BinaryCode is immutable.
+def cyclic_image(n: int, f1: int, f2: int, f3: int) -> BinaryCode:
+    """Gray image of the cyclic code <v f1, (1+v) f2, (1+v^2) f3> of length
+    n, the one place a cyclic triple's image is looked up; BinaryCode is
+    immutable.  Each fi must divide x^n - 1 (code_key) and enters reduced
+    mod x^n - 1, so x^n - 1 itself contributes the zero vector.
 
     It is _key_image of the triple's code_key, so triples that share a key
     share one image, and in the audits one dual.  This tier stays
@@ -338,7 +323,7 @@ def _key_image(n: int, g_a: int, g_u: int, g_v: int) -> BinaryCode:
 
     The key's own generators (1+v^2) g_a, (v+v^2) g_u and v^2 g_v generate
     the code (code_key); their Gray masks are (g_a|0|0), (0|g_u|g_u) and
-    (0|0|g_v), with each g reduced mod x^n - 1 as in build_ring_cyclic.
+    (0|0|g_v), with each g reduced mod x^n - 1 as in cyclic_image.
     """
     g_a, g_u, g_v = (poly_mod(g, xn1(n)) for g in (g_a, g_u, g_v))
     masks = (g_a, g_u << n | g_u << (2 * n), g_v << (2 * n))
@@ -362,22 +347,17 @@ def combined_generator(n: int, f1: int, f2: int, f3: int) -> tuple[int, ...]:
     return gray_vec_inverse(_combination_mask(a, b, c, n), n)
 
 
-def _single_generator_code(n: int, f1: int, f2: int, f3: int) -> RingCode:
-    """The cyclic code that combined_generator(n, f1, f2, f3) alone spans."""
-    return RingCode(n, (combined_generator(n, f1, f2, f3),), cyclic=True)
-
-
 @lru_cache(maxsize=1024)
 def _single_image(n: int, f1: int, f2: int, f3: int) -> BinaryCode:
-    """Gray image of _single_generator_code(n, f1, f2, f3), built once per
-    triple.
+    """Gray image of the cyclic code that combined_generator(n, f1, f2, f3)
+    alone spans, built once per triple.
 
     The single-generator audit of a triple T and the dual-formula audit of
     the triple whose dual polynomials (_dual_polys) are T both read it; h*
     is an involution on the divisors of x^n - 1, so every divisor triple is
     asked for twice by an audit of all of them.
     """
-    return gray_image_basis(_single_generator_code(n, f1, f2, f3))
+    return gray_image_basis(RingCode(n, (combined_generator(n, f1, f2, f3),), cyclic=True))
 
 
 def _dual_polys(n: int, f1: int, f2: int, f3: int) -> tuple[int, ...]:
@@ -402,16 +382,6 @@ def _image_projections(image: BinaryCode) -> tuple[BinaryCode, BinaryCode, Binar
     n = image.n // 3
     thirds = [_thirds(mask, n) for mask in image.basis]
     return tuple(BinaryCode.from_rows(n, [t[i] for t in thirds]) for i in range(3))
-
-
-def dual_ring_formula(n: int, f1: int, f2: int, f3: int) -> RingCode:
-    """The claimed dual: one generator v*h1r + (1+v)*h2r + (1+v^2)*h3r,
-    where hi = (x^n - 1)/fi and hir is the reciprocal of hi.
-
-    This is a claim under audit, not a trusted construction; compare its
-    span against the exact dual, dual_binary of the code's Gray image.
-    """
-    return _single_generator_code(n, *_dual_polys(n, f1, f2, f3))
 
 
 # ---------------------------------------------------------------------------
@@ -597,12 +567,16 @@ class DualFormulaAudit(NamedTuple):
 
 
 def audit_dual_formula(n: int, f1: int, f2: int, f3: int) -> DualFormulaAudit:
-    """Compare Gray-image bases."""
-    code = _cyclic_image(n, f1, f2, f3)
+    """Compare the claimed dual, the span of the one generator
+    v*h1* + (1+v)*h2* + (1+v^2)*h3* (the _single_image of _dual_polys), with
+    the exact dual, dual_binary of the code's Gray image, by their bases.
+    The claim is under audit, not a trusted construction.
+    """
+    code = cyclic_image(n, f1, f2, f3)
     dual = dual_binary(code)
     hs = _dual_polys(n, f1, f2, f3)
     formula = _single_image(n, *hs)
-    three_gen = _cyclic_image(n, *hs)
+    three_gen = cyclic_image(n, *hs)
 
     witness = None
     side = ""
@@ -641,7 +615,7 @@ class SizeFormulaAudit(NamedTuple):
 
 def audit_size_formula(n: int, f1: int, f2: int, f3: int) -> SizeFormulaAudit:
     """The one place the claimed dimension 3n - sum deg fi is computed."""
-    dim = _cyclic_image(n, f1, f2, f3).dim
+    dim = cyclic_image(n, f1, f2, f3).dim
     claimed = 3 * n - (degree(f1) + degree(f2) + degree(f3))
     return SizeFormulaAudit(n=n, fs=(f1, f2, f3), rank_log2=dim,
                             claimed_log2=claimed, matches=dim == claimed)
@@ -660,7 +634,7 @@ class SingleGeneratorAudit(NamedTuple):
 
 
 def audit_single_generator(n: int, f1: int, f2: int, f3: int) -> SingleGeneratorAudit:
-    code_basis = _cyclic_image(n, f1, f2, f3)
+    code_basis = cyclic_image(n, f1, f2, f3)
     single_basis = _single_image(n, f1, f2, f3)
     equal = code_basis == single_basis
     witness = None

@@ -87,12 +87,7 @@ def reciprocal(f: int) -> int:
     """
     if f == 0 or not f & 1:
         raise PreconditionError("reciprocal requires a nonzero constant term")
-    d = degree(f)
-    r = 0
-    for i in range(d + 1):
-        if (f >> i) & 1:
-            r |= 1 << (d - i)
-    return r
+    return int(f"{f:b}"[::-1], 2)
 
 
 def xn1(n: int) -> int:
@@ -350,10 +345,10 @@ def parse_poly(text: str) -> int:
     if not s:
         raise ParseError("empty polynomial", 0)
     if s.lower().startswith("0x"):
-        try:
-            return int(s, 16)
-        except ValueError:
-            raise ParseError(f"bad hexadecimal polynomial {s!r}", 0) from None
+        digits = s[2:]  # int(s, 16) would also take "_" and non-ASCII digits
+        if not digits or digits.strip("0123456789abcdefABCDEF"):
+            raise ParseError(f"bad hexadecimal polynomial {s!r}", 0)
+        return int(digits, 16)
     if s == "0":
         return 0
     p = 0
@@ -367,7 +362,7 @@ def parse_poly(text: str) -> int:
             p ^= X
         elif stripped.startswith("x^"):
             exp_text = stripped[2:]
-            if not exp_text.isdigit():
+            if not (exp_text.isascii() and exp_text.isdigit()):
                 raise ParseError(f"bad exponent in term {stripped!r}", offset)
             p ^= 1 << int(exp_text)
         else:
@@ -384,11 +379,9 @@ def format_poly(p: int) -> str:
     """
     if p == 0:
         return "0"
-    terms = []
-    for i in range(degree(p), -1, -1):
-        if (p >> i) & 1:
-            terms.append("1" if i == 0 else "x" if i == 1 else f"x^{i}")
-    return "+".join(terms)
+    bits = f"{p:b}"  # one pass over the coefficients, highest degree first
+    return "+".join("1" if i == 0 else "x" if i == 1 else f"x^{i}"
+                    for i, bit in zip(range(len(bits) - 1, -1, -1), bits) if bit == "1")
 
 
 def poly_hex(p: int) -> str:

@@ -16,10 +16,11 @@ codewords, as the audits did before they became rank algebra, so they check
 the library's witnesses against plain set differences.
 
 The last section holds references on the library's own representations,
-moved out of the package because only tests use them: whether a binary
-code holds its null-space dual, the exact CSS check of a divisor triple
-from its code key, full ring spans
-through the Gray bijection (refused over an enumeration cap, the one bound
+moved out of the package because only tests use them: the paper's cyclic
+code of a triple and its claimed dual, each generator laid out from unit
+coefficients, whether a binary code holds its null-space dual, the exact
+CSS check of a divisor triple from its code key, full ring spans through
+the Gray bijection (refused over an enumeration cap, the one bound
 left on a codeword walk), the minimum Lee weight of a span, the 8^n scan
 for the ring dual, shift and self-orthogonality checks on spans, the
 decomposition audit of a set of ring tuples, and trial-division
@@ -41,17 +42,20 @@ from vcubed.codes import (
     _v_multiples,
     audit_decomposition_image,
     audit_size_formula,
-    build_ring_cyclic,
     code_key,
     dual_binary,
-    dual_ring_formula,
     gray_image_basis,
     phi,
     rref,
 )
 from vcubed.errors import CapExceeded, PreconditionError
-from vcubed.gf2poly import degree, poly_mod, poly_mul, reciprocal, xn1
-from vcubed.ring import ELEMENTS, gray_vec, gray_vec_inverse, lee_weight_vec, ring_inner_product
+from vcubed.gf2poly import (
+    degree, poly_divmod, poly_mod, poly_mul, reciprocal, require_divisor, xn1,
+)
+from vcubed.ring import (
+    ELEMENTS, ONE_PLUS_V, ONE_PLUS_V2, V,
+    gray_vec, gray_vec_inverse, lee_weight_vec, ring_inner_product,
+)
 
 DEFAULT_RING_DUAL_CAP = 1 << 24
 
@@ -296,6 +300,43 @@ def dual_witness_by_walk(n, f1, f2, f3):
 # ---------------------------------------------------------------------------
 # References on the library's representations, moved out of the package.
 # ---------------------------------------------------------------------------
+
+
+def _unit_multiple(unit: int, f: int, n: int) -> tuple[int, ...]:
+    """The ring vector unit * f, with f reduced mod x^n - 1: unit at each
+    coefficient of f, 0 elsewhere."""
+    f = poly_mod(f, xn1(n))
+    return tuple(unit if (f >> i) & 1 else 0 for i in range(n))
+
+
+def build_ring_cyclic(n: int, f1: int, f2: int, f3: int) -> RingCode:
+    """The paper's cyclic code <v f1, (1+v) f2, (1+v^2) f3>, the reference
+    for codes.cyclic_image, which builds the image from the code key.
+
+    Each fi must divide x^n - 1; it enters reduced mod x^n - 1, so x^n - 1
+    itself contributes the zero vector.
+    """
+    for label, f in (("f1", f1), ("f2", f2), ("f3", f3)):
+        require_divisor(n, f, label)
+    gens = (_unit_multiple(u, f, n) for u, f in zip((V, ONE_PLUS_V, ONE_PLUS_V2), (f1, f2, f3)))
+    return RingCode(n, tuple(gens), cyclic=True)
+
+
+def dual_ring_formula(n: int, f1: int, f2: int, f3: int) -> RingCode:
+    """The paper's claimed dual: the cyclic code of the one generator
+    v*h1* + (1+v)*h2* + (1+v^2)*h3*, where hi* is the reciprocal of
+    hi = (x^n - 1)/fi.
+
+    This is a claim under audit, not a trusted construction; ring addition
+    is XOR of the element codes, so the generator is the XOR of the three
+    unit multiples.
+    """
+    hs = []
+    for f in (f1, f2, f3):
+        require_divisor(n, f)
+        hs.append(reciprocal(poly_divmod(xn1(n), f)[0]))
+    parts = (_unit_multiple(u, h, n) for u, h in zip((V, ONE_PLUS_V, ONE_PLUS_V2), hs))
+    return RingCode(n, (tuple(a ^ b ^ c for a, b, c in zip(*parts)),), cyclic=True)
 
 
 def contains_dual(code: BinaryCode) -> bool:

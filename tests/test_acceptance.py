@@ -24,10 +24,9 @@ from functools import lru_cache
 
 from vcubed.codes import (
     RingCode,
-    _cyclic_image,
     audit_dual_formula,
     binary_cyclic,
-    build_ring_cyclic,
+    cyclic_image,
     dual_binary,
     gray_image_basis,
     phi,
@@ -54,8 +53,10 @@ from vcubed.ring import (
 )
 from oracles import (
     audit_decomposition,
+    build_ring_cyclic,
     contains_dual,
     dual_ring_bruteforce,
+    dual_ring_formula,
     irreducible_by_trial_division,
     is_quasicyclic3,
     is_self_orthogonal,
@@ -264,7 +265,7 @@ def test_exact_criterion_explains_criterion_7():
     for n in (2, 3, 4):
         for fs in _triples(n):
             exact = validate_css_binary(n, *fs).containment_ok
-            assert exact == contains_dual(_cyclic_image(n, *fs)), (n, fs)
+            assert exact == contains_dual(cyclic_image(n, *fs)), (n, fs)
             assert exact == (_brute_dual(n, *fs) <= _span(n, *fs)), (n, fs)
             paper = all(dual_containing_poly(n, f) for f in fs)
             tally[paper, exact] += 1
@@ -289,8 +290,6 @@ def test_criterion_8_dual_formula_audit():
                     build_ring_cyclic(n, f1, f2, f3)
                 )
                 dual = _brute_dual(n, f1, f2, f3)
-                from vcubed.codes import dual_ring_formula
-
                 formula_span = span_enumerate(dual_ring_formula(n, f1, f2, f3))
                 ok &= (audit.witness in dual) != (audit.witness in formula_span)
     assert _report(

@@ -8,7 +8,7 @@ import pytest
 
 import vcubed
 from vcubed import cli, codes, gf2poly, quantum, reference, ring
-from vcubed.codes import BinaryCode, binary_cyclic, build_ring_cyclic, min_hamming
+from vcubed.codes import BinaryCode, binary_cyclic, min_hamming
 from vcubed.errors import CapExceeded, PreconditionError
 from vcubed.gf2poly import parse_poly
 from vcubed.quantum import css_from_triple, dual_containing_poly, search_triples
@@ -20,7 +20,7 @@ MODULES = (cli, codes, gf2poly, quantum, reference, ring)
 # generator, per triple and per code key.
 TIERS = ("vcubed.gf2poly.divides_xn1", "vcubed.quantum.dual_containing_poly",
          "vcubed.quantum._component_distance", "vcubed.gf2poly.poly_gcd",
-         "vcubed.codes._generator_span", "vcubed.codes._cyclic_image",
+         "vcubed.codes._generator_span", "vcubed.codes.cyclic_image",
          "vcubed.codes._key_image")
 
 
@@ -69,7 +69,7 @@ def test_warm_search_matches_cold_search(n, equal_only):
 def test_search_builds_one_image_per_code_key(n, triples, keys):
     _clear_caches()
     assert search_triples(n).admissible == triples
-    assert codes._cyclic_image.cache_info().misses == triples
+    assert codes.cyclic_image.cache_info().misses == triples
     assert codes._key_image.cache_info().misses == keys
     # containment comes from the key: no image's dual is taken
     assert codes.dual_binary.cache_info().misses == 0
@@ -80,7 +80,7 @@ def test_warm_audit_matches_cold_audit(capsys):
     argv = ["audit", "--n-max", "4", "--format", "records"]
     assert cli.main(argv) == 0
     cold = capsys.readouterr().out
-    tiers = (codes.audit_decomposition_image, codes._cyclic_image, codes._single_image,
+    tiers = (codes.audit_decomposition_image, codes.cyclic_image, codes._single_image,
              codes._dual_poly)
     misses = [fn.cache_info().misses for fn in tiers]
     assert cli.main(argv) == 0
@@ -117,10 +117,10 @@ def _messages(bad):
         lambda: css_from_triple(8, bad, 1, 1),
         lambda: css_from_triple(8, 1, 1, bad),
         lambda: dual_containing_poly(8, bad),
-        lambda: build_ring_cyclic(8, 1, bad, 1),
-        lambda: codes._cyclic_image(8, 1, 1, bad),
+        lambda: codes.cyclic_image(8, 1, bad, 1),
+        lambda: codes.cyclic_image(8, 1, 1, bad),
         lambda: binary_cyclic(8, bad),
-        lambda: codes.dual_ring_formula(8, 1, 1, bad),
+        lambda: codes._dual_polys(8, 1, 1, bad),
     )
     out = []
     for call in calls:

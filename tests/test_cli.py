@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from itertools import product
 from pathlib import Path
 
@@ -211,6 +212,16 @@ def test_inspect_parse_error_exit_code(capsys):
                        "--f2", "x+1", "--f3", "x+1")
     assert code == 1
     assert "parse error" in err
+
+
+def test_inspect_of_a_huge_non_divisor_exits_quickly(capsys):
+    # the error message names x^1000000; its text takes one pass over the bits
+    start = time.perf_counter()
+    code, _, err = run(capsys, "inspect", "--n", "4", "--f1", "x^1000000",
+                       "--f2", "1", "--f3", "1")
+    assert time.perf_counter() - start < 5
+    assert code == 3
+    assert "f1 = x^1000000 does not divide x^4+1" in err
 
 
 def test_search_n8_equal_triples(capsys):

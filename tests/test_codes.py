@@ -8,7 +8,6 @@ from vcubed.codes import (
     BinaryCode,
     RingCode,
     _combination_mask,
-    _cyclic_image,
     _image_projections,
     _least_outside,
     _product_order_key,
@@ -19,10 +18,9 @@ from vcubed.codes import (
     audit_single_generator,
     audit_size_formula,
     binary_cyclic,
-    build_ring_cyclic,
     combined_generator,
+    cyclic_image,
     dual_binary,
-    dual_ring_formula,
     gray_image_basis,
     min_hamming,
     nullspace,
@@ -53,8 +51,10 @@ from oracles import (
     audit_decomposition_by_sets,
     binary_dual_direct,
     binary_min_weight_direct,
+    build_ring_cyclic,
     check_enum_cap,
     dual_ring_bruteforce,
+    dual_ring_formula,
     dual_witness_by_walk,
     gray_image_basis_by_shifts,
     is_cyclic,
@@ -301,13 +301,13 @@ def test_build_ring_cyclic_examples():
 
 
 def test_key_image_equals_the_rank_path_on_every_triple():
-    # _cyclic_image builds one image per code key (gcd(f2, f3), gcd(f1, f2),
+    # cyclic_image builds one image per code key (gcd(f2, f3), gcd(f1, f2),
     # f1) from the key's own generators; the oracle builds each triple's own
     # image.
     for n in (*range(1, 10), 12):
         divisors = enumerate_divisors(n)
         for fs in product(divisors, repeat=3):
-            assert _cyclic_image(n, *fs) == gray_image_basis(build_ring_cyclic(n, *fs)), (n, fs)
+            assert cyclic_image(n, *fs) == gray_image_basis(build_ring_cyclic(n, *fs)), (n, fs)
 
 
 def test_build_ring_cyclic_closed_under_shift():
@@ -845,7 +845,7 @@ def test_least_outside_matches_walk_on_audit_inputs():
     pairs = set()
     for n in (1, 2, 3, 4):
         for fs in product(enumerate_divisors(n), repeat=3):
-            image = _cyclic_image(n, *fs)
+            image = cyclic_image(n, *fs)
             formula = gray_image_basis(dual_ring_formula(n, *fs))
             pairs.add((formula, dual_binary(image), _ring_order_key))
             c1, c2, c3 = _image_projections(image)
@@ -913,7 +913,7 @@ def test_audit_witnesses_are_the_least_walked_members():
     for n in (1, 2, 3):
         full = (1 << n) - 1
         for fs in product(enumerate_divisors(n), repeat=3):
-            image = _cyclic_image(n, *fs)
+            image = cyclic_image(n, *fs)
             psi = set(image.codewords())
             a_set, b_set, c_set = ({(m >> (i * n)) & full for m in psi} for i in range(3))
             direct_sum = {a | b << n | c << (2 * n)
@@ -948,7 +948,7 @@ def test_audit_witnesses_are_the_least_walked_members():
 
 def test_cached_decomposition_audit_matches_a_fresh_one():
     # the audit is cached per distinct image; a fresh run gives the same record
-    images = {_cyclic_image(n, *fs)
+    images = {cyclic_image(n, *fs)
               for n in (1, 2, 3, 4) for fs in product(enumerate_divisors(n), repeat=3)}
     assert len(images) == 88
     for image in images:
@@ -966,7 +966,7 @@ RECORDS = [
      ("n", "code_size", "projection_sizes", "product_size", "tensor_equal",
       "tensor_witness", "reconstruction_equal", "reconstruction_witness",
       "reconstruction_witness_side"), {},
-     lambda: audit_decomposition_image.__wrapped__(_cyclic_image(8, F8, F8, F8))),
+     lambda: audit_decomposition_image.__wrapped__(cyclic_image(8, F8, F8, F8))),
     (codes.DualFormulaAudit,
      ("n", "fs", "code_size", "brute_dual_size", "formula_span_size",
       "claimed_dual_size", "formula_matches_brute", "witness", "witness_side",

@@ -19,7 +19,14 @@ from vcubed.gf2poly import (
     reciprocal,
     xn1,
 )
-from oracles import derivative, irreducible_by_trial_division, schoolbook_divmod, schoolbook_mul
+from oracles import (
+    derivative,
+    from_coeffs,
+    irreducible_by_trial_division,
+    schoolbook_divmod,
+    schoolbook_mul,
+    to_coeffs,
+)
 
 P = parse_poly
 
@@ -219,6 +226,27 @@ def test_parse_errors_carry_position():
         P("x^")
     with pytest.raises(ParseError):
         P("0xZZ")
+
+
+@pytest.mark.parametrize("text, position", [("x^²", 0), ("x+x^١", 2), ("0x_1", 0)])
+def test_parse_accepts_only_ascii_digits(text, position):
+    # str.isdigit and int(s, 16) also take superscripts, other scripts'
+    # digits and underscores
+    with pytest.raises(ParseError) as info:
+        P(text)
+    assert info.value.position == position
+
+
+def test_format_and_reciprocal_match_a_per_bit_reference():
+    rng = random.Random(17)
+    for _ in range(2000):
+        p = rng.getrandbits(rng.randint(1, 200))
+        coeffs = to_coeffs(p)
+        terms = ["1" if i == 0 else "x" if i == 1 else f"x^{i}"
+                 for i in range(len(coeffs) - 1, -1, -1) if coeffs[i]]
+        assert format_poly(p) == ("+".join(terms) or "0"), p
+        if p & 1:
+            assert reciprocal(p) == from_coeffs(coeffs[::-1]), p
 
 
 def test_divides_xn1_matches_schoolbook_division():

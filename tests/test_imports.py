@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -29,3 +30,26 @@ def test_cold_import_loads_no_dataclasses():
     added = set(result.stdout.split())
     assert "vcubed.cli" in added
     assert not added & {"dataclasses", "inspect"}, sorted(added)
+
+
+# Every public name of the package: an addition or a removal shows up here.
+PUBLIC = """
+BinaryCode CapExceeded Factorization ParseError PreconditionError
+QuantumCodeRecord REFERENCE_ROWS RingCode SearchOutcome
+audit_decomposition_image audit_dual_formula audit_single_generator
+audit_size_formula binary_cyclic classify css_from_triple cyclic_image degree
+divides_xn1 dual_binary dual_containing_poly enumerate_divisors factor_xn1
+format_poly gray gray_image_basis gray_inverse gray_vec gray_vec_inverse
+is_irreducible lee_weight lee_weight_vec min_hamming parse_poly phi poly_add
+poly_divmod poly_gcd poly_hex poly_mod poly_mul principal_ideal reciprocal
+reproduce_all ring_add ring_inner_product ring_mul scale_vec search_triples
+xn1
+""".split()
+
+
+def test_public_names_are_pinned():
+    import vcubed
+
+    names = sorted(name for name, obj in vars(vcubed).items()
+                   if not name.startswith("_") and not isinstance(obj, ModuleType))
+    assert names == sorted(PUBLIC)

@@ -3,9 +3,8 @@ from itertools import product
 import pytest
 
 from vcubed.codes import (
-    _cyclic_image,
     binary_cyclic,
-    build_ring_cyclic,
+    cyclic_image,
     dual_binary,
     gray_image_basis,
     min_hamming,
@@ -25,6 +24,7 @@ from vcubed.quantum import css_from_triple, dual_containing_poly, search_triples
 
 from oracles import (
     binary_min_weight_direct,
+    build_ring_cyclic,
     contains_dual,
     dual_ring_bruteforce,
     holds_dual_of,
@@ -76,7 +76,7 @@ def test_closed_form_containment_matches_the_image_dual_on_every_triple():
     for n in (*range(1, 10), 12):
         held = {}
         for fs in product(enumerate_divisors(n), repeat=3):
-            image = _cyclic_image(n, *fs)
+            image = cyclic_image(n, *fs)
             if image not in held:
                 held[image] = contains_dual(image)
             assert validate_css_binary(n, *fs).containment_ok == held[image], (n, fs)
@@ -302,7 +302,7 @@ WALK_CAP = 1 << 16
 
 
 def _walkable(rec):
-    return _cyclic_image(rec.ring_n, rec.f1, rec.f2, rec.f3).size <= WALK_CAP
+    return cyclic_image(rec.ring_n, rec.f1, rec.f2, rec.f3).size <= WALK_CAP
 
 
 def test_enumerated_distance_equals_minimum_lee_weight_of_the_span():
@@ -346,7 +346,7 @@ def test_split_distance_equals_the_rank_path_distance(n):
     # minimum weight of the whole Gray image, on every searched triple
     noted = 0
     for rec in search_triples(n).records:
-        image = _cyclic_image(n, rec.f1, rec.f2, rec.f3)
+        image = cyclic_image(n, rec.f1, rec.f2, rec.f3)
         assert rec.d == min_hamming(image, 1 << image.dim), rec
         assert rec.d_method == "enumerated"
         noted += any(note.startswith("component formula gives") for note in rec.notes)
