@@ -21,6 +21,7 @@ from . import codes, quantum, reference
 from .errors import CapExceeded, ParseError, PreconditionError
 from .gf2poly import (
     DEFAULT_DIVISOR_CAP,
+    DEFAULT_FACTOR_BOUND,
     enumerate_divisors,
     factor_xn1,
     format_poly,
@@ -409,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("factor", help="factor x^n+1 over GF(2)")
     p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--bound", type=_positive_int, default=128)
+    p.add_argument("--bound", type=_positive_int, default=DEFAULT_FACTOR_BOUND)
     _add_format(p)
     p.set_defaults(func=cmd_factor)
 

@@ -639,16 +639,10 @@ def audit_single_generator(n: int, f1: int, f2: int, f3: int) -> SingleGenerator
     equal = code_basis == single_basis
     witness = None
     if not equal:
-        # Basis rows are comparable directly; pick one outside the other span.
-        for row in code_basis.basis:
-            if not single_basis.contains(row):
-                witness = gray_vec_inverse(row, n)
-                break
-        else:
-            for row in single_basis.basis:
-                if not code_basis.contains(row):
-                    witness = gray_vec_inverse(row, n)
-                    break
+        # The combined generator is a sum of the code's generators, so the
+        # single span lies inside the code and a code row lies outside it.
+        row = next(r for r in code_basis.basis if not single_basis.contains(r))
+        witness = gray_vec_inverse(row, n)
     return SingleGeneratorAudit(
         n=n,
         fs=(f1, f2, f3),

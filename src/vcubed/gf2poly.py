@@ -71,6 +71,7 @@ def poly_gcd(p: int, q: int) -> int:
 
     Cached: a search takes the gcds of the same few divisor pairs for every
     triple, in codes.code_key, once for the distance and once for the image.
+    It also splits x^m + 1 into its irreducible factors (_factor_odd).
     """
     if p == 0 and q == 0:
         raise PreconditionError("gcd(0, 0) is undefined")
@@ -191,19 +192,10 @@ class Factorization(NamedTuple):
 # Factoring x^n + 1.
 #
 # Write n = 2^a * m with m odd; then x^n + 1 = (x^m + 1)^(2^a) and x^m + 1 is
-# squarefree.  Its distinct irreducible factors are the minimal polynomials
-# of the m-th roots of unity, one per orbit of i -> 2i mod m.  We realize the
-# roots inside GF(2^t), t = ord_m(2), and multiply out prod (X - alpha^j)
-# over each orbit; the coefficients land back in GF(2).
+# squarefree.  Its distinct irreducible factors match the orbits of
+# i -> 2i mod m (the cyclotomic cosets of 2), and the sum of x^j over each
+# orbit splits x^m + 1 by gcds alone, with no extension field (_factor_odd).
 # ---------------------------------------------------------------------------
-
-
-def _order_of_two(m: int) -> int:
-    t, pw = 1, 2 % m
-    while pw != 1:
-        pw = (pw * 2) % m
-        t += 1
-    return t
 
 
 def _cyclotomic_cosets(m: int) -> list[list[int]]:
@@ -222,81 +214,37 @@ def _cyclotomic_cosets(m: int) -> list[list[int]]:
     return cosets
 
 
-def _gf_mul(a: int, b: int, modulus: int, t: int) -> int:
-    # GF(2^t) product, reducing by the degree-t modulus as bits grow.
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        b >>= 1
-        a <<= 1
-        if (a >> t) & 1:
-            a ^= modulus
-    return r
-
-
-def _gf_pow(a: int, e: int, modulus: int, t: int) -> int:
-    r = 1
-    while e:
-        if e & 1:
-            r = _gf_mul(r, a, modulus, t)
-        a = _gf_mul(a, a, modulus, t)
-        e >>= 1
-    return r
-
-
-def _find_irreducible(t: int) -> int:
-    # Smallest (integer order) irreducible of degree t; constant term must be 1.
-    for middle in range(1 << (t - 1)):
-        candidate = (1 << t) | (middle << 1) | 1
-        if is_irreducible(candidate):
-            return candidate
-    raise RuntimeError(f"no irreducible of degree {t}")  # unreachable
-
-
-def _root_of_unity(m: int, modulus: int, t: int) -> int:
-    # An element of multiplicative order exactly m in GF(2^t); exists since
-    # m divides 2^t - 1.
-    group = (1 << t) - 1
-    cofactor = group // m
-    primes = _prime_factors(m)
-    for beta in range(2, 1 << t):
-        alpha = _gf_pow(beta, cofactor, modulus, t)
-        if alpha == 1:
-            continue
-        if all(_gf_pow(alpha, m // p, modulus, t) != 1 for p in primes):
-            return alpha
-    raise RuntimeError(f"no element of order {m} found")  # unreachable
-
-
 @lru_cache(maxsize=None)
 def _factor_odd(m: int) -> tuple[int, ...]:
-    """Distinct irreducible factors of x^m + 1 for odd m, canonically ordered."""
-    if m == 1:
-        return (0b11,)
-    t = _order_of_two(m)
-    modulus = _find_irreducible(t)
-    alpha = _root_of_unity(m, modulus, t)
-    factors = []
+    """Distinct irreducible factors of x^m + 1 for odd m, canonically ordered.
+
+    Berlekamp splitting (Berlekamp, Bell Syst. Tech. J. 1967) with the
+    cyclotomic coset sums as splitting polynomials (MacWilliams and Sloane,
+    ch. 8).  For a coset C of 2 mod m let c be the sum of x^j over j in C.
+    Squaring maps x^j to x^(2j mod m) modulo x^m + 1, which permutes the
+    terms of c, so c^2 = c (mod x^m + 1).  Each irreducible factor of x^m + 1
+    thus divides c(c + 1), and so exactly one of c and c + 1; a piece p of
+    the squarefree x^m + 1 is therefore gcd(p, c) * gcd(p, c + 1).
+
+    The pieces end irreducible because the coset sums are a basis of
+    Berlekamp's subalgebra {a : a^2 = a (mod x^m + 1)}: a(x)^2 = a(x^2), so
+    a^2 = a says that the coefficients of a are constant on every coset.  By
+    the Chinese remainder theorem that subalgebra holds, for any two distinct
+    irreducible factors, an element that is 0 modulo one and 1 modulo the
+    other, so some basis element also differs on the two and puts them in
+    different pieces.
+    """
+    pieces = [xn1(m)]
     for coset in _cyclotomic_cosets(m):
-        coeffs = [1]  # polynomial over GF(2^t), ascending
-        for j in coset:
-            root = _gf_pow(alpha, j, modulus, t)
-            nxt = [0] * (len(coeffs) + 1)
-            for i, ci in enumerate(coeffs):
-                nxt[i + 1] ^= ci
-                nxt[i] ^= _gf_mul(ci, root, modulus, t)
-            coeffs = nxt
-        if any(c not in (0, 1) for c in coeffs):
-            raise RuntimeError(f"minimal polynomial left GF(2) for m={m}")
-        factors.append(sum(bit << i for i, bit in enumerate(coeffs)))
-    factors.sort()
+        c = sum(1 << j for j in coset)
+        pieces = [g for p in pieces for g in (poly_gcd(p, c), poly_gcd(p, c ^ 1)) if g != 1]
+    pieces.sort()
     prod = 1
-    for f in factors:
+    for f in pieces:
         prod = poly_mul(prod, f)
     if prod != xn1(m):
         raise RuntimeError(f"factor product check failed for m={m}")
-    return tuple(factors)
+    return tuple(pieces)
 
 
 def factor_xn1(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> Factorization:

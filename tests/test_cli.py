@@ -55,6 +55,19 @@ def test_factor_out_of_bounds_exit_code(capsys):
     assert "precondition" in err
 
 
+def test_factor_stdout_is_pinned_up_to_the_default_bound(capsys):
+    # Digest of the joined stdout from before x^n + 1 was split by
+    # cyclotomic coset sums, when each factor was built as a minimal
+    # polynomial in GF(2^t); no factorization may change a byte.
+    outs = []
+    for n in range(1, 129):
+        code, out, err = run(capsys, "factor", "--n", str(n), "--format", "records")
+        assert (code, err) == (0, ""), n
+        outs.append(out)
+    assert hashlib.sha256("".join(outs).encode()).hexdigest() == (
+        "3b192adb7bc295e3b45568822a19b98872053642a0d5c029206037f2e8475030")
+
+
 @pytest.mark.parametrize("argv", [
     ("inspect", "--n", "8", "--f1", "1", "--f2", "1", "--f3", "1", "--enum-cap", "-5"),
     ("inspect", "--n", "8", "--f1", "1", "--f2", "1", "--f3", "1", "--enum-cap", "0"),

@@ -12,6 +12,7 @@ from vcubed.codes import (
     _least_outside,
     _product_order_key,
     _ring_order_key,
+    _single_image,
     _v_multiples,
     audit_decomposition_image,
     audit_dual_formula,
@@ -523,7 +524,7 @@ def _gray_image_by_ring_scaling(code):
 
 
 def test_generator_layouts_match_unit_coefficients():
-    # build_ring_cyclic and combined_generator lay out v*f1, (1+v)*f2 and
+    # _combination_mask and combined_generator lay out v*f1, (1+v)*f2 and
     # (1+v^2)*f3 through Gray masks; compare with the coefficient vectors
     for n in range(1, 9):
         for fs in product(enumerate_divisors(n), repeat=3):
@@ -533,7 +534,10 @@ def test_generator_layouts_match_unit_coefficients():
                 tuple(unit if (f >> i) & 1 else 0 for i in range(n))
                 for unit, f in zip((V, ONE_PLUS_V, ONE_PLUS_V2), reduced)
             ]
-            assert build_ring_cyclic(n, *fs).generators == tuple(vecs), (n, fs)
+            for slot, (f, vec) in enumerate(zip(reduced, vecs)):
+                thirds = [0, 0, 0]
+                thirds[slot] = f
+                assert _combination_mask(*thirds, n) == gray_vec(vec), (n, fs, slot)
             assert combined_generator(n, *fs) == tuple(
                 x ^ y ^ z for x, y, z in zip(*vecs)), (n, fs)
 
@@ -646,6 +650,14 @@ def test_audit_single_generator():
         RingCode(2, ((V2, V2),), cyclic=True)
     )
     assert audit.witness in span and audit.witness not in single_span
+
+
+def test_single_generator_image_lies_inside_the_code():
+    # v*f1 + (1+v)*f2 + (1+v^2)*f3 is a sum of the code's own generators, so
+    # audit_single_generator only ever needs a witness from the code's side
+    for n in range(1, 7):
+        for fs in product(enumerate_divisors(n), repeat=3):
+            assert cyclic_image(n, *fs).contains_code(_single_image(n, *fs)), (n, fs)
 
 
 def test_audit_decomposition_matches_exhaustive_product():
