@@ -24,9 +24,7 @@ from .gf2poly import (
     enumerate_divisors,
     factor_xn1,
     format_poly,
-    is_irreducible,
     parse_poly,
-    poly_add,
     poly_divmod,
     poly_gcd,
     poly_hex,
@@ -43,19 +41,6 @@ from .quantum import (
     search_triples,
 )
 from .reference import REFERENCE_ROWS, reproduce_all
-from .ring import (
-    classify,
-    gray,
-    gray_inverse,
-    gray_vec,
-    gray_vec_inverse,
-    lee_weight,
-    lee_weight_vec,
-    principal_ideal,
-    ring_add,
-    ring_inner_product,
-    ring_mul,
-    scale_vec,
-)
+from .ring import gray_vec, gray_vec_inverse
 
 __version__ = "0.1.0"

@@ -42,11 +42,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _int(text: str) -> int:
+    """An optional leading '-' and ASCII digits; int() alone would also take
+    '_' separators, surrounding blanks and non-ASCII digits."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
     return value
@@ -429,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="search divisor triples for quantum codes")
     p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--min-k", dest="min_k", type=int, default=None)
+    p.add_argument("--min-k", dest="min_k", type=_int, default=None)
     p.add_argument("--equal-triples-only", action="store_true")
     p.add_argument("--max-results", dest="max_results", type=_positive_int,
                    default=None)

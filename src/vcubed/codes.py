@@ -26,7 +26,8 @@ generators.  A search needs only the image's rank: the paper's criterion
 already implies dual containment (quantum.css_from_triple).
 BinaryCode is immutable and hashable, so the audits' dual_binary and
 audit_decomposition_image run once per distinct code.  The audits build the
-single generator's image once per triple (_single_image) and h* once per
+single generator's image once per triple (_single_image), straight from the
+generator's Gray mask with no ring vector in between, and h* once per
 divisor (_dual_poly).  min_hamming is not cached: a search asks it for the
 distance of each divisor's code, which quantum._component_distance caches.
 rref is canonical, so a cached result is the same basis a fresh one would
@@ -55,7 +56,7 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 from itertools import combinations
 from operator import xor
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import CapExceeded, PreconditionError
 from .gf2poly import (
@@ -152,14 +153,6 @@ class BinaryCode(NamedTuple):
     def contains_code(self, other: "BinaryCode") -> bool:
         return all(self.contains(row) for row in other.basis)
 
-    def codewords(self) -> Iterator[int]:
-        """All 2^dim codewords, walked in Gray-code order starting from 0."""
-        yield 0
-        cw = 0
-        for t in range(1, 1 << self.dim):
-            # Gray step t flips the row at the lowest set bit of t.
-            cw ^= self.basis[(t & -t).bit_length() - 1]
-            yield cw
 
 
 @lru_cache(maxsize=1024)
@@ -262,14 +255,19 @@ def gray_image_basis(code: RingCode) -> BinaryCode:
 
 @lru_cache(maxsize=1024)
 def _generator_span(n: int, gen: tuple[int, ...], cyclic: bool) -> tuple[int, ...]:
-    """Canonical basis of the Gray image of the submodule one generator spans.
+    """Canonical basis of the Gray image of the submodule one generator spans."""
+    return _mask_span(gray_vec(gen), n, cyclic)
+
+
+def _mask_span(mask: int, n: int, cyclic: bool) -> tuple[int, ...]:
+    """Canonical basis of the Gray image of the submodule that the vector
+    with Gray mask ``mask`` spans.
 
     Over R that submodule is the GF(2) span of {u*g : u in {1, v, v^2}} for
     the generator g (and every shift of it, when cyclic); all of these are
     taken on Gray masks, where the shift is phi.
     """
     rows: set[int] = set()
-    mask = gray_vec(gen)
     for shift in range(n if cyclic else 1):
         if shift:
             mask = phi(mask, 3 * n)
@@ -339,25 +337,20 @@ def _combination_mask(a: int, b: int, c: int, n: int) -> int:
     return (b ^ c) | (a ^ b) << n | b << (2 * n)
 
 
-def combined_generator(n: int, f1: int, f2: int, f3: int) -> tuple[int, ...]:
-    """The single vector v*f1 + (1+v)*f2 + (1+v^2)*f3, each fi reduced
-    mod x^n - 1."""
-    modulus = xn1(n)
-    a, b, c = (poly_mod(f, modulus) for f in (f1, f2, f3))
-    return gray_vec_inverse(_combination_mask(a, b, c, n), n)
-
-
 @lru_cache(maxsize=1024)
 def _single_image(n: int, f1: int, f2: int, f3: int) -> BinaryCode:
-    """Gray image of the cyclic code that combined_generator(n, f1, f2, f3)
-    alone spans, built once per triple.
+    """Gray image of the cyclic code that the one generator
+    v*f1 + (1+v)*f2 + (1+v^2)*f3 spans, each fi reduced mod x^n - 1, built
+    once per triple from the generator's Gray mask (_combination_mask).
 
     The single-generator audit of a triple T and the dual-formula audit of
     the triple whose dual polynomials (_dual_polys) are T both read it; h*
     is an involution on the divisors of x^n - 1, so every divisor triple is
     asked for twice by an audit of all of them.
     """
-    return gray_image_basis(RingCode(n, (combined_generator(n, f1, f2, f3),), cyclic=True))
+    modulus = xn1(n)
+    mask = _combination_mask(*(poly_mod(f, modulus) for f in (f1, f2, f3)), n)
+    return BinaryCode(3 * n, _mask_span(mask, n, cyclic=True))
 
 
 def _dual_polys(n: int, f1: int, f2: int, f3: int) -> tuple[int, ...]:

@@ -32,11 +32,6 @@ def degree(p: int) -> int:
     return p.bit_length() - 1
 
 
-def poly_add(p: int, q: int) -> int:
-    """Sum over GF(2): coefficient-wise XOR."""
-    return p ^ q
-
-
 def poly_mul(p: int, q: int) -> int:
     """Carry-less (XOR) product."""
     r = 0
@@ -114,53 +109,6 @@ def require_divisor(n: int, f: int, label: str = "") -> None:
     if not divides_xn1(n, f):
         name = f"{label} = {format_poly(f)}" if label else format_poly(f)
         raise PreconditionError(f"{name} does not divide x^{n}+1")
-
-
-def _sqr(p: int) -> int:
-    # Frobenius: squaring spreads each bit i to bit 2i.
-    r = 0
-    while p:
-        low = p & -p
-        r |= 1 << (2 * (low.bit_length() - 1))
-        p ^= low
-    return r
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def is_irreducible(f: int) -> bool:
-    """Deterministic irreducibility test over GF(2).
-
-    f of degree d is irreducible iff x^(2^d) = x (mod f) and, for every
-    prime p dividing d, gcd(x^(2^(d/p)) - x, f) = 1.  Runs in O(d) modular
-    squarings, so it stays fast at every degree this package meets.
-    """
-    d = degree(f)
-    if d <= 0:
-        return False
-    if d == 1:
-        return True
-    if not f & 1:
-        return False  # x divides f
-    checkpoints = {d // p for p in _prime_factors(d)}
-    h = X
-    for k in range(1, d + 1):
-        h = poly_mod(_sqr(h), f)
-        if k in checkpoints and poly_gcd(h ^ X, f) != 1:
-            return False
-    return h == X
 
 
 class Factorization(NamedTuple):

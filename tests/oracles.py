@@ -1,9 +1,15 @@
 """Independent brute-force oracles used to cross-check the library.
 
-The first oracles deliberately avoid the library's representations and code
-paths: polynomials are coefficient lists, ring elements are multiplied by
-expanding v-power convolutions, spans are built by iterating every scalar
-combination.  Slow and dumb on purpose.
+The ring's element arithmetic comes first: addition and the product of
+elements, units and principal ideals, Lee weights, the Gray map of one
+element, scaling, the inner product and the text grammar of an element.
+The package computes on Gray masks alone and needs none of it; these are
+the paper's definitions, which the tests hold the Gray map to.
+
+The oracles after it deliberately avoid the library's representations and
+code paths: polynomials are coefficient lists, ring elements are multiplied
+by expanding v-power convolutions, spans are built by iterating every
+scalar combination.  Slow and dumb on purpose.
 
 The column-scan elimination and the per-third shift keep the library's
 earlier forms of rref and phi, as references for the pivot table and the
@@ -16,15 +22,16 @@ codewords, as the audits did before they became rank algebra, so they check
 the library's witnesses against plain set differences.
 
 The last section holds references on the library's own representations,
-moved out of the package because only tests use them: the paper's cyclic
-code of a triple and its claimed dual, each generator laid out from unit
-coefficients, whether a binary code holds its null-space dual, the exact
-CSS check of a divisor triple from its code key, full ring spans through
-the Gray bijection (refused over an enumeration cap, the one bound
-left on a codeword walk), the minimum Lee weight of a span, the 8^n scan
-for the ring dual, shift and self-orthogonality checks on spans, the
-decomposition audit of a set of ring tuples, and trial-division
-irreducibility and the formal derivative of polynomials as ints.
+moved out of the package because only tests use them: the codeword walk of
+a binary code, the paper's cyclic code of a triple, its single generator and
+its claimed dual, each laid out from unit coefficients, whether a binary
+code holds its null-space dual, the exact CSS check of a divisor triple from
+its code key, full ring spans through the Gray bijection (refused over an
+enumeration cap, the one bound left on a codeword walk), the minimum Lee
+weight of a span, the 8^n scan for the ring dual, shift and
+self-orthogonality checks on spans, the decomposition audit of a set of
+ring tuples, and the sum, the irreducibility (by Rabin's test and by trial
+division) and the formal derivative of polynomials as ints.
 """
 
 from __future__ import annotations
@@ -48,16 +55,112 @@ from vcubed.codes import (
     phi,
     rref,
 )
-from vcubed.errors import CapExceeded, PreconditionError
+from vcubed.errors import CapExceeded, ParseError, PreconditionError
 from vcubed.gf2poly import (
-    degree, poly_divmod, poly_mod, poly_mul, reciprocal, require_divisor, xn1,
+    X, degree, poly_divmod, poly_gcd, poly_mod, poly_mul, reciprocal, require_divisor, xn1,
 )
-from vcubed.ring import (
-    ELEMENTS, ONE_PLUS_V, ONE_PLUS_V2, V,
-    gray_vec, gray_vec_inverse, lee_weight_vec, ring_inner_product,
-)
+from vcubed.ring import _TERM_BITS, gray_vec, gray_vec_inverse
 
 DEFAULT_RING_DUAL_CAP = 1 << 24
+
+
+# ---------------------------------------------------------------------------
+# The ring's element arithmetic: the paper's definitions, which the tests
+# hold the package's Gray masks to.
+# ---------------------------------------------------------------------------
+
+ONE = 1
+V = 2
+ONE_PLUS_V = 3
+V2 = 4
+ONE_PLUS_V2 = 5
+V_PLUS_V2 = 6
+ONE_PLUS_V_PLUS_V2 = 7
+
+ELEMENTS = tuple(range(8))
+UNITS = (ONE, ONE_PLUS_V_PLUS_V2)
+
+# Lee weights, indexed by element: w(0)=0, w(1)=2, w(v)=w(v^2)=w(1+v^2)=1,
+# w(1+v)=3, w(v+v^2)=w(1+v+v^2)=2.  Equals the Hamming weight of the Gray image.
+LEE_WEIGHTS = (0, 2, 1, 3, 1, 1, 2, 2)
+
+
+def ring_add(x: int, y: int) -> int:
+    return x ^ y
+
+
+def ring_mul(x: int, y: int) -> int:
+    """Product reduced by v^3 = v (hence v^4 = v^2).
+
+    Closed form: (a1 + v b1 + v^2 c1)(a2 + v b2 + v^2 c2)
+      = a1a2 + v(a1b2 + b1a2 + b1c2 + c1b2) + v^2(a1c2 + b1b2 + c1a2 + c1c2).
+    """
+    a1, b1, c1 = x & 1, (x >> 1) & 1, (x >> 2) & 1
+    a2, b2, c2 = y & 1, (y >> 1) & 1, (y >> 2) & 1
+    const = a1 & a2
+    vc = (a1 & b2) ^ (b1 & a2) ^ (b1 & c2) ^ (c1 & b2)
+    v2c = (a1 & c2) ^ (b1 & b2) ^ (c1 & a2) ^ (c1 & c2)
+    return const | vc << 1 | v2c << 2
+
+
+def classify(x: int) -> str:
+    """'zero', 'unit' (only 1 and 1+v+v^2), or 'zero_divisor'."""
+    if x == 0:
+        return "zero"
+    return "unit" if x in UNITS else "zero_divisor"
+
+
+def principal_ideal(x: int) -> frozenset[int]:
+    return frozenset(ring_mul(r, x) for r in ELEMENTS)
+
+
+def lee_weight(x: int) -> int:
+    return LEE_WEIGHTS[x]
+
+
+def lee_weight_vec(vec: tuple[int, ...]) -> int:
+    return sum(LEE_WEIGHTS[e] for e in vec)
+
+
+def gray(x: int) -> tuple[int, int, int]:
+    a, b, c = x & 1, (x >> 1) & 1, (x >> 2) & 1
+    return (a, b, a ^ c)
+
+
+def gray_inverse(t: tuple[int, int, int]) -> int:
+    a, b, third = t
+    return a | b << 1 | (a ^ third) << 2
+
+
+def scale_vec(s: int, vec: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(ring_mul(s, e) for e in vec)
+
+
+def ring_inner_product(x: tuple[int, ...], y: tuple[int, ...]) -> int:
+    """sum_i x_i * y_i as a ring element."""
+    if len(x) != len(y):
+        raise PreconditionError(f"length mismatch: {len(x)} vs {len(y)}")
+    acc = 0
+    for a, b in zip(x, y):
+        acc ^= ring_mul(a, b)
+    return acc
+
+
+def parse_elem(text: str) -> int:
+    """Inverse of vcubed.ring.format_elem: terms 1, v and v^2 joined by '+',
+    or "0"."""
+    s = text.strip()
+    if s == "0":
+        return 0
+    x = 0
+    pos = 0
+    for term in s.split("+"):
+        stripped = term.strip()
+        if stripped not in _TERM_BITS:
+            raise ParseError(f"bad ring term {stripped!r}", pos)
+        x ^= _TERM_BITS[stripped]
+        pos += len(term) + 1
+    return x
 
 
 def to_coeffs(p: int) -> list[int]:
@@ -293,7 +396,7 @@ def dual_witness_by_walk(n, f1, f2, f3):
     extras, other, side = ((formula, dual, "only_in_formula")
                            if formula.contains_code(dual)
                            else (dual, formula, "only_in_brute"))
-    outside = [m for m in extras.codewords() if not other.contains(m)]
+    outside = [m for m in codewords(extras) if not other.contains(m)]
     return _least_ring_vector(outside, n), side
 
 
@@ -302,11 +405,30 @@ def dual_witness_by_walk(n, f1, f2, f3):
 # ---------------------------------------------------------------------------
 
 
+def codewords(code: BinaryCode):
+    """All 2^dim codewords of a binary code, walked in Gray-code order
+    starting from 0."""
+    yield 0
+    cw = 0
+    for t in range(1, 1 << code.dim):
+        # Gray step t flips the row at the lowest set bit of t.
+        cw ^= code.basis[(t & -t).bit_length() - 1]
+        yield cw
+
+
 def _unit_multiple(unit: int, f: int, n: int) -> tuple[int, ...]:
-    """The ring vector unit * f, with f reduced mod x^n - 1: unit at each
-    coefficient of f, 0 elsewhere."""
+    """The ring vector unit * f, with f reduced mod x^n - 1: unit times each
+    binary coefficient of f."""
     f = poly_mod(f, xn1(n))
-    return tuple(unit if (f >> i) & 1 else 0 for i in range(n))
+    return scale_vec(unit, tuple((f >> i) & 1 for i in range(n)))
+
+
+def combined_generator(n: int, f1: int, f2: int, f3: int) -> tuple[int, ...]:
+    """The one vector v*f1 + (1+v)*f2 + (1+v^2)*f3, each fi reduced
+    mod x^n - 1, summed from its unit multiples by ring addition; the
+    reference for the Gray mask that codes._single_image spans."""
+    parts = (_unit_multiple(u, f, n) for u, f in zip((V, ONE_PLUS_V, ONE_PLUS_V2), (f1, f2, f3)))
+    return tuple(ring_add(ring_add(a, b), c) for a, b, c in zip(*parts))
 
 
 def build_ring_cyclic(n: int, f1: int, f2: int, f3: int) -> RingCode:
@@ -324,19 +446,16 @@ def build_ring_cyclic(n: int, f1: int, f2: int, f3: int) -> RingCode:
 
 def dual_ring_formula(n: int, f1: int, f2: int, f3: int) -> RingCode:
     """The paper's claimed dual: the cyclic code of the one generator
-    v*h1* + (1+v)*h2* + (1+v^2)*h3*, where hi* is the reciprocal of
-    hi = (x^n - 1)/fi.
+    v*h1* + (1+v)*h2* + (1+v^2)*h3* (combined_generator), where hi* is the
+    reciprocal of hi = (x^n - 1)/fi.
 
-    This is a claim under audit, not a trusted construction; ring addition
-    is XOR of the element codes, so the generator is the XOR of the three
-    unit multiples.
+    This is a claim under audit, not a trusted construction.
     """
     hs = []
     for f in (f1, f2, f3):
         require_divisor(n, f)
         hs.append(reciprocal(poly_divmod(xn1(n), f)[0]))
-    parts = (_unit_multiple(u, h, n) for u, h in zip((V, ONE_PLUS_V, ONE_PLUS_V2), hs))
-    return RingCode(n, (tuple(a ^ b ^ c for a, b, c in zip(*parts)),), cyclic=True)
+    return RingCode(n, (combined_generator(n, *hs),), cyclic=True)
 
 
 def contains_dual(code: BinaryCode) -> bool:
@@ -424,7 +543,7 @@ def span_enumerate(code: RingCode, cap: int = DEFAULT_ENUM_CAP) -> frozenset[tup
     """The full codeword set, pulled back through the Gray bijection."""
     image = gray_image_basis(code)
     check_enum_cap(image, cap)
-    return frozenset(gray_vec_inverse(mask, code.n) for mask in image.codewords())
+    return frozenset(gray_vec_inverse(mask, code.n) for mask in codewords(image))
 
 
 def min_lee_enum(span: frozenset[tuple[int, ...]]) -> int:
@@ -482,6 +601,58 @@ def is_quasicyclic3(masks: frozenset[int] | set[int], length: int) -> bool:
 def audit_decomposition(span: frozenset[tuple[int, ...]], n: int) -> DecompositionAudit:
     """The decomposition audit of a code given as its set of ring tuples."""
     return audit_decomposition_image(BinaryCode.from_rows(3 * n, [gray_vec(v) for v in span]))
+
+
+def poly_add(p: int, q: int) -> int:
+    """Sum over GF(2): coefficient-wise XOR."""
+    return p ^ q
+
+
+def _sqr(p: int) -> int:
+    # Frobenius: squaring spreads each bit i to bit 2i.
+    r = 0
+    while p:
+        low = p & -p
+        r |= 1 << (2 * (low.bit_length() - 1))
+        p ^= low
+    return r
+
+
+def _prime_factors(n: int) -> list[int]:
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def is_irreducible(f: int) -> bool:
+    """Deterministic irreducibility test over GF(2).
+
+    f of degree d is irreducible iff x^(2^d) = x (mod f) and, for every
+    prime p dividing d, gcd(x^(2^(d/p)) - x, f) = 1.  Runs in O(d) modular
+    squarings, so it stays fast at every degree the factorizations meet.
+    """
+    d = degree(f)
+    if d <= 0:
+        return False
+    if d == 1:
+        return True
+    if not f & 1:
+        return False  # x divides f
+    checkpoints = {d // p for p in _prime_factors(d)}
+    h = X
+    for k in range(1, d + 1):
+        h = poly_mod(_sqr(h), f)
+        if k in checkpoints and poly_gcd(h ^ X, f) != 1:
+            return False
+    return h == X
 
 
 def irreducible_by_trial_division(f: int) -> bool:

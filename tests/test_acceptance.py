@@ -36,30 +36,28 @@ from vcubed.gf2poly import (
     enumerate_divisors,
     factor_xn1,
     format_poly,
-    is_irreducible,
     parse_poly,
     xn1,
 )
 from vcubed.quantum import dual_containing_poly
 from vcubed.reference import REFERENCE_ROWS, reproduce_all
-from vcubed.ring import (
-    ELEMENTS,
-    gray,
-    gray_vec,
-    lee_weight,
-    lee_weight_vec,
-    ring_add,
-    ring_inner_product,
-)
+from vcubed.ring import gray_vec
 from oracles import (
+    ELEMENTS,
     audit_decomposition,
     build_ring_cyclic,
     contains_dual,
     dual_ring_bruteforce,
     dual_ring_formula,
+    gray,
     irreducible_by_trial_division,
+    is_irreducible,
     is_quasicyclic3,
     is_self_orthogonal,
+    lee_weight,
+    lee_weight_vec,
+    ring_add,
+    ring_inner_product,
     sigma,
     span_enumerate,
     validate_css_binary,

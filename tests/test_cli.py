@@ -82,6 +82,10 @@ def test_factor_stdout_is_pinned_up_to_the_default_bound(capsys):
     ("search", "--n", "8", "--max-results", "0"),
     ("audit", "--n-max", "-2"),
     ("audit", "--n-max", "0"),
+    ("search", "--n", "\uff18"),
+    ("search", "--n", "1_0"),
+    ("search", "--n", "8", "--min-k=-1_0"),
+    ("search", "--n", "8", "--min-k", "\uff18"),
 ])
 def test_nonpositive_caps_and_lengths_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as info:
@@ -315,12 +319,10 @@ def test_audit_counterexample_row(capsys):
     assert counterexample["tensor_witness"] == "(v^2)"
 
 
-def test_audit_and_inspect_walk_no_codewords(capsys, monkeypatch):
-    # every audit is rank algebra on bases: no codeword set is walked
-    def refuse(self):
-        raise AssertionError("codeword walk")
-
-    monkeypatch.setattr(BinaryCode, "codewords", refuse)
+def test_audit_and_inspect_walk_no_codewords(capsys):
+    # every audit is rank algebra on bases: the package has no codeword walk
+    # to call (the tests' oracles.codewords is the only one)
+    assert not hasattr(BinaryCode, "codewords")
     code, out, _ = run(capsys, "audit", "--n-max", "4", "--format", "records")
     assert code == 0
     assert len(records_of(out)) == 904

@@ -19,7 +19,6 @@ from vcubed.codes import (
     audit_single_generator,
     audit_size_formula,
     binary_cyclic,
-    combined_generator,
     cyclic_image,
     dual_binary,
     gray_image_basis,
@@ -34,19 +33,14 @@ from vcubed.errors import CapExceeded, PreconditionError
 from vcubed.gf2poly import enumerate_divisors, factor_xn1, parse_poly
 from vcubed.quantum import css_from_triple, search_triples
 from vcubed.reference import REFERENCE_ROWS, ReferenceRow, reproduce_row
-from vcubed.ring import (
+from vcubed.ring import gray_vec, gray_vec_inverse
+from oracles import (
     ONE,
     ONE_PLUS_V,
     ONE_PLUS_V2,
     V,
     V2,
     V_PLUS_V2,
-    gray_vec,
-    gray_vec_inverse,
-    ring_inner_product,
-    scale_vec,
-)
-from oracles import (
     _least_ring_vector,
     audit_decomposition,
     audit_decomposition_by_sets,
@@ -54,6 +48,8 @@ from oracles import (
     binary_min_weight_direct,
     build_ring_cyclic,
     check_enum_cap,
+    codewords,
+    combined_generator,
     dual_ring_bruteforce,
     dual_ring_formula,
     dual_witness_by_walk,
@@ -63,7 +59,9 @@ from oracles import (
     is_self_orthogonal,
     min_lee_enum,
     phi_by_thirds,
+    ring_inner_product,
     rref_by_columns,
+    scale_vec,
     sigma,
     span_by_all_combinations,
     span_enumerate,
@@ -162,7 +160,7 @@ def test_binary_cyclic_dims():
 
 def test_binary_cyclic_codeword_count_oracle():
     code = binary_cyclic(7, P("x^3+x+1"))
-    words = set(code.codewords())
+    words = set(codewords(code))
     assert len(words) == 16
     # explicit closure under addition
     for a in words:
@@ -232,7 +230,7 @@ def test_dual_binary_examples():
     repetition = BinaryCode.from_rows(6, [0b111111])
     even = dual_binary(repetition)
     assert even.dim == 5
-    assert all(bin(w).count("1") % 2 == 0 for w in even.codewords())
+    assert all(bin(w).count("1") % 2 == 0 for w in codewords(even))
 
 
 def test_dual_binary_matches_direct_oracle():
@@ -243,7 +241,7 @@ def test_dual_binary_matches_direct_oracle():
         code = BinaryCode.from_rows(n, rows)
         dual = dual_binary(code)
         assert dual.dim == n - code.dim
-        assert set(dual.codewords()) == binary_dual_direct(code.basis, n)
+        assert set(codewords(dual)) == binary_dual_direct(code.basis, n)
         assert dual_binary(dual) == code
 
 
@@ -320,15 +318,15 @@ def test_build_ring_cyclic_closed_under_shift():
 
 def test_projections_examples():
     c1, c2, c3 = _image_projections(gray_image_basis(RingCode(1, ((ONE_PLUS_V,),))))
-    assert (set(c1.codewords()), set(c2.codewords()), set(c3.codewords())) == (
+    assert (set(codewords(c1)), set(codewords(c2)), set(codewords(c3))) == (
         {0, 1}, {0, 1}, {0, 1}
     )
     diag = gray_image_basis(build_ring_cyclic(2, P("x+1"), P("x+1"), P("x+1")))
     for c in _image_projections(diag):
-        assert set(c.codewords()) == {0b00, 0b11}
+        assert set(codewords(c)) == {0b00, 0b11}
     zero = gray_image_basis(RingCode(2, ()))
     for c in _image_projections(zero):
-        assert set(c.codewords()) == {0}
+        assert set(codewords(c)) == {0}
 
 
 def test_dual_ring_bruteforce_examples():
@@ -493,7 +491,7 @@ def test_gray_image_basis_examples():
     # cross-check the rank against direct enumeration of the Gray image
     span = span_enumerate(code)
     assert len(span) == image.size
-    assert {gray_vec(v) for v in span} == set(image.codewords())
+    assert {gray_vec(v) for v in span} == set(codewords(image))
 
 
 def test_v_multiples_match_ring_scaling():
@@ -524,8 +522,9 @@ def _gray_image_by_ring_scaling(code):
 
 
 def test_generator_layouts_match_unit_coefficients():
-    # _combination_mask and combined_generator lay out v*f1, (1+v)*f2 and
-    # (1+v^2)*f3 through Gray masks; compare with the coefficient vectors
+    # _combination_mask lays out v*f1, (1+v)*f2 and (1+v^2)*f3 through Gray
+    # masks; compare with the coefficient vectors and with the oracle's
+    # combined generator, summed by ring addition
     for n in range(1, 9):
         for fs in product(enumerate_divisors(n), repeat=3):
             # x^n - 1 is the only divisor of degree n; it reduces to 0
@@ -540,6 +539,8 @@ def test_generator_layouts_match_unit_coefficients():
                 assert _combination_mask(*thirds, n) == gray_vec(vec), (n, fs, slot)
             assert combined_generator(n, *fs) == tuple(
                 x ^ y ^ z for x, y, z in zip(*vecs)), (n, fs)
+            assert _combination_mask(*reduced, n) == gray_vec(
+                combined_generator(n, *fs)), (n, fs)
 
 
 def test_gray_image_basis_matches_ring_scaling():
@@ -575,6 +576,19 @@ def test_gray_image_basis_matches_shift_oracle():
     assert sum(code.cyclic for code in codes[-200:]) in range(50, 151)
     for code in codes:
         assert gray_image_basis(code) == gray_image_basis_by_shifts(code), code
+
+
+def test_single_image_matches_shift_oracle():
+    # _single_image spans the Gray mask of the combined generator; compare
+    # with the oracle's generator, laid out from unit coefficients, on all
+    # 1,017 divisor triples at n <= 6
+    triples = [(n, fs) for n in range(1, 7)
+               for fs in product(enumerate_divisors(n), repeat=3)]
+    assert len(triples) == 1017
+    for n, fs in triples:
+        oracle = gray_image_basis_by_shifts(
+            RingCode(n, (combined_generator(n, *fs),), cyclic=True))
+        assert _single_image(n, *fs) == oracle, (n, fs)
 
 
 def test_self_orthogonality_detection():
@@ -667,9 +681,9 @@ def test_audit_decomposition_matches_exhaustive_product():
     audit = audit_decomposition(span, 2)
     c1, c2, c3 = _image_projections(gray_image_basis(build_ring_cyclic(2, f, f, 1)))
     tensor = set()
-    for a in c1.codewords():
-        for b in c2.codewords():
-            for t in c3.codewords():
+    for a in codewords(c1):
+        for b in codewords(c2):
+            for t in codewords(c3):
                 tensor.add(a | b << 2 | t << 4)
     assert audit.tensor_equal == (tensor == {gray_vec(v) for v in span})
 
@@ -683,7 +697,7 @@ def test_audit_decomposition_reconstruction_matches_ring_tuples():
         recon = {
             tuple((V if (a >> i) & 1 else 0) ^ (ONE_PLUS_V if (b >> i) & 1 else 0)
                   ^ (ONE_PLUS_V2 if (c >> i) & 1 else 0) for i in range(n))
-            for a in c1.codewords() for b in c2.codewords() for c in c3.codewords()
+            for a in codewords(c1) for b in codewords(c2) for c in codewords(c3)
         }
         if recon == span:
             return True, None, ""
@@ -753,7 +767,7 @@ def test_ring_dual_matches_bruteforce_and_is_an_involution():
         image = gray_image_basis(code)
         dual = dual_binary(image)
         brute = dual_ring_bruteforce(span_enumerate(code), n)
-        assert set(dual.codewords()) == {gray_vec(v) for v in brute}, code
+        assert set(codewords(dual)) == {gray_vec(v) for v in brute}, code
         assert image.size * len(brute) == 8 ** n, code
         assert dual_binary(dual) == image, code
 
@@ -767,7 +781,7 @@ def test_decomposition_on_masks_matches_ring_tuple_audit():
     for code in codes:
         image = gray_image_basis(code)
         check_enum_cap(image, DEFAULT_ENUM_CAP)
-        by_masks = BinaryCode.from_rows(3 * code.n, image.codewords())
+        by_masks = BinaryCode.from_rows(3 * code.n, codewords(image))
         assert (audit_decomposition_image(by_masks)
                 == audit_decomposition(span_enumerate(code), code.n)), code
 
@@ -839,7 +853,7 @@ def test_least_outside_matches_walk():
         for key in (_product_order_key(n), _ring_order_key(n)):
             least = _least_outside(x, y, key)
             assert x.contains(least) and not y.contains(least)
-            assert key(least) == min(key(m) for m in x.codewords() if not y.contains(m))
+            assert key(least) == min(key(m) for m in codewords(x) if not y.contains(m))
     assert cases > 250
 
 
@@ -873,7 +887,7 @@ def test_least_outside_matches_walk_on_audit_inputs():
     for a, b, order in pairs:
         key = order(a.n // 3)
         for x, y in ((a, b), (b, a)):
-            outside = set(x.codewords()) - set(y.codewords())
+            outside = set(codewords(x)) - set(codewords(y))
             if outside:
                 assert _least_outside(x, y, key) == min(outside, key=key)
                 witnesses += 1
@@ -902,7 +916,7 @@ def test_decomposition_on_images_matches_set_audit():
     for code in codes:
         image = gray_image_basis(code)
         assert (audit_decomposition_image(image)
-                == audit_decomposition_by_sets(frozenset(image.codewords()), code.n)), code
+                == audit_decomposition_by_sets(frozenset(codewords(image)), code.n)), code
 
 
 def test_dual_formula_witness_matches_walk():
@@ -926,7 +940,7 @@ def test_audit_witnesses_are_the_least_walked_members():
         full = (1 << n) - 1
         for fs in product(enumerate_divisors(n), repeat=3):
             image = cyclic_image(n, *fs)
-            psi = set(image.codewords())
+            psi = set(codewords(image))
             a_set, b_set, c_set = ({(m >> (i * n)) & full for m in psi} for i in range(3))
             direct_sum = {a | b << n | c << (2 * n)
                           for a in a_set for b in b_set for c in c_set}
@@ -945,8 +959,8 @@ def test_audit_witnesses_are_the_least_walked_members():
                 expected = None, ""
             assert (dec.reconstruction_witness, dec.reconstruction_witness_side) == expected
 
-            dual = set(dual_binary(image).codewords())
-            formula = set(gray_image_basis(dual_ring_formula(n, *fs)).codewords())
+            dual = set(codewords(dual_binary(image)))
+            formula = set(codewords(gray_image_basis(dual_ring_formula(n, *fs))))
             if dual - formula:
                 expected = _least_walked(dual, formula, _ring_order_key(n), n), "only_in_brute"
             elif formula - dual:

@@ -9,9 +9,7 @@ from vcubed.gf2poly import (
     enumerate_divisors,
     factor_xn1,
     format_poly,
-    is_irreducible,
     parse_poly,
-    poly_add,
     poly_divmod,
     poly_gcd,
     poly_hex,
@@ -23,6 +21,8 @@ from oracles import (
     derivative,
     from_coeffs,
     irreducible_by_trial_division,
+    is_irreducible,
+    poly_add,
     schoolbook_divmod,
     schoolbook_mul,
     to_coeffs,

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from vcubed.errors import ParseError, PreconditionError
-from vcubed.ring import (
+from vcubed.ring import format_elem, format_vec, gray_vec, gray_vec_inverse
+from oracles import (
     ELEMENTS,
     LEE_WEIGHTS,
     ONE,
@@ -14,22 +15,20 @@ from vcubed.ring import (
     V2,
     V_PLUS_V2,
     classify,
-    format_elem,
-    format_vec,
     gray,
     gray_inverse,
-    gray_vec,
-    gray_vec_inverse,
+    gray_triple,
     lee_weight,
+    lee_weight_by_gray,
     lee_weight_vec,
     parse_elem,
     principal_ideal,
     ring_add,
     ring_inner_product,
     ring_mul,
+    ring_mul_structural,
     scale_vec,
 )
-from oracles import gray_triple, lee_weight_by_gray, ring_mul_structural
 
 
 def test_add_examples():
