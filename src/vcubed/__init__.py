@@ -11,7 +11,6 @@ from .codes import (
     audit_size_formula,
     binary_cyclic,
     cyclic_image,
-    dual_binary,
     gray_image_basis,
     min_hamming,
     phi,

@@ -7,10 +7,10 @@ additive, weight-preserving bijection onto 3n-bit vectors, so a ring code is
 handled through the Gray masks of its image: every size and rank here is a
 plain GF(2) rank, and every Lee weight a popcount.
 
-Every rank, span and null space goes through rref.  It passes each row once
-over a pivot table, a dict from each stored row's lowest set bit to the row,
-and then back-substitutes once from the highest pivot down; every row must
-be narrower than the ncols it is given.  The cyclic shift of a Gray image is
+Every rank and span goes through rref.  It passes each row once over a
+pivot table, a dict from each stored row's lowest set bit to the row, and
+then back-substitutes once from the highest pivot down; every row must be
+narrower than the ncols it is given.  The cyclic shift of a Gray image is
 phi, which rotates all three n-bit thirds of a mask in one closed form.
 
 A search meets the same generators and the same Gray images many times
@@ -24,19 +24,20 @@ depends only on its code key (code_key), so cyclic_image maps each triple to
 its key and _key_image builds the image once per key, from the key's own
 generators.  A search needs only the image's rank: the paper's criterion
 already implies dual containment (quantum.css_from_triple).
-BinaryCode is immutable and hashable, so the audits' dual_binary and
-audit_decomposition_image run once per distinct code.  The audits build the
-single generator's image once per triple (_single_image), straight from the
-generator's Gray mask with no ring vector in between, and h* once per
-divisor (_dual_poly).  min_hamming is not cached: a search asks it for the
-distance of each divisor's code, which quantum._component_distance caches.
-rref is canonical, so a cached result is the same basis a fresh one would
-be.
+BinaryCode is immutable and hashable, so audit_decomposition_image runs
+once per distinct code.  The audits build the single generator's image
+once per triple (_single_image), straight from the generator's Gray mask
+with no ring vector in between, and h* once per divisor (_dual_poly).
+min_hamming is not cached: a search asks it for the distance of each
+divisor's code, which quantum._component_distance caches.  rref is
+canonical, so a cached result is the same basis a fresh one would be.
 
-The exact ring dual is dual_binary of the Gray image.  The v^2-coefficient
-of <x, y> is the dot product of the Gray masks of x and y, so the image of
-C^perp lies in the binary dual of the image of C; R is a Frobenius ring, so
-|C| * |C^perp| = 8^n and the two are the same size.
+The exact dual that the audits compare against is the binary dual of the
+Gray image, which is the Gray image of the ring dual: the v^2-coefficient
+of <x, y> is the dot product of the Gray masks of x and y, and R is a
+Frobenius ring.  It is read off the code key, as the image of the dual key
+(_dual_key): the binary dual of <g> is <h*>, h = (x^n - 1)/g (MacWilliams
+and Sloane, ch. 7), so no null space is taken.
 
 The decomposition, dual-formula and size-formula routines are audits: they
 compare a claimed identity against exact computation and report a witness
@@ -104,28 +105,6 @@ def rref(rows: Sequence[int], ncols: int) -> tuple[int, ...]:
     return tuple(table[piv] for piv in reversed(pivots))
 
 
-def nullspace(rows: Sequence[int], ncols: int) -> tuple[int, ...]:
-    """Canonical basis of {x : x . row = 0 for every row}.
-
-    Every row must be narrower than ncols.  Each free column of the pivot
-    table's echelon form (rref) gives one vector: its own bit plus the
-    pivot bit of every row with a bit in that column.
-    """
-    reduced = rref(rows, ncols)
-    pivots = [(r & -r).bit_length() - 1 for r in reduced]
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = 1 << free
-        for row, piv in zip(reduced, pivots):
-            if (row >> free) & 1:
-                vec |= 1 << piv
-        basis.append(vec)
-    return rref(basis, ncols)
-
-
 class BinaryCode(NamedTuple):
     """A binary linear code as its canonical RREF basis."""
 
@@ -152,13 +131,6 @@ class BinaryCode(NamedTuple):
 
     def contains_code(self, other: "BinaryCode") -> bool:
         return all(self.contains(row) for row in other.basis)
-
-
-
-@lru_cache(maxsize=1024)
-def dual_binary(code: BinaryCode) -> BinaryCode:
-    """Null space of the basis; dimension n - dim."""
-    return BinaryCode(code.n, nullspace(code.basis, code.n))
 
 
 def binary_cyclic(n: int, g: int) -> BinaryCode:
@@ -316,8 +288,9 @@ def cyclic_image(n: int, f1: int, f2: int, f3: int) -> BinaryCode:
 
 @lru_cache(maxsize=1024)
 def _key_image(n: int, g_a: int, g_u: int, g_v: int) -> BinaryCode:
-    """Gray image of every divisor triple with code key (g_a, g_u, g_v),
-    built by the rank path once per key.
+    """Gray image of the key (g_a, g_u, g_v), built by the rank path once
+    per key: the image of every divisor triple with that code key, and the
+    exact dual of every image whose dual key (_dual_key) it is.
 
     The key's own generators (1+v^2) g_a, (v+v^2) g_u and v^2 g_v generate
     the code (code_key); their Gray masks are (g_a|0|0), (0|g_u|g_u) and
@@ -347,6 +320,14 @@ def _single_image(n: int, f1: int, f2: int, f3: int) -> BinaryCode:
     the triple whose dual polynomials (_dual_polys) are T both read it; h*
     is an involution on the divisors of x^n - 1, so every divisor triple is
     asked for twice by an audit of all of them.
+
+    It spans the mask rather than reading a key, because no key in closed
+    form is known for it.  The naive one, (gcd(f2+f3, x^n - 1),
+    gcd(f1, f2 (x^n - 1)/f1), f1), gives the span at every odd n <= 9 but
+    not at even n: it misses on 3 of the 27 divisor triples at n = 2 (the
+    first is (x+1, 1, 1)), 30 of 125 at n = 4, 153 of 729 at n = 6 and 252
+    of 729 at n = 8.  At even n, a module over F2[w]/(w^2) is not fixed by
+    its residue and torsion ideals.
     """
     modulus = xn1(n)
     mask = _combination_mask(*(poly_mod(f, modulus) for f in (f1, f2, f3)), n)
@@ -356,6 +337,23 @@ def _single_image(n: int, f1: int, f2: int, f3: int) -> BinaryCode:
 def _dual_polys(n: int, f1: int, f2: int, f3: int) -> tuple[int, ...]:
     """(h1*, h2*, h3*): the reciprocals of hi = (x^n - 1)/fi."""
     return tuple(_dual_poly(n, f) for f in (f1, f2, f3))
+
+
+def _dual_key(n: int, g_a: int, g_u: int, g_v: int) -> tuple[int, int, int]:
+    """The key (h_a*, h_v*, h_u*) whose image is the binary dual of the
+    image of the key (g_a, g_u, g_v), for divisors g_u | g_v of x^n - 1.
+
+    The image is {(a | u | u+y) : a in C_A, u in C_u, y in C_v} (code_key),
+    and (p | q | r) . (a | u | u+y) = p.a + (q+r).u + r.y, so (p | q | r)
+    is orthogonal to the image exactly when p is in C_A^perp, r in C_v^perp
+    and q + r in C_u^perp.  So the dual is {(p | b+c | b) : b in C_v^perp,
+    c in C_u^perp}.  C_v lies in C_u, so C_u^perp lies in C_v^perp, and
+    u = b+c, y = c range over C_v^perp and C_u^perp independently: the dual
+    is the image of the key (h_a*, h_v*, h_u*), since <g>^perp = <h*>
+    (MacWilliams and Sloane, ch. 7).  h_v* divides h_u*, so the dual key
+    again has g_u | g_v, and h* is an involution, so _dual_key is too.
+    """
+    return _dual_poly(n, g_a), _dual_poly(n, g_v), _dual_poly(n, g_u)
 
 
 @lru_cache(maxsize=1024)
@@ -540,7 +538,7 @@ def _least_outside(x: BinaryCode, y: BinaryCode, key: Callable[[int], int]) -> i
 
 
 class DualFormulaAudit(NamedTuple):
-    """Span of the claimed dual generator versus the exact dual (dual_binary).
+    """Span of the claimed dual generator versus the exact dual (_dual_key).
 
     Fields named "brute" describe the exact dual; they share their names
     with the audit record's keys, which stay fixed.
@@ -562,11 +560,11 @@ class DualFormulaAudit(NamedTuple):
 def audit_dual_formula(n: int, f1: int, f2: int, f3: int) -> DualFormulaAudit:
     """Compare the claimed dual, the span of the one generator
     v*h1* + (1+v)*h2* + (1+v^2)*h3* (the _single_image of _dual_polys), with
-    the exact dual, dual_binary of the code's Gray image, by their bases.
-    The claim is under audit, not a trusted construction.
+    the exact dual, the image of the code key's dual key (_dual_key), by
+    their bases.  The claim is under audit, not a trusted construction.
     """
     code = cyclic_image(n, f1, f2, f3)
-    dual = dual_binary(code)
+    dual = _key_image(n, *_dual_key(n, *code_key(n, f1, f2, f3)))
     hs = _dual_polys(n, f1, f2, f3)
     formula = _single_image(n, *hs)
     three_gen = cyclic_image(n, *hs)

@@ -1,9 +1,11 @@
 """Dual-containment tests, CSS parameter derivation, and triple search.
 
 A divisor f of x^n - 1 yields a dual-containing binary cyclic code exactly
-when f*f_reciprocal still divides x^n - 1.  A triple (f1, f2, f3) of such
-divisors gives a ring code whose Gray image supports the CSS construction;
-the emitted parameters are [[3n, 2k - 3n, d]] with k = 3n - sum(deg fi).
+when f*f_reciprocal still divides x^n - 1, that is when f divides h*, the
+generator of the dual <f>^perp (codes._dual_poly).  A triple (f1, f2, f3)
+of such divisors gives a ring code whose Gray image supports the CSS
+construction; the emitted parameters are [[3n, 2k - 3n, d]] with
+k = 3n - sum(deg fi).
 
 That k is a claimed value: it can disagree with the actual Gray-image rank
 when the fi differ, so a record is marked validated only when the rank
@@ -20,12 +22,12 @@ disagrees.
 
 The divisors of x^n - 1 are few and the triples many, so each layer of a
 search is memoised in a bounded lru_cache where its work repeats:
-divisibility (gf2poly.divides_xn1), dual containment
-(dual_containing_poly) and the distance of <g> (_component_distance) per
-divisor, the gcd per pair of divisors (gf2poly.poly_gcd), the Gray span per
-generator, and the Gray image per triple and per code key
-(codes.code_key), which many triples share; min_hamming keeps no cache of
-its own.  Errors are raised, not cached, and a warm search returns exactly
+divisibility (gf2poly.divides_xn1), h* (codes._dual_poly), dual
+containment (dual_containing_poly) and the distance of <g>
+(_component_distance) per divisor, the gcd per pair of divisors
+(gf2poly.poly_gcd), the Gray span per generator, and the Gray image per
+triple and per code key (codes.code_key), which many triples share;
+min_hamming keeps no cache of its own.  Errors are raised, not cached, and a warm search returns exactly
 what a cold one does.
 """
 
@@ -35,6 +37,7 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .codes import (
+    _dual_poly,
     audit_size_formula,
     binary_cyclic,
     code_key,
@@ -47,10 +50,6 @@ from .gf2poly import (
     enumerate_divisors,
     format_poly,
     poly_mod,
-    poly_mul,
-    reciprocal,
-    require_divisor,
-    xn1,
 )
 
 
@@ -58,11 +57,13 @@ from .gf2poly import (
 def dual_containing_poly(n: int, f: int) -> bool:
     """Whether x^n - 1 = 0 (mod f * f_reciprocal); f must divide x^n - 1.
 
-    That is when <f> holds its dual <h*>, h = (x^n - 1)/f: f divides h*
-    exactly when f* divides h (MacWilliams and Sloane, ch. 7).
+    That is when <f> holds its dual <h*>, h = (x^n - 1)/f (MacWilliams and
+    Sloane, ch. 7), which is when f divides h*: f f* divides f h exactly
+    when f* divides h, and the reciprocal keeps divisibility among the
+    divisors of x^n - 1, which have constant term 1.  h* is codes._dual_poly,
+    the one place it is computed, and it names an f that does not divide.
     """
-    require_divisor(n, f)
-    return poly_mod(xn1(n), poly_mul(f, reciprocal(f))) == 0
+    return poly_mod(_dual_poly(n, f), f) == 0
 
 
 @lru_cache(maxsize=4096)
@@ -116,8 +117,9 @@ def css_from_triple(n: int, f1: int, f2: int, f3: int) -> QuantumCodeRecord:
 
     The criterion on each fi already puts C^perp inside C, so no
     containment is computed.  C^perp is <g_a>^perp on the first third and
-    {(b+c | b) : b in C_v^perp, c in C_u^perp} on the other two, which lies
-    in the Plotkin code when C_v^perp lies in C_u, because C_v lies in C_u.
+    {(b+c | b) : b in C_v^perp, c in C_u^perp} on the other two
+    (codes._dual_key), which lies in the Plotkin code when C_v^perp lies in
+    C_u, because C_v lies in C_u.
     Each <fi> holds <fi>^perp, and <g> holds <f> when g divides f.  g_a
     divides f2, so <g_a> holds <f2>, which holds <f2>^perp, which holds
     <g_a>^perp; g_u divides f1, so <g_u> holds <f1>, which holds

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .codes import _dual_polys
+from .codes import _dual_poly
 from .gf2poly import format_poly, parse_poly
 from .quantum import QuantumCodeRecord, css_from_triple
 
@@ -76,7 +76,7 @@ def reproduce_row(row: ReferenceRow) -> RowResult:
             )
     if row.dual_display is not None:
         shown = parse_poly(row.dual_display)
-        hr = _dual_polys(n, f, f, f)[0]
+        hr = _dual_poly(n, f)
         if shown != hr:
             notes.append(
                 f"published dual generator shows v^2*({row.dual_display}); "

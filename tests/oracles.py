@@ -22,21 +22,23 @@ codewords, as the audits did before they became rank algebra, so they check
 the library's witnesses against plain set differences.
 
 The last section holds references on the library's own representations,
-moved out of the package because only tests use them: the codeword walk of
-a binary code, the paper's cyclic code of a triple, its single generator and
-its claimed dual, each laid out from unit coefficients, whether a binary
-code holds its null-space dual, the exact CSS check of a divisor triple from
-its code key, full ring spans through the Gray bijection (refused over an
-enumeration cap, the one bound left on a codeword walk), the minimum Lee
-weight of a span, the 8^n scan for the ring dual, shift and
-self-orthogonality checks on spans, the decomposition audit of a set of
-ring tuples, and the sum, the irreducibility (by Rabin's test and by trial
-division) and the formal derivative of polynomials as ints.
+moved out of the package because only tests use them: the null space and
+binary dual of a code, with the argument that the dual of a Gray image is
+the image of the ring dual, the codeword walk of a binary code, the paper's
+cyclic code of a triple, its single generator and its claimed dual, each
+laid out from unit coefficients, whether a binary code holds its null-space
+dual, the exact CSS check of a divisor triple from its code key, full ring
+spans through the Gray bijection (refused over an enumeration cap, the one
+bound left on a codeword walk), the minimum Lee weight of a span, the 8^n
+scan for the ring dual, shift and self-orthogonality checks on spans, the
+decomposition audit of a set of ring tuples, and the sum, the irreducibility
+(by Rabin's test and by trial division) and the formal derivative of
+polynomials as ints.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, lru_cache
 from itertools import product
 from typing import NamedTuple
 
@@ -50,7 +52,6 @@ from vcubed.codes import (
     audit_decomposition_image,
     audit_size_formula,
     code_key,
-    dual_binary,
     gray_image_basis,
     phi,
     rref,
@@ -214,13 +215,8 @@ def ring_mul_structural(x: int, y: int) -> int:
     return reduced[0] | reduced[1] << 1 | reduced[2] << 2
 
 
-def gray_triple(x: int) -> tuple[int, int, int]:
-    a, b, c = x & 1, (x >> 1) & 1, (x >> 2) & 1
-    return (a, b, a ^ c)
-
-
 def lee_weight_by_gray(x: int) -> int:
-    return sum(gray_triple(x))
+    return sum(gray(x))
 
 
 def span_by_all_combinations(generators, n, cyclic=False):
@@ -403,6 +399,42 @@ def dual_witness_by_walk(n, f1, f2, f3):
 # ---------------------------------------------------------------------------
 # References on the library's representations, moved out of the package.
 # ---------------------------------------------------------------------------
+
+
+def nullspace(rows, ncols: int) -> tuple[int, ...]:
+    """Canonical basis of {x : x . row = 0 for every row}.
+
+    Every row must be narrower than ncols.  Each free column of the pivot
+    table's echelon form (rref) gives one vector: its own bit plus the
+    pivot bit of every row with a bit in that column.
+    """
+    reduced = rref(rows, ncols)
+    pivots = [(r & -r).bit_length() - 1 for r in reduced]
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        vec = 1 << free
+        for row, piv in zip(reduced, pivots):
+            if (row >> free) & 1:
+                vec |= 1 << piv
+        basis.append(vec)
+    return rref(basis, ncols)
+
+
+@lru_cache(maxsize=1024)
+def dual_binary(code: BinaryCode) -> BinaryCode:
+    """Null space of the basis; dimension n - dim.
+
+    Of a Gray image, it is the Gray image of the exact ring dual.  The
+    v^2-coefficient of <x, y> is the dot product of the Gray masks of x and
+    y, so the image of C^perp lies in the binary dual of the image of C; R
+    is a Frobenius ring, so |C| * |C^perp| = 8^n and the two are the same
+    size.  The reference for codes._dual_key, which reads the dual off the
+    code key.
+    """
+    return BinaryCode(code.n, nullspace(code.basis, code.n))
 
 
 def codewords(code: BinaryCode):

@@ -27,7 +27,6 @@ from vcubed.codes import (
     audit_dual_formula,
     binary_cyclic,
     cyclic_image,
-    dual_binary,
     gray_image_basis,
     phi,
 )
@@ -47,6 +46,7 @@ from oracles import (
     audit_decomposition,
     build_ring_cyclic,
     contains_dual,
+    dual_binary,
     dual_ring_bruteforce,
     dual_ring_formula,
     gray,

@@ -71,8 +71,8 @@ def test_search_builds_one_image_per_code_key(n, triples, keys):
     assert search_triples(n).admissible == triples
     assert codes.cyclic_image.cache_info().misses == triples
     assert codes._key_image.cache_info().misses == keys
-    # containment comes from the key: no image's dual is taken
-    assert codes.dual_binary.cache_info().misses == 0
+    # containment comes from the key, and the package takes no null space
+    assert not hasattr(codes, "dual_binary")
 
 
 def test_warm_audit_matches_cold_audit(capsys):
@@ -105,9 +105,11 @@ def test_audit_builds_each_single_generator_image_once(monkeypatch, capsys):
     # reads the image that the single-generator audit of hs(T) built
     info = codes._single_image.cache_info()
     assert (info.misses, info.hits) == (224, 224)
-    # 8 catalog codes and 88 code keys; the single-generator images are
-    # spanned straight from their Gray masks, not through gray_image_basis
-    assert len(built) == 96
+    # 8 catalog codes and 122 keys: the 88 code keys and the 34 dual keys
+    # (_dual_key) that are the code key of no divisor triple; the
+    # single-generator images are spanned straight from their Gray masks,
+    # not through gray_image_basis
+    assert len(built) == 130
     # h* once for each of the 14 divisors of x^n - 1, n <= 4
     assert codes._dual_poly.cache_info().misses == 14
 

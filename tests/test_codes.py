@@ -8,7 +8,9 @@ from vcubed.codes import (
     BinaryCode,
     RingCode,
     _combination_mask,
+    _dual_key,
     _image_projections,
+    _key_image,
     _least_outside,
     _product_order_key,
     _ring_order_key,
@@ -20,10 +22,8 @@ from vcubed.codes import (
     audit_size_formula,
     binary_cyclic,
     cyclic_image,
-    dual_binary,
     gray_image_basis,
     min_hamming,
-    nullspace,
     phi,
     rref,
 )
@@ -42,6 +42,7 @@ from oracles import (
     V2,
     V_PLUS_V2,
     _least_ring_vector,
+    _unit_multiple,
     audit_decomposition,
     audit_decomposition_by_sets,
     binary_dual_direct,
@@ -50,6 +51,7 @@ from oracles import (
     check_enum_cap,
     codewords,
     combined_generator,
+    dual_binary,
     dual_ring_bruteforce,
     dual_ring_formula,
     dual_witness_by_walk,
@@ -58,6 +60,7 @@ from oracles import (
     is_quasicyclic3,
     is_self_orthogonal,
     min_lee_enum,
+    nullspace,
     phi_by_thirds,
     ring_inner_product,
     rref_by_columns,
@@ -309,6 +312,26 @@ def test_key_image_equals_the_rank_path_on_every_triple():
             assert cyclic_image(n, *fs) == gray_image_basis(build_ring_cyclic(n, *fs)), (n, fs)
 
 
+def _canonical_keys(n):
+    """Every (g_a, g_u, g_v) of divisors of x^n - 1 with g_u | g_v."""
+    divisors = enumerate_divisors(n)
+    return [(g_a, g_u, g_v) for g_a in divisors for g_u in divisors
+            for g_v in divisors if gf2poly.poly_mod(g_v, g_u) == 0]
+
+
+def test_key_image_matches_shift_oracle_on_every_canonical_key():
+    # _key_image lays out the key's generators (1+v^2) g_a, (v+v^2) g_u and
+    # v^2 g_v as Gray masks; compare with the oracle's ring generators,
+    # scaled coefficient by coefficient, on every canonical key, not only
+    # the keys of triples (the dual keys of the audits include others)
+    for n in range(1, 7):
+        for key in _canonical_keys(n):
+            gens = tuple(_unit_multiple(unit, g, n)
+                         for unit, g in zip((ONE_PLUS_V2, V_PLUS_V2, V2), key))
+            oracle = gray_image_basis_by_shifts(RingCode(n, gens, cyclic=True))
+            assert _key_image(n, *key) == oracle, (n, key)
+
+
 def test_build_ring_cyclic_closed_under_shift():
     for n, fs in [(2, ("x+1",) * 3), (3, ("x+1", "x^2+x+1", "1")),
                   (4, ("x^2+1", "x+1", "x^3+x^2+x+1"))]:
@@ -388,6 +411,18 @@ def test_dual_polynomial_map_is_an_involution_on_divisors():
         duals = [codes._dual_poly(n, f) for f in divisors]
         assert sorted(duals) == divisors, n
         assert [codes._dual_poly(n, h) for h in duals] == divisors, n
+
+
+def test_dual_key_matches_the_null_space_on_every_canonical_key():
+    # the image of the dual key is the binary dual of the key's image; the
+    # dual key is again canonical, and _dual_key undoes itself
+    keys = [(n, key) for n in range(1, 11) for key in _canonical_keys(n)]
+    assert len(keys) == 1656
+    for n, key in keys:
+        dual_key = _dual_key(n, *key)
+        assert _key_image(n, *dual_key) == dual_binary(_key_image(n, *key)), (n, key)
+        assert gf2poly.poly_mod(dual_key[2], dual_key[1]) == 0, (n, key)
+        assert _dual_key(n, *dual_key) == key, (n, key)
 
 
 def test_dual_formula_audit_diag_code():

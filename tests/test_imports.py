@@ -39,7 +39,7 @@ BinaryCode CapExceeded Factorization ParseError PreconditionError
 QuantumCodeRecord REFERENCE_ROWS RingCode SearchOutcome
 audit_decomposition_image audit_dual_formula audit_single_generator
 audit_size_formula binary_cyclic css_from_triple cyclic_image degree
-divides_xn1 dual_binary dual_containing_poly enumerate_divisors factor_xn1
+divides_xn1 dual_containing_poly enumerate_divisors factor_xn1
 format_poly gray_image_basis gray_vec gray_vec_inverse min_hamming
 parse_poly phi poly_divmod poly_gcd poly_hex poly_mod poly_mul reciprocal
 reproduce_all search_triples xn1
@@ -57,17 +57,43 @@ def test_public_names_are_pinned():
     assert _public_names() == sorted(PUBLIC)
 
 
-def test_public_names_are_used_by_the_program():
-    # A public name that no module of the package loads serves only the
-    # tests, and belongs in tests/oracles.py.  The package re-exports its
-    # names in __init__.py, so that module is left out.
+def _modules():
+    """Every module of the package but __init__.py, which re-exports the
+    names of the others, parsed with ast."""
+    return [ast.parse(path.read_text(), str(path))
+            for path in sorted((SRC / "vcubed").glob("*.py"))
+            if path.name != "__init__.py"]
+
+
+def _loaded_names():
+    """Every name and attribute that some module of the package loads."""
     loaded = set()
-    for path in (SRC / "vcubed").glob("*.py"):
-        if path.name == "__init__.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for tree in _modules():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.attr)
-    assert sorted(set(_public_names()) - loaded) == []
+    return loaded
+
+
+def test_public_names_are_used_by_the_program():
+    # A public name that no module of the package loads serves only the
+    # tests, and belongs in tests/oracles.py.
+    assert sorted(set(_public_names()) - _loaded_names()) == []
+
+
+def test_every_definition_is_used_by_the_program():
+    # The same for every top-level function, class and constant of a
+    # module, private ones included: a helper left behind when its last
+    # caller moved to tests/oracles.py fails here.
+    defined = set()
+    for tree in _modules():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+    assert defined
+    assert sorted(defined - _loaded_names()) == []

@@ -5,7 +5,6 @@ import pytest
 from vcubed.codes import (
     binary_cyclic,
     cyclic_image,
-    dual_binary,
     gray_image_basis,
     min_hamming,
 )
@@ -26,6 +25,7 @@ from oracles import (
     binary_min_weight_direct,
     build_ring_cyclic,
     contains_dual,
+    dual_binary,
     dual_ring_bruteforce,
     holds_dual_of,
     min_lee_enum,
@@ -42,6 +42,18 @@ def test_dual_containing_examples():
     assert not dual_containing_poly(7, P("x+1"))
     with pytest.raises(PreconditionError):
         dual_containing_poly(7, P("x^2+1"))
+
+
+def test_dual_containing_poly_is_the_f_times_reciprocal_criterion():
+    # the criterion reads h* (f | h*); compare with f f* | x^n - 1 itself on
+    # all 17,498 divisors of x^n - 1 at n <= 64, 8,192 of them at n = 63
+    checked = 0
+    for n in range(1, 65):
+        for f in enumerate_divisors(n, cap=1 << 13):
+            expected = poly_mod(xn1(n), poly_mul(f, reciprocal(f))) == 0
+            assert dual_containing_poly(n, f) == expected, (n, f)
+            checked += 1
+    assert checked == 17498
 
 
 def test_dual_containing_agrees_with_binary_dual_containment():

@@ -17,7 +17,6 @@ from oracles import (
     classify,
     gray,
     gray_inverse,
-    gray_triple,
     lee_weight,
     lee_weight_by_gray,
     lee_weight_vec,
@@ -97,10 +96,15 @@ def test_gray_examples_and_bijectivity():
     assert gray_inverse((1, 1, 1)) == ONE_PLUS_V
     assert gray_inverse((0, 0, 1)) == V2
     assert gray_inverse((0, 0, 0)) == 0
+    # a + v b + v^2 c -> (a, b, a+c), element x = a | b<<1 | c<<2
+    table = {0: (0, 0, 0), ONE: (1, 0, 1), V: (0, 1, 0), ONE_PLUS_V: (1, 1, 1),
+             V2: (0, 0, 1), ONE_PLUS_V2: (1, 0, 0), V_PLUS_V2: (0, 1, 1),
+             ONE_PLUS_V_PLUS_V2: (1, 1, 0)}
+    assert sorted(table) == list(ELEMENTS)
     seen = set()
     for x in ELEMENTS:
         t = gray(x)
-        assert t == gray_triple(x)
+        assert t == table[x]
         assert gray_inverse(t) == x
         seen.add(t)
     assert len(seen) == 8
@@ -128,7 +132,7 @@ def test_gray_vec_block_layout():
         assert gray_vec_inverse(mask, n) == vec
         # blockwise layout: a-parts, then b-parts, then (a+c)-parts
         for i, e in enumerate(vec):
-            a, b, t3 = gray_triple(e)
+            a, b, t3 = gray(e)
             assert (mask >> i) & 1 == a
             assert (mask >> (n + i)) & 1 == b
             assert (mask >> (2 * n + i)) & 1 == t3
