@@ -7,11 +7,11 @@ additive, weight-preserving bijection onto 3n-bit vectors, so a ring code is
 handled through the Gray masks of its image: every size and rank here is a
 plain GF(2) rank, and every Lee weight a popcount.
 
-Every rank and span goes through rref.  It passes each row once over a
-pivot table, a dict from each stored row's lowest set bit to the row, and
-then back-substitutes once from the highest pivot down; every row must be
-narrower than the ncols it is given.  The cyclic shift of a Gray image is
-phi, which rotates all three n-bit thirds of a mask in one closed form.
+Every rank, span and witness goes through one elimination (_reduced, which
+rref returns in full).  It passes each row once over a pivot table, a dict
+from each stored row's lowest set bit to the row, and then back-substitutes
+once from the highest pivot down.  The cyclic shift of a Gray image is phi,
+which rotates all three n-bit thirds of a mask in one closed form.
 
 A search meets the same generators and the same Gray images many times
 over, so the work is memoised where it repeats, in bounded lru_caches.  A
@@ -44,12 +44,11 @@ compare a claimed identity against exact computation and report a witness
 when the claim fails, never assuming it.  Every set they compare is a GF(2)
 subspace, so the audits are rank algebra on bases: sizes are ranks, equality
 and containment are basis comparisons, and each witness, the least member
-of one subspace outside another, is read off one echelon form of the first
-subspace (_least_outside) without walking a single codeword.  That echelon
-form is a leading-bit pivot table (_echelon), a dict from each stored row's
-highest set bit to the row, the mirror of rref's lowest-bit table; the
-witness is the first of its rows, by ascending leading bit and reduced by
-the rows below, that the other subspace does not contain.
+of one subspace outside another, is read off the elimination of the first
+subspace (_least_outside) without walking a single codeword.  Each mask
+carries its order key in its low bits, so that the key's lowest bit is the
+pivot; the witness is the first row, as _reduced yields them, that the
+other subspace does not contain, and the back-substitution stops there.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 from itertools import combinations
 from operator import xor
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import CapExceeded, PreconditionError
 from .gf2poly import (
@@ -69,18 +68,26 @@ DEFAULT_ENUM_CAP = 1 << 24
 DEFAULT_DIST_CAP = 1 << 20
 
 
-def rref(rows: Sequence[int], ncols: int) -> tuple[int, ...]:
+def rref(rows: Iterable[int]) -> tuple[int, ...]:
     """Reduced row echelon basis, pivoting on the lowest column index first.
 
     The result is canonical for the row space: rows are nonzero, each has a
     distinct lowest set bit (its pivot), pivots ascend, and no row has a bit
-    in another row's pivot column.  Every row must be narrower than ncols.
+    in another row's pivot column.
+    """
+    return tuple(_reduced(rows))[::-1]
+
+
+def _reduced(rows: Iterable[int]) -> Iterator[int]:
+    """The rows of rref(rows), highest pivot first, each yielded as soon as
+    it is reduced.
 
     Rows go into a pivot table, keyed by each stored row's lowest set bit.
     An incoming row is XORed with the stored row at its lowest bit until
     that bit is new to the table (the row is stored) or the row is zero.
     One back-substitution pass, from the highest pivot down, then clears
-    every pivot column of the rows below it.
+    from each row the pivot columns of the rows with higher pivots; those
+    rows are already reduced, so one XOR per such column suffices.
     """
     table: dict[int, int] = {}
     for row in rows:
@@ -91,9 +98,8 @@ def rref(rows: Sequence[int], ncols: int) -> tuple[int, ...]:
                 table[low] = row
                 break
             row ^= stored
-    pivots = sorted(table, reverse=True)
     higher = 0  # the pivot bits above the current one
-    for piv in pivots:
+    for piv in sorted(table, reverse=True):
         row = table[piv]
         hits = row & higher
         while hits:
@@ -102,7 +108,7 @@ def rref(rows: Sequence[int], ncols: int) -> tuple[int, ...]:
             hits ^= low
         table[piv] = row
         higher |= piv
-    return tuple(table[piv] for piv in reversed(pivots))
+        yield row
 
 
 class BinaryCode(NamedTuple):
@@ -113,7 +119,7 @@ class BinaryCode(NamedTuple):
 
     @classmethod
     def from_rows(cls, n: int, rows: Sequence[int]) -> "BinaryCode":
-        return cls(n, rref(rows, n))
+        return cls(n, rref(rows))
 
     @property
     def dim(self) -> int:
@@ -244,7 +250,7 @@ def _mask_span(mask: int, n: int, cyclic: bool) -> tuple[int, ...]:
         if shift:
             mask = phi(mask, 3 * n)
         rows.update((mask, *_v_multiples(mask, n)))
-    return rref(rows, 3 * n)
+    return rref(rows)
 
 
 def code_key(n: int, f1: int, f2: int, f3: int) -> tuple[int, int, int]:
@@ -454,86 +460,62 @@ def audit_decomposition_image(image: BinaryCode) -> DecompositionAudit:
 
 
 def _product_order_key(n: int) -> Callable[[int], int]:
-    """The order of product(sorted(C1), sorted(C2), sorted(C3)) on masks:
-    (A|B|C) compares as A<<2n | B<<n | C."""
+    """The order of product(sorted(C1), sorted(C2), sorted(C3)) on masks,
+    as the mirrored order of a key (_least_outside): (A|B|C) compares as
+    the integer A<<2n | B<<n | C, so the key is that integer's 3n bits
+    reversed, which is the mask with each third reversed in place."""
     def key(mask: int) -> int:
         a, b, c = _thirds(mask, n)
-        return a << (2 * n) | b << n | c
+        return int(f"{a << (2 * n) | b << n | c:0{3 * n}b}"[::-1], 2)
     return key
 
 
 def _ring_order_key(n: int) -> Callable[[int], int]:
-    """The order of ring tuples (gray_vec_inverse) on masks.
+    """The order of ring tuples (gray_vec_inverse) on masks, as the mirrored
+    order of a key (_least_outside).
 
     The vector of a mask (A|B|C) has entries e_i = a_i | b_i<<1 | c_i<<2 with
-    c = A^C, so tuples compare as the integers sum e_i * 8^(n-1-i), that is
-    as S(A) | S(B)<<1 | S(A^C)<<2, where S (_spread) moves bit i to bit
-    3(n-1-i).
+    c = A^C, and tuples compare entry by entry from e_0, each entry as an
+    integer.  So they compare in the mirrored order of sum e'_i * 8^i, where
+    e'_i = c_i | b_i<<1 | a_i<<2 is e_i with its three bits reversed: that
+    is T(A)<<2 | T(B)<<1 | T(A^C), where T (_interleave) moves bit i to bit
+    3i.
     """
     def key(mask: int) -> int:
         a, b, c = _thirds(mask, n)
-        return _spread(a, n) | _spread(b, n) << 1 | _spread(a ^ c, n) << 2
+        return _interleave(a) << 2 | _interleave(b) << 1 | _interleave(a ^ c)
     return key
 
 
 @lru_cache(maxsize=4096)
-def _spread(x: int, n: int) -> int:
-    """x with bit i moved to bit 3(n-1-i): its n bits, lowest first, read as
-    octal digits."""
-    return int(f"{x:0{n}b}"[::-1], 8)
-
-
-def _echelon(rows: Iterable[int]) -> dict[int, int]:
-    """Leading-bit pivot table of the span of rows: a dict from each stored
-    row's highest set bit (as its bit_length) to that row.
-
-    An incoming row is XORed with the stored row at its highest bit until
-    that bit is new to the table (the row is stored) or the row is zero.
-    """
-    table: dict[int, int] = {}
-    for row in rows:
-        while row:
-            lead = row.bit_length()
-            stored = table.get(lead)
-            if stored is None:
-                table[lead] = row
-                break
-            row ^= stored
-    return table
+def _interleave(x: int) -> int:
+    """x with bit i moved to bit 3i: its bits read as octal digits."""
+    return int(f"{x:b}", 8)
 
 
 def _least_outside(x: BinaryCode, y: BinaryCode, key: Callable[[int], int]) -> int:
-    """The least mask of x outside y, under the order of key(mask).
+    """The least mask of x outside y, in the mirrored order of key(mask):
+    of two keys, the one with a 0 at the lowest bit where they differ is
+    less.
 
     key must be a linear bijection (here, a bit relabelling), so a mask m
-    travels as key(m) << n | m and sums act on both halves at once.  The
-    rows of x go into one leading-bit pivot table (_echelon), which is walked
-    by ascending leading bit; each row is reduced by the rows below it, and
-    the first reduced row that y rejects gives the witness.  The rows below
-    it lie in y, so the whole coset of that row lies outside y.  Every member
-    of x with a smaller leading bit lies in the span of those rows, which is
-    inside y.  The reduced row is the least member of its coset (adding any
-    nonzero sum of the rows below sets that sum's leading bit, which the
-    reduction cleared), so it is the unique least member of x \\ y, and any
-    basis of x gives the same witness.
+    travels as m << x.n | key(m) and sums act on both halves at once; each
+    row's pivot, its lowest set bit, lies in the key half.  In the mirrored
+    order a row with a higher pivot is less, and rref reduces each row by
+    exactly the rows with higher pivots, which _reduced yields first; the
+    first reduced row that y rejects gives the witness.  The rows before it
+    lie in y, so the whole coset of that row lies outside y.  Every member
+    of x with a higher lowest bit lies in the span of those rows, which is
+    inside y, and every one with a lower lowest bit is greater.  The reduced
+    row is the least member of its coset (adding any nonzero sum of the
+    rows before it sets that sum's lowest bit, a pivot column that the
+    reduction cleared, and leaves every bit below it), so it is the unique
+    least member of x \\ y, and any basis of x gives the same witness.
     """
     n = x.n
-    low = (1 << n) - 1
-    table = _echelon(key(m) << n | m for m in x.basis)
-    pivots = 0  # the leading bits of the rows below the current one
-    for lead in sorted(table):
-        row = table[lead]
-        # Each reduced row below has no bit in another one's pivot column,
-        # so one XOR per pivot bit of the row clears them all.
-        hits = row & pivots
-        while hits:
-            bit = hits & -hits
-            row ^= table[bit.bit_length()]
-            hits ^= bit
-        if not y.contains(row & low):
-            return row & low
-        table[lead] = row
-        pivots |= 1 << (lead - 1)
+    for row in _reduced(m << n | key(m) for m in x.basis):
+        if not y.contains(row >> n):
+            return row >> n
     raise PreconditionError("no codeword outside the other code")
 
 

@@ -162,7 +162,6 @@ def _cyclotomic_cosets(m: int) -> list[list[int]]:
     return cosets
 
 
-@lru_cache(maxsize=None)
 def _factor_odd(m: int) -> tuple[int, ...]:
     """Distinct irreducible factors of x^m + 1 for odd m, canonically ordered.
 

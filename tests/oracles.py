@@ -408,7 +408,7 @@ def nullspace(rows, ncols: int) -> tuple[int, ...]:
     table's echelon form (rref) gives one vector: its own bit plus the
     pivot bit of every row with a bit in that column.
     """
-    reduced = rref(rows, ncols)
+    reduced = rref(rows)
     pivots = [(r & -r).bit_length() - 1 for r in reduced]
     pivot_set = set(pivots)
     basis = []
@@ -420,7 +420,7 @@ def nullspace(rows, ncols: int) -> tuple[int, ...]:
             if (row >> free) & 1:
                 vec |= 1 << piv
         basis.append(vec)
-    return rref(basis, ncols)
+    return rref(basis)
 
 
 @lru_cache(maxsize=1024)
@@ -587,7 +587,7 @@ def min_lee_enum(span: frozenset[tuple[int, ...]]) -> int:
 
 
 def _span_f2_basis(span: frozenset[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
-    masks = rref([gray_vec(v) for v in span], 3 * n)
+    masks = rref([gray_vec(v) for v in span])
     return [gray_vec_inverse(m, n) for m in masks]
 
 

@@ -49,9 +49,7 @@ def test_every_cache_is_bounded():
     assert set(TIERS) <= set(caches)
     unbounded = {name for name, fn in caches.items()
                  if fn.cache_parameters()["maxsize"] is None}
-    # _factor_odd is keyed by the odd part of n, which the factorization
-    # bound limits.
-    assert unbounded == {"vcubed.gf2poly._factor_odd"}
+    assert unbounded == set()
 
 
 @pytest.mark.parametrize("n, equal_only", [(7, False), (8, False), (15, True), (21, True)])

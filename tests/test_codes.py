@@ -1,4 +1,5 @@
 import random
+from functools import cmp_to_key
 from itertools import product
 
 import pytest
@@ -13,6 +14,7 @@ from vcubed.codes import (
     _key_image,
     _least_outside,
     _product_order_key,
+    _reduced,
     _ring_order_key,
     _single_image,
     _v_multiples,
@@ -83,8 +85,8 @@ def test_rref_canonical_and_idempotent():
     for _ in range(100):
         n = rng.randint(1, 10)
         rows = [rng.getrandbits(n) for _ in range(rng.randint(0, 6))]
-        basis = rref(rows, n)
-        assert rref(basis, n) == basis
+        basis = rref(rows)
+        assert rref(basis) == basis
         pivots = [(r & -r).bit_length() - 1 for r in basis]
         assert pivots == sorted(pivots)
         assert len(set(pivots)) == len(pivots)
@@ -127,9 +129,10 @@ def test_rref_matches_column_scan_oracle():
     widths = [1, 2, 3, 381] + [rng.randint(1, 381) for _ in range(2096)]
     for width in widths:
         rows = _mixed_rows(rng, width)
-        assert rref(rows, width) == rref_by_columns(rows, width)
-    assert rref([], 5) == rref([0, 0], 5) == ()
-    assert rref([0b110, 0b011, 0b101], 3) == (0b101, 0b110)
+        assert rref(rows) == rref_by_columns(rows, width)
+        assert tuple(_reduced(rows)) == rref(rows)[::-1]  # highest pivot first
+    assert rref([]) == rref([0, 0]) == ()
+    assert rref([0b110, 0b011, 0b101]) == (0b101, 0b110)
 
 
 def test_nullspace_properties():
@@ -141,15 +144,15 @@ def test_nullspace_properties():
         for v in null:
             for r in rows:
                 assert (v & r).bit_count() % 2 == 0
-        assert len(null) == width - len(rref(rows, width))
-        assert rref(null, width) == null
-        assert nullspace(null, width) == rref(rows, width)
+        assert len(null) == width - len(rref(rows))
+        assert rref(null) == null
+        assert nullspace(null, width) == rref(rows)
 
 
 def test_rref_row_space_equality_is_basis_equality():
     rows_a = [0b101, 0b011]
     rows_b = [0b110, 0b011]  # same span of F_2^3 subspace
-    assert rref(rows_a, 3) == rref(rows_b, 3)
+    assert rref(rows_a) == rref(rows_b)
 
 
 def test_binary_cyclic_dims():
@@ -865,6 +868,27 @@ def _random_rows(rng, count, bits):
     return [rng.getrandbits(bits) for _ in range(count)]
 
 
+# The orders the witnesses are defined in, as sort keys on Gray masks: ring
+# tuples, and the (A, B, C) thirds as in product(sorted(C1), sorted(C2),
+# sorted(C3)).  Each audit's order key must give the same order.
+def _ring_order(n):
+    return lambda mask: gray_vec_inverse(mask, n)
+
+
+def _product_order(n):
+    full = (1 << n) - 1
+    return lambda mask: (mask & full, (mask >> n) & full, mask >> (2 * n))
+
+
+def _mirrored(key):
+    """Sort key for the mirrored order of key(mask): of two keys, the one
+    with a 0 at the lowest bit where they differ is less."""
+    def compare(a, b):
+        diff = key(a) ^ key(b)
+        return 0 if not diff else 1 if key(a) & diff & -diff else -1
+    return cmp_to_key(compare)
+
+
 def test_least_outside_matches_walk():
     # the least member of x outside y under each order key, against a walk
     # of x; y inside x, partial overlap and y = 0 all occur
@@ -885,10 +909,11 @@ def test_least_outside_matches_walk():
         if y.contains_code(x):
             continue
         cases += 1
-        for key in (_product_order_key(n), _ring_order_key(n)):
+        for key, order in ((_product_order_key(n), _product_order(n)),
+                           (_ring_order_key(n), _ring_order(n))):
             least = _least_outside(x, y, key)
             assert x.contains(least) and not y.contains(least)
-            assert key(least) == min(key(m) for m in codewords(x) if not y.contains(m))
+            assert least == min((m for m in codewords(x) if not y.contains(m)), key=order)
     assert cases > 250
 
 
@@ -908,7 +933,7 @@ def test_least_outside_matches_walk_on_audit_inputs():
         for fs in product(enumerate_divisors(n), repeat=3):
             image = cyclic_image(n, *fs)
             formula = gray_image_basis(dual_ring_formula(n, *fs))
-            pairs.add((formula, dual_binary(image), _ring_order_key))
+            pairs.add((formula, dual_binary(image), _ring_order_key, _ring_order))
             c1, c2, c3 = _image_projections(image)
             direct_sum = BinaryCode.from_rows(3 * n, [
                 *c1.basis, *(b << n for b in c2.basis), *(c << (2 * n) for c in c3.basis)])
@@ -916,15 +941,16 @@ def test_least_outside_matches_walk_on_audit_inputs():
                 *(_combination_mask(a, 0, 0, n) for a in c1.basis),
                 *(_combination_mask(0, b, 0, n) for b in c2.basis),
                 *(_combination_mask(0, 0, c, n) for c in c3.basis)])
-            pairs.add((direct_sum, image, _product_order_key))
-            pairs.add((recon, image, _ring_order_key))
+            pairs.add((direct_sum, image, _product_order_key, _product_order))
+            pairs.add((recon, image, _ring_order_key, _ring_order))
     witnesses = 0
-    for a, b, order in pairs:
-        key = order(a.n // 3)
+    for a, b, order_key, order in pairs:
+        n = a.n // 3
+        key = order_key(n)
         for x, y in ((a, b), (b, a)):
             outside = set(codewords(x)) - set(codewords(y))
             if outside:
-                assert _least_outside(x, y, key) == min(outside, key=key)
+                assert _least_outside(x, y, key) == min(outside, key=order(n))
                 witnesses += 1
             else:
                 with pytest.raises(PreconditionError):
@@ -937,8 +963,10 @@ def test_ring_order_key_is_the_tuple_order():
     for _ in range(300):
         n = rng.randint(1, 21)
         masks = [rng.getrandbits(3 * n) for _ in range(2)]
-        by_key = sorted(masks, key=_ring_order_key(n))
-        assert by_key == sorted(masks, key=lambda m: gray_vec_inverse(m, n))
+        by_key = sorted(masks, key=_mirrored(_ring_order_key(n)))
+        assert by_key == sorted(masks, key=_ring_order(n))
+        by_key = sorted(masks, key=_mirrored(_product_order_key(n)))
+        assert by_key == sorted(masks, key=_product_order(n))
 
 
 def test_decomposition_on_images_matches_set_audit():
@@ -961,16 +989,16 @@ def test_dual_formula_witness_matches_walk():
             assert (audit.witness, audit.witness_side) == dual_witness_by_walk(n, *fs), (n, fs)
 
 
-def _least_walked(x, y, key, n):
+def _least_walked(x, y, order, n):
     """The ring vector of the least mask of the set x outside the set y,
-    under key."""
-    return gray_vec_inverse(min(x - y, key=key), n)
+    under order."""
+    return gray_vec_inverse(min(x - y, key=order(n)), n)
 
 
 def test_audit_witnesses_are_the_least_walked_members():
     # every witness of the decomposition and dual-formula audits is the least
-    # member, under the audit's own order key, of the walked codeword set of
-    # one side outside the other
+    # member, in the audit's own order, of the walked codeword set of one
+    # side outside the other
     for n in (1, 2, 3):
         full = (1 << n) - 1
         for fs in product(enumerate_divisors(n), repeat=3):
@@ -983,13 +1011,13 @@ def test_audit_witnesses_are_the_least_walked_members():
                      for a in a_set for b in b_set for c in c_set}
             dec = audit_decomposition_image(image)
             assert dec.tensor_witness == (
-                _least_walked(direct_sum, psi, _product_order_key(n), n)
+                _least_walked(direct_sum, psi, _product_order, n)
                 if direct_sum != psi else None), (n, fs)
             if recon - psi:
-                expected = (_least_walked(recon, psi, _ring_order_key(n), n),
+                expected = (_least_walked(recon, psi, _ring_order, n),
                             "only_in_reconstruction")
             elif psi - recon:
-                expected = _least_walked(psi, recon, _ring_order_key(n), n), "only_in_code"
+                expected = _least_walked(psi, recon, _ring_order, n), "only_in_code"
             else:
                 expected = None, ""
             assert (dec.reconstruction_witness, dec.reconstruction_witness_side) == expected
@@ -997,9 +1025,9 @@ def test_audit_witnesses_are_the_least_walked_members():
             dual = set(codewords(dual_binary(image)))
             formula = set(codewords(gray_image_basis(dual_ring_formula(n, *fs))))
             if dual - formula:
-                expected = _least_walked(dual, formula, _ring_order_key(n), n), "only_in_brute"
+                expected = _least_walked(dual, formula, _ring_order, n), "only_in_brute"
             elif formula - dual:
-                expected = (_least_walked(formula, dual, _ring_order_key(n), n),
+                expected = (_least_walked(formula, dual, _ring_order, n),
                             "only_in_formula")
             else:
                 expected = None, ""

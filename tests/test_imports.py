@@ -97,3 +97,20 @@ def test_every_definition_is_used_by_the_program():
                 defined.update(t.id for t in targets if isinstance(t, ast.Name))
     assert defined
     assert sorted(defined - _loaded_names()) == []
+
+
+def test_every_parameter_is_read():
+    # A parameter that its function never reads (a read in a nested function
+    # counts) asks every caller for an argument that changes nothing.
+    unread = []
+    for tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                args = node.args
+                params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                          args.vararg, args.kwarg) if a]
+                loaded = {name.id for name in ast.walk(node)
+                          if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)}
+                unread += [f"{getattr(node, 'name', 'lambda')}.{p}"
+                           for p in params if p not in loaded]
+    assert unread == []
