@@ -13,7 +13,6 @@ from .codes import (
     cyclic_image,
     gray_image_basis,
     min_hamming,
-    phi,
 )
 from .errors import CapExceeded, ParseError, PreconditionError
 from .gf2poly import (

@@ -62,13 +62,28 @@ def _poly_fields(p: int) -> dict:
     return {"poly": format_poly(p), "hex": poly_hex(p)}
 
 
+# Records are trees of dicts, lists, strs, ints and bools: no cycle to check.
+_encode = json.JSONEncoder(check_circular=False).encode
+
+
+def _encode_records(records: Iterable[dict]) -> list[str]:
+    """One JSON line per record.  Sizes such as code_size = 2^(3n) can run
+    past Python's limit on int-to-str digits, so the limit is lifted while
+    the records are encoded, and restored after."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # Pythons without the limit
+        return [_encode(rec) for rec in records]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return [_encode(rec) for rec in records]
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _emit(records: Iterable[dict], fmt: str, table_lines: Iterable[str]) -> None:
-    if fmt == "records":
-        for rec in records:
-            print(json.dumps(rec))
-    else:
-        for line in table_lines:
-            print(line)
+    """Write the chosen format's lines to stdout in one write."""
+    lines = _encode_records(records) if fmt == "records" else table_lines
+    sys.stdout.write("\n".join([*lines, ""]))
 
 
 def cmd_factor(args) -> int:

@@ -10,8 +10,10 @@ plain GF(2) rank, and every Lee weight a popcount.
 Every rank, span and witness goes through one elimination (_reduced, which
 rref returns in full).  It passes each row once over a pivot table, a dict
 from each stored row's lowest set bit to the row, and then back-substitutes
-once from the highest pivot down.  The cyclic shift of a Gray image is phi,
-which rotates all three n-bit thirds of a mask in one closed form.
+once from the highest pivot down.  The cyclic shift of a Gray image
+rotates each n-bit third (A|B|C) of its mask by one position, and the Gray
+masks of v*g and v^2*g are (0|C|B) and (0|B|C), so a cyclic span is built
+on the thirds alone (_mask_span).
 
 A search meets the same generators and the same Gray images many times
 over, so the work is memoised where it repeats, in bounded lru_caches.  A
@@ -194,32 +196,6 @@ def _thirds(mask: int, n: int) -> tuple[int, int, int]:
     return mask & full, (mask >> n) & full, (mask >> (2 * n)) & full
 
 
-def phi(mask: int, length: int) -> int:
-    """Blockwise shift of a binary vector split into three equal thirds.
-
-    The mask must be length bits wide.  Each third of n bits rotates right
-    by one position at once: with top the mask of every third's highest bit,
-    the other bits move up one and the top bits wrap round to the bottom of
-    their own third.
-    """
-    if length % 3 != 0:
-        raise PreconditionError(f"length {length} not divisible by 3")
-    n = length // 3
-    top = (1 | 1 << n | 1 << (2 * n)) << (n - 1)
-    return (mask & ~top) << 1 | (mask & top) >> (n - 1)
-
-
-def _v_multiples(mask: int, n: int) -> tuple[int, int]:
-    """Gray masks of v*x and v^2*x, given the Gray mask (A|B|C) of x.
-
-    With x = a + v*b + v^2*c, so that (A|B|C) = (a|b|a+c), v*x = v*(a+c)
-    + v^2*b and v^2*x = v*b + v^2*(a+c), whose Gray images are (0|C|B) and
-    (0|B|C).
-    """
-    _, b, c = _thirds(mask, n)
-    return c << n | b << (2 * n), b << n | c << (2 * n)
-
-
 def gray_image_basis(code: RingCode) -> BinaryCode:
     """Canonical basis of the Gray image, a binary code of length 3n.
 
@@ -242,14 +218,21 @@ def _mask_span(mask: int, n: int, cyclic: bool) -> tuple[int, ...]:
     with Gray mask ``mask`` spans.
 
     Over R that submodule is the GF(2) span of {u*g : u in {1, v, v^2}} for
-    the generator g (and every shift of it, when cyclic); all of these are
-    taken on Gray masks, where the shift is phi.
+    the generator g (and every shift of it, when cyclic).  All of these are
+    taken on Gray masks, split once into thirds (A|B|C): with g = a + v*b +
+    v^2*c, so that (A|B|C) = (a|b|a+c), v*g = v*(a+c) + v^2*b and v^2*g =
+    v*b + v^2*(a+c) have the Gray masks (0|C|B) and (0|B|C), and the cyclic
+    shift rotates each third by one position, its top bit to bit 0.
     """
-    rows: set[int] = set()
-    for shift in range(n if cyclic else 1):
-        if shift:
-            mask = phi(mask, 3 * n)
-        rows.update((mask, *_v_multiples(mask, n)))
+    full = (1 << n) - 1
+    top, n2 = n - 1, 2 * n
+    a, b, c = _thirds(mask, n)
+    rows: list[int] = []
+    for _ in range(n if cyclic else 1):
+        rows += (a | b << n | c << n2, c << n | b << n2, b << n | c << n2)
+        a = (a << 1 | a >> top) & full
+        b = (b << 1 | b >> top) & full
+        c = (c << 1 | c >> top) & full
     return rref(rows)
 
 

@@ -48,5 +48,8 @@ def format_elem(x: int) -> str:
     return "+".join(name for name, bit in _TERM_BITS.items() if x & bit)
 
 
+_ELEM_TEXT = tuple(format_elem(x) for x in range(8))
+
+
 def format_vec(vec: tuple[int, ...]) -> str:
-    return "(" + ", ".join(format_elem(e) for e in vec) + ")"
+    return "(" + ", ".join(map(_ELEM_TEXT.__getitem__, vec)) + ")"

@@ -11,11 +11,14 @@ code paths: polynomials are coefficient lists, ring elements are multiplied
 by expanding v-power convolutions, spans are built by iterating every
 scalar combination.  Slow and dumb on purpose.
 
-The column-scan elimination and the per-third shift keep the library's
-earlier forms of rref and phi, as references for the pivot table and the
-closed-form rotation that replaced them.  The Gray image by shifts keeps the
-earlier, unmemoised gray_image_basis: one row space over every generator's
-shifts and v-multiples at once.
+The column-scan elimination keeps the library's earlier form of rref, as a
+reference for the pivot table that replaced it.  phi (the blockwise shift
+of a Gray mask, in one closed form) and _v_multiples (the Gray masks of v*x
+and v^2*x) are the library's earlier per-shift operators, which its
+one-pass span over the thirds of a mask replaced; the per-third shift is
+the form before phi.  The Gray image by shifts keeps the earlier,
+unmemoised gray_image_basis: one row space over every generator's shifts
+and v-multiples at once, built with phi and _v_multiples.
 
 The set-based audits take the library's Gray images and walk their
 codewords, as the audits did before they became rank algebra, so they check
@@ -48,12 +51,11 @@ from vcubed.codes import (
     DecompositionAudit,
     RingCode,
     _combination_mask,
-    _v_multiples,
+    _thirds,
     audit_decomposition_image,
     audit_size_formula,
     code_key,
     gray_image_basis,
-    phi,
     rref,
 )
 from vcubed.errors import CapExceeded, ParseError, PreconditionError
@@ -286,6 +288,32 @@ def rref_by_columns(rows, ncols):
         if not work:
             break
     return tuple(basis)
+
+
+def phi(mask: int, length: int) -> int:
+    """Blockwise shift of a binary vector split into three equal thirds.
+
+    The mask must be length bits wide.  Each third of n bits rotates right
+    by one position at once: with top the mask of every third's highest bit,
+    the other bits move up one and the top bits wrap round to the bottom of
+    their own third.
+    """
+    if length % 3 != 0:
+        raise PreconditionError(f"length {length} not divisible by 3")
+    n = length // 3
+    top = (1 | 1 << n | 1 << (2 * n)) << (n - 1)
+    return (mask & ~top) << 1 | (mask & top) >> (n - 1)
+
+
+def _v_multiples(mask: int, n: int) -> tuple[int, int]:
+    """Gray masks of v*x and v^2*x, given the Gray mask (A|B|C) of x.
+
+    With x = a + v*b + v^2*c, so that (A|B|C) = (a|b|a+c), v*x = v*(a+c)
+    + v^2*b and v^2*x = v*b + v^2*(a+c), whose Gray images are (0|C|B) and
+    (0|B|C).
+    """
+    _, b, c = _thirds(mask, n)
+    return c << n | b << (2 * n), b << n | c << (2 * n)
 
 
 def phi_by_thirds(mask, length):

@@ -28,7 +28,6 @@ from vcubed.codes import (
     binary_cyclic,
     cyclic_image,
     gray_image_basis,
-    phi,
 )
 from vcubed.gf2poly import (
     degree,
@@ -56,6 +55,7 @@ from oracles import (
     is_self_orthogonal,
     lee_weight,
     lee_weight_vec,
+    phi,
     ring_add,
     ring_inner_product,
     sigma,

@@ -241,6 +241,49 @@ def test_inspect_of_a_huge_non_divisor_exits_quickly(capsys):
     assert "f1 = x^1000000 does not divide x^4+1" in err
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no limit on int-to-str digits")
+def test_records_carry_sizes_past_the_int_digit_limit(capsys):
+    # code_size = 2^2400 has 723 digits, over a limit of 640
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, "inspect", "--n", "800", "--f1", "1",
+                             "--f2", "1", "--f3", "1", "--format", "records")
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, err) == (0, "")
+    (record,) = records_of(out)
+    decomposition = record["audits"][0]
+    assert decomposition["target"] == "decomposition"
+    assert decomposition["code_size"] == 2 ** 2400
+
+
+class _CountingStdout:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("argv", [
+    ("audit", "--n-max", "2", "--format", "records"),
+    ("search", "--n", "7"),
+])
+def test_each_command_writes_stdout_once(monkeypatch, argv):
+    stdout = _CountingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(list(argv)) == 0
+    assert len(stdout.writes) == 1
+    assert stdout.writes[0].count("\n") > 1
+
+
 def test_search_n8_equal_triples(capsys):
     code, out, _ = run(capsys, "search", "--n", "8", "--equal-triples-only",
                        "--format", "records")

@@ -13,11 +13,11 @@ from vcubed.codes import (
     _image_projections,
     _key_image,
     _least_outside,
+    _mask_span,
     _product_order_key,
     _reduced,
     _ring_order_key,
     _single_image,
-    _v_multiples,
     audit_decomposition_image,
     audit_dual_formula,
     audit_single_generator,
@@ -26,7 +26,6 @@ from vcubed.codes import (
     cyclic_image,
     gray_image_basis,
     min_hamming,
-    phi,
     rref,
 )
 from vcubed import codes, gf2poly, quantum, reference
@@ -45,6 +44,7 @@ from oracles import (
     V_PLUS_V2,
     _least_ring_vector,
     _unit_multiple,
+    _v_multiples,
     audit_decomposition,
     audit_decomposition_by_sets,
     binary_dual_direct,
@@ -63,6 +63,7 @@ from oracles import (
     is_self_orthogonal,
     min_lee_enum,
     nullspace,
+    phi,
     phi_by_thirds,
     ring_inner_product,
     rref_by_columns,
@@ -530,6 +531,18 @@ def test_gray_image_basis_examples():
     span = span_enumerate(code)
     assert len(span) == image.size
     assert {gray_vec(v) for v in span} == set(codewords(image))
+
+
+def test_mask_span_matches_the_span_by_phi_and_v_multiples():
+    rng = random.Random(2503)
+    for n in range(1, 13):
+        masks = [0, (1 << 3 * n) - 1] + [rng.getrandbits(3 * n) for _ in range(150)]
+        if n <= 2:
+            masks = range(1 << 3 * n)
+        for mask in masks:
+            for cyclic in (False, True):
+                code = RingCode(n, (gray_vec_inverse(mask, n),), cyclic)
+                assert _mask_span(mask, n, cyclic) == gray_image_basis_by_shifts(code).basis
 
 
 def test_v_multiples_match_ring_scaling():

@@ -41,7 +41,7 @@ audit_decomposition_image audit_dual_formula audit_single_generator
 audit_size_formula binary_cyclic css_from_triple cyclic_image degree
 divides_xn1 dual_containing_poly enumerate_divisors factor_xn1
 format_poly gray_image_basis gray_vec gray_vec_inverse min_hamming
-parse_poly phi poly_divmod poly_gcd poly_hex poly_mod poly_mul reciprocal
+parse_poly poly_divmod poly_gcd poly_hex poly_mod poly_mul reciprocal
 reproduce_all search_triples xn1
 """.split()
 

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -171,3 +172,9 @@ def test_elem_text_round_trip():
     assert format_vec((V, 0)) == "(v, 0)"
     with pytest.raises(ParseError):
         parse_elem("v^3")
+
+
+def test_format_vec_is_the_join_of_format_elem():
+    for n in range(4):
+        for vec in product(ELEMENTS, repeat=n):
+            assert format_vec(vec) == "(" + ", ".join(format_elem(e) for e in vec) + ")"
