@@ -5,6 +5,10 @@ a human-readable table (default) or line-delimited records ("--format
 records", one JSON object per line with a leading "kind" field).  Every
 polynomial appears in both algebraic and hexadecimal form.
 
+A run builds the top-level parser with the invoked command's subparser
+alone (main), and a search or an audit builds only the format it was asked
+for.
+
 Exit codes: 0 success, 1 usage or parse error, 2 resource cap exceeded,
 3 mathematical precondition violated, 4 reproduction mismatch.
 """
@@ -80,10 +84,15 @@ def _encode_records(records: Iterable[dict]) -> list[str]:
         sys.set_int_max_str_digits(limit)
 
 
-def _emit(records: Iterable[dict], fmt: str, table_lines: Iterable[str]) -> None:
-    """Write the chosen format's lines to stdout in one write."""
-    lines = _encode_records(records) if fmt == "records" else table_lines
+def _write(lines: Iterable[str]) -> None:
+    """Write the lines to stdout in one write."""
     sys.stdout.write("\n".join([*lines, ""]))
+
+
+def _emit(records: Iterable[dict], fmt: str, table_lines: Iterable[str]) -> None:
+    """Write the chosen format's lines; for a command of one or a few
+    records, whose two formats cost next to nothing to build."""
+    _write(_encode_records(records) if fmt == "records" else table_lines)
 
 
 def cmd_factor(args) -> int:
@@ -277,10 +286,8 @@ def cmd_search(args) -> int:
         max_results=args.max_results,
         divisor_cap=args.divisor_cap,
     )
-    records = []
-    lines = []
-    for rec in outcome.records:
-        records.append({
+    if args.format == "records":
+        records = [{
             "kind": "search_result",
             "n": rec.ring_n,
             "f1": _poly_fields(rec.f1),
@@ -290,7 +297,18 @@ def cmd_search(args) -> int:
             "d_method": rec.d_method,
             "validated": rec.validated,
             "notes": list(rec.notes),
+        } for rec in outcome.records]
+        records.append({
+            "kind": "search_result",
+            "summary": True,
+            "scanned": outcome.scanned,
+            "admissible": outcome.admissible,
+            "emitted": outcome.emitted,
         })
+        _write(_encode_records(records))
+        return EXIT_OK
+    lines = []
+    for rec in outcome.records:
         flags = " ".join(
             filter(None, [rec.d_method,
                           "validated" if rec.validated else "unvalidated",
@@ -300,19 +318,11 @@ def cmd_search(args) -> int:
             f"{rec}  f1={format_poly(rec.f1)} f2={format_poly(rec.f2)} "
             f"f3={format_poly(rec.f3)}  ({flags})"
         )
-    summary = {
-        "kind": "search_result",
-        "summary": True,
-        "scanned": outcome.scanned,
-        "admissible": outcome.admissible,
-        "emitted": outcome.emitted,
-    }
-    records.append(summary)
     lines.append(
         f"scanned {outcome.scanned} triples, {outcome.admissible} admissible, "
         f"{outcome.emitted} emitted"
     )
-    _emit(records, args.format, lines)
+    _write(lines)
     return EXIT_OK
 
 
@@ -370,13 +380,35 @@ AUDIT_CATALOG: tuple[tuple[str, int, tuple[tuple[int, ...], ...]], ...] = (
 
 
 def cmd_audit(args) -> int:
-    records = []
-    lines = []
+    catalog = [
+        (label, codes.audit_decomposition_image(codes.gray_image_basis(codes.RingCode(n, gens))))
+        for label, n, gens in AUDIT_CATALOG
+    ]
+    cyclic = []
+    for n in range(1, args.n_max + 1):
+        for f1, f2, f3 in product(enumerate_divisors(n), repeat=3):
+            label = (f"cyclic n={n}, ({format_poly(f1)}; "
+                     f"{format_poly(f2)}; {format_poly(f3)})")
+            cyclic.append((
+                label,
+                codes.audit_decomposition_image(codes.cyclic_image(n, f1, f2, f3)),
+                codes.audit_size_formula(n, f1, f2, f3),
+                codes.audit_single_generator(n, f1, f2, f3),
+                codes.audit_dual_formula(n, f1, f2, f3),
+            ))
 
-    for label, n, gens in AUDIT_CATALOG:
-        image = codes.gray_image_basis(codes.RingCode(n, gens))
-        dec = codes.audit_decomposition_image(image)
-        records.append(_decomposition_record(dec, label))
+    if args.format == "records":
+        records = [_decomposition_record(dec, label) for label, dec in catalog]
+        for label, dec, size, single, dual in cyclic:
+            records += (_decomposition_record(dec, label), _size_record(size),
+                        _single_generator_record(single), _dual_formula_record(dual))
+        _write(_encode_records(records))
+        return EXIT_OK
+
+    lines = []
+    verdicts = []
+    for label, dec in catalog:
+        verdicts.append(dec.passed)
         status = "PASS" if dec.passed else "FAIL"
         detail = (
             f"|C|={dec.code_size}, product={dec.product_size}, "
@@ -391,91 +423,87 @@ def cmd_audit(args) -> int:
                 f"      reconstruction witness: {format_vec(dec.reconstruction_witness)} "
                 f"({dec.reconstruction_witness_side})"
             )
-
-    for n in range(1, args.n_max + 1):
-        for f1, f2, f3 in product(enumerate_divisors(n), repeat=3):
-            label = (f"cyclic n={n}, ({format_poly(f1)}; "
-                     f"{format_poly(f2)}; {format_poly(f3)})")
-            dec = codes.audit_decomposition_image(codes.cyclic_image(n, f1, f2, f3))
-            records.append(_decomposition_record(dec, label))
-            size = codes.audit_size_formula(n, f1, f2, f3)
-            records.append(_size_record(size))
-            single = codes.audit_single_generator(n, f1, f2, f3)
-            records.append(_single_generator_record(single))
-            dual = codes.audit_dual_formula(n, f1, f2, f3)
-            records.append(_dual_formula_record(dual))
-            lines.append(
-                f"{label}: decomposition={'PASS' if dec.passed else 'FAIL'} "
-                f"size={'PASS' if size.matches else 'FAIL'} "
-                f"single_generator={'PASS' if single.equal else 'FAIL'} "
-                f"dual_formula={'PASS' if dual.formula_matches_brute else 'FAIL'}"
-            )
-
-    failures = sum(not r["pass"] for r in records)
-    lines.append(f"{len(records)} audits, {failures} failed claims (witnesses recorded)")
-    _emit(records, args.format, lines)
+    for label, dec, size, single, dual in cyclic:
+        # the "pass" of each record that the records format would write
+        passed = (dec.passed, size.matches, single.equal, dual.formula_matches_brute)
+        verdicts += passed
+        lines.append(f"{label}: " + " ".join(
+            f"{claim}={'PASS' if ok else 'FAIL'}"
+            for claim, ok in zip(("decomposition", "size", "single_generator",
+                                  "dual_formula"), passed)))
+    lines.append(f"{len(verdicts)} audits, {verdicts.count(False)} failed claims "
+                 "(witnesses recorded)")
+    _write(lines)
     return EXIT_OK
 
 
-def _add_format(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("table", "records"), default="table",
-                        help="human table or line-delimited JSON records")
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The top-level parser with one subparser per command, each declaring
+    only the options it reads, or with the subparser of ``command`` alone
+    when it names one.  Both come from the one table below, so a command's
+    subparser is the same whichever parser holds it."""
+    n_option = (("--n",), {"type": _positive_int, "required": True})
+    format_option = (("--format",), {"choices": ("table", "records"), "default": "table",
+                                     "help": "human table or line-delimited JSON records"})
+    commands = (
+        ("factor", "factor x^n+1 over GF(2)", cmd_factor, (
+            n_option,
+            (("--bound",), {"type": _positive_int, "default": DEFAULT_FACTOR_BOUND}),
+            format_option,
+        )),
+        ("inspect", "inspect one generator triple", cmd_inspect, (
+            n_option,
+            (("--f1",), {"required": True}),
+            (("--f2",), {"required": True}),
+            (("--f3",), {"required": True}),
+            format_option,
+            (("--enum-cap",), {"dest": "enum_cap", "type": _positive_int,
+                               "default": codes.DEFAULT_ENUM_CAP,
+                               "help": "max size 2^dim of a component <fi> whose "
+                                       "distance the component reports search; "
+                                       "the quantum d does not read it"}),
+        )),
+        ("search", "search divisor triples for quantum codes", cmd_search, (
+            n_option,
+            (("--min-k",), {"dest": "min_k", "type": _int, "default": None}),
+            (("--equal-triples-only",), {"action": "store_true"}),
+            (("--max-results",), {"dest": "max_results", "type": _positive_int,
+                                  "default": None}),
+            format_option,
+            (("--divisor-cap",), {"dest": "divisor_cap", "type": _positive_int,
+                                  "default": DEFAULT_DIVISOR_CAP,
+                                  "help": "max number of divisors of x^n+1"}),
+        )),
+        ("reproduce-paper", "recompute the published parameter table", cmd_reproduce,
+         (format_option,)),
+        ("audit", "audit structural claims by exact rank algebra", cmd_audit, (
+            (("--n-max",), {"dest": "n_max", "type": _positive_int, "default": 3}),
+            format_option,
+        )),
+    )
 
-
-def build_parser() -> argparse.ArgumentParser:
-    """One subparser per command, each declaring only the options it reads."""
     parser = _Parser(prog="vcubed",
                      description="Cyclic codes over F2[v]/(v^3 - v), Gray images, "
                                  "and CSS quantum-code parameters.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("factor", help="factor x^n+1 over GF(2)")
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--bound", type=_positive_int, default=DEFAULT_FACTOR_BOUND)
-    _add_format(p)
-    p.set_defaults(func=cmd_factor)
-
-    p = sub.add_parser("inspect", help="inspect one generator triple")
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--f1", required=True)
-    p.add_argument("--f2", required=True)
-    p.add_argument("--f3", required=True)
-    _add_format(p)
-    p.add_argument("--enum-cap", dest="enum_cap", type=_positive_int,
-                   default=codes.DEFAULT_ENUM_CAP,
-                   help="max size 2^dim of a component <fi> whose distance the "
-                        "component reports search; the quantum d does not "
-                        "read it")
-    p.set_defaults(func=cmd_inspect)
-
-    p = sub.add_parser("search", help="search divisor triples for quantum codes")
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--min-k", dest="min_k", type=_int, default=None)
-    p.add_argument("--equal-triples-only", action="store_true")
-    p.add_argument("--max-results", dest="max_results", type=_positive_int,
-                   default=None)
-    _add_format(p)
-    p.add_argument("--divisor-cap", dest="divisor_cap", type=_positive_int,
-                   default=DEFAULT_DIVISOR_CAP,
-                   help="max number of divisors of x^n+1")
-    p.set_defaults(func=cmd_search)
-
-    p = sub.add_parser("reproduce-paper",
-                       help="recompute the published parameter table")
-    _add_format(p)
-    p.set_defaults(func=cmd_reproduce)
-
-    p = sub.add_parser("audit", help="audit structural claims by exact rank algebra")
-    p.add_argument("--n-max", dest="n_max", type=_positive_int, default=3)
-    _add_format(p)
-    p.set_defaults(func=cmd_audit)
-
+    chosen = [c for c in commands if c[0] == command] or commands
+    for name, help_text, func, options in chosen:
+        p = sub.add_parser(name, help=help_text)
+        for flags, kwargs in options:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command.  Only the invoked command's subparser is built; an
+    argv it does not take whole (no command first, or arguments left over)
+    is parsed again by the full parser, so every usage, help and error text
+    is the full parser's."""
+    argv = sys.argv[1:] if argv is None else argv
+    args, extra = build_parser(argv[0] if argv else None).parse_known_args(argv)
+    if extra:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

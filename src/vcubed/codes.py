@@ -21,11 +21,12 @@ module is the sum of the submodules its generators span, so
 gray_image_basis is the rref of the union of per-generator spans, and each
 span is built once per (n, generator, cyclic) by _generator_span.  A
 divisor triple (f1, f2, f3) names the cyclic code <v f1, (1+v) f2,
-(1+v^2) f3>, and cyclic_image is the one way to its Gray image.  The code
-depends only on its code key (code_key), so cyclic_image maps each triple to
-its key and _key_image builds the image once per key, from the key's own
-generators.  A search needs only the image's rank: the paper's criterion
-already implies dual containment (quantum.css_from_triple).
+(1+v^2) f3>.  The code depends only on its code key (code_key), so
+_key_image builds the image once per key, from the key's own generators,
+and cyclic_image maps a triple to its key for inspect and the audits.  A
+search needs only the image's rank, which it reads off _key_image of the
+key it already holds: the paper's criterion already implies dual
+containment (quantum.css_from_triple).
 BinaryCode is immutable and hashable, so audit_decomposition_image runs
 once per distinct code.  The audits build the single generator's image
 once per triple (_single_image), straight from the generator's Gray mask
@@ -260,17 +261,18 @@ def code_key(n: int, f1: int, f2: int, f3: int) -> tuple[int, int, int]:
 @lru_cache(maxsize=1024)
 def cyclic_image(n: int, f1: int, f2: int, f3: int) -> BinaryCode:
     """Gray image of the cyclic code <v f1, (1+v) f2, (1+v^2) f3> of length
-    n, the one place a cyclic triple's image is looked up; BinaryCode is
-    immutable.  Each fi must divide x^n - 1 (code_key) and enters reduced
-    mod x^n - 1, so x^n - 1 itself contributes the zero vector.
+    n, for inspect and the audits; BinaryCode is immutable.  Each fi must
+    divide x^n - 1 (code_key) and enters reduced mod x^n - 1, so x^n - 1
+    itself contributes the zero vector.
 
     It is _key_image of the triple's code_key, so triples that share a key
-    share one image, and in the audits one dual.  This tier stays
-    per triple because the audits of one triple and its CSS record ask for
-    its image several times, and the dual-formula audit asks for the image
-    of the dual triple (h1*, h2*, h3*), which an audit of every divisor
-    triple builds on its own turn; it holds as many triples as the other
-    per-image tiers.
+    share one image, and in the audits one dual.  This tier stays per
+    triple because the audits of one triple ask for its image several
+    times, and the dual-formula audit asks for the image of the dual triple
+    (h1*, h2*, h3*), which an audit of every divisor triple builds on its
+    own turn; it holds as many triples as the other per-image tiers.  A
+    search does not come here: css_from_triple reads _key_image of the key
+    it has already computed.
     """
     return _key_image(n, *code_key(n, f1, f2, f3))
 
@@ -570,11 +572,19 @@ class SizeFormulaAudit(NamedTuple):
 
 
 def audit_size_formula(n: int, f1: int, f2: int, f3: int) -> SizeFormulaAudit:
-    """The one place the claimed dimension 3n - sum deg fi is computed."""
-    dim = cyclic_image(n, f1, f2, f3).dim
+    """The rank of the triple's Gray image (cyclic_image) against the
+    claimed dimension (_size_formula_audit)."""
+    return _size_formula_audit(n, f1, f2, f3, cyclic_image(n, f1, f2, f3).dim)
+
+
+def _size_formula_audit(n: int, f1: int, f2: int, f3: int, rank: int) -> SizeFormulaAudit:
+    """The one place the claimed dimension 3n - sum deg fi is computed, set
+    against ``rank``, the dimension of the triple's Gray image: a search
+    reads it off the code key's image (_key_image), an audit off
+    cyclic_image."""
     claimed = 3 * n - (degree(f1) + degree(f2) + degree(f3))
-    return SizeFormulaAudit(n=n, fs=(f1, f2, f3), rank_log2=dim,
-                            claimed_log2=claimed, matches=dim == claimed)
+    return SizeFormulaAudit(n=n, fs=(f1, f2, f3), rank_log2=rank,
+                            claimed_log2=claimed, matches=rank == claimed)
 
 
 class SingleGeneratorAudit(NamedTuple):

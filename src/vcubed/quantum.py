@@ -26,9 +26,11 @@ divisibility (gf2poly.divides_xn1), h* (codes._dual_poly), dual
 containment (dual_containing_poly) and the distance of <g>
 (_component_distance) per divisor, the gcd per pair of divisors
 (gf2poly.poly_gcd), the Gray span per generator, and the Gray image per
-triple and per code key (codes.code_key), which many triples share;
-min_hamming keeps no cache of its own.  Errors are raised, not cached, and a warm search returns exactly
-what a cold one does.
+code key (codes._key_image), which many triples share; css_from_triple
+computes each triple's key once and reads the rank off that image, so the
+per-triple image tier (codes.cyclic_image) serves inspect and the audits
+only.  min_hamming keeps no cache of its own.  Errors are raised, not
+cached, and a warm search returns exactly what a cold one does.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ from typing import NamedTuple, Optional
 
 from .codes import (
     _dual_poly,
-    audit_size_formula,
+    _key_image,
+    _size_formula_audit,
     binary_cyclic,
     code_key,
     gray_image_basis,  # noqa: F401  (bench/test_bench.py rebinds it here)
@@ -127,10 +130,11 @@ def css_from_triple(n: int, f1: int, f2: int, f3: int) -> QuantumCodeRecord:
     at n <= 12 has C^perp outside C.
 
     k = 2 dim - 3n with the paper's dimension 3n - sum deg fi, which
-    codes.audit_size_formula reads next to the Gray-image rank; the record
-    is validated when the two agree and carries the rank as a note when
-    they do not.  The paper's rule min(D(f1), D(f2), D(f3)) is a claim;
-    where it differs from d the record carries it as a note.
+    codes._size_formula_audit sets against the rank of the key's Gray image
+    (codes._key_image); the record is validated when the two agree and
+    carries the rank as a note when they do not.  The paper's rule
+    min(D(f1), D(f2), D(f3)) is a claim; where it differs from d the record
+    carries it as a note.
     """
     key = code_key(n, f1, f2, f3)
     for label, f in (("f1", f1), ("f2", f2), ("f3", f3)):
@@ -139,7 +143,7 @@ def css_from_triple(n: int, f1: int, f2: int, f3: int) -> QuantumCodeRecord:
                 f"{label} = {format_poly(f)} fails the dual-containment criterion"
             )
 
-    size = audit_size_formula(n, f1, f2, f3)
+    size = _size_formula_audit(n, f1, f2, f3, _key_image(n, *key).dim)
     k = 2 * size.claimed_log2 - 3 * n
     notes = []
     if k <= 0:

@@ -64,10 +64,23 @@ def test_warm_search_matches_cold_search(n, equal_only):
 
 
 @pytest.mark.parametrize("n, triples, keys", [(8, 125, 45), (21, 729, 121)])
-def test_search_builds_one_image_per_code_key(n, triples, keys):
+def test_search_builds_one_image_per_code_key(monkeypatch, n, triples, keys):
     _clear_caches()
+    key = codes.code_key
+    keyed = []
+
+    def counted(*args):
+        keyed.append(args)
+        return key(*args)
+
+    # quantum imports code_key by name; cyclic_image looks it up in codes
+    monkeypatch.setattr(codes, "code_key", counted)
+    monkeypatch.setattr(quantum, "code_key", counted)
     assert search_triples(n).admissible == triples
-    assert codes.cyclic_image.cache_info().misses == triples
+    # one code key per triple, whose rank is read off the key's image: the
+    # per-triple tier (cyclic_image) serves inspect and the audits only
+    assert len(keyed) == triples
+    assert codes.cyclic_image.cache_info().misses == 0
     assert codes._key_image.cache_info().misses == keys
     # containment comes from the key, and the package takes no null space
     assert not hasattr(codes, "dual_binary")

@@ -145,6 +145,71 @@ def test_removed_options_are_usage_errors(capsys, argv, option):
     assert f"unrecognized arguments: {' '.join(option)}" in err
 
 
+def test_a_command_builds_its_own_subparser_alone(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(["search", "--n", "8"]) == 0
+    capsys.readouterr()
+    # the top-level parser and the search subparser, not the other four
+    assert len(built) == 2
+
+
+def _exit_and_output(capsys, call):
+    try:
+        code = call()
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+
+
+# Exit code and the digests of stdout and stderr, from before main built the
+# invoked command's subparser alone.  The text is Python 3.11's argparse at
+# 80 columns; its wording and layout differ between Python versions.
+@pytest.mark.parametrize("argv, exit_code, out_digest, err_digest", [
+    ((), 1, EMPTY, "8e8dd0450570c638982abc255a961d4b10f8f401de2047950ee6290187623fa9"),
+    (("-h",), 0, "047ba65d1ce87c4a1884039caab7545c7793929a6a8e8695f7dd570e52634a67", EMPTY),
+    (("bogus",), 1, EMPTY,
+     "1c763f19c13639f3c6eb3a1e37d98307723bd769009378eaa95f9e1b36f3194d"),
+    (("--n", "8", "search"), 1, EMPTY,
+     "8b53b12d5e53930bc8b4e7c703d7ad140dddf3115a7565dc5c0cbcfa4c01c1d4"),
+    (("search",), 1, EMPTY,
+     "957135ff2fe2982cb9b9e48163e9aae263b832538b1af06fb58b503b21bd088b"),
+    (("search", "-h"), 0,
+     "7d9bd99607a6e6fb1b76d6fce973706956d0e7e01ec2d8f8c155c786d1694e5c", EMPTY),
+    (("audit", "-h"), 0,
+     "1acc69a8c623e88500edb9af8069c7b87d6114ac217a4386d63f0896e00c9bb9", EMPTY),
+    (("inspect", "--n", "8"), 1, EMPTY,
+     "f3afbb73644b6960c92eca2a6c15d63001418c54f18bde8dd5e0994bc3c24b36"),
+    (("search", "--n", "8", "--bogus"), 1, EMPTY,
+     "e4d21058298a71b7be37a1da7fcb9644955a2ee3571430f17e53e227cc23197a"),
+    (("search", "--n", "8", "--bogus", "-h"), 0,
+     "7d9bd99607a6e6fb1b76d6fce973706956d0e7e01ec2d8f8c155c786d1694e5c", EMPTY),
+    (("factor", "--n", "3", "extra"), 1, EMPTY,
+     "416d704b234841db0d6bf1c7472b8700d57e59bccfd51e402e5bcdfd522ec970"),
+    (("audit", "--n-max", "2", "x"), 1, EMPTY,
+     "57c5ef946623ca1720db311d9217c4d3e3ec28ff4f97b981216b133199348b25"),
+])
+def test_usage_help_and_error_text_is_pinned(monkeypatch, capsys, argv, exit_code,
+                                             out_digest, err_digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = _exit_and_output(capsys, lambda: main(list(argv)))
+    # the full parser prints the same bytes, on any Python version
+    assert (code, out, err) == _exit_and_output(
+        capsys, lambda: build_parser().parse_args(list(argv)))
+    assert (code, hashlib.sha256(out.encode()).hexdigest(),
+            hashlib.sha256(err.encode()).hexdigest()) == (exit_code, out_digest, err_digest)
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as info:
         main(["factor"])  # missing --n
@@ -420,6 +485,9 @@ def test_polynomials_in_records_round_trip(capsys):
      "4c70823c119d9c6b5b1208ab513169fdf7b3d5e0909f69f6853ef72195a4b959"),
     (("search", "--n", "21", "--format", "records"),
      "80af4ea1a56b0cfefddabd69a8592b66bde14f1e79ab5f5489b4d293f7238964"),
+    # from before the table lines were built only when the table is asked for
+    (("search", "--n", "8"),
+     "911f38689c4566226d65be7ab6a53beeaaecd58d61498025211400071cbc770a"),
 ])
 def test_search_stdout_is_pinned(capsys, argv, digest):
     code, out, err = run(capsys, *argv)
