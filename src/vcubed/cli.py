@@ -6,8 +6,9 @@ records", one JSON object per line with a leading "kind" field).  Every
 polynomial appears in both algebraic and hexadecimal form.
 
 A run builds the top-level parser with the invoked command's subparser
-alone (main), and a search or an audit builds only the format it was asked
-for.
+alone (main).  Each command builds its records once and hands them to
+_emit with its table renderer, which draws the table from the records
+alone; records mode encodes them and renders no table.
 
 Exit codes: 0 success, 1 usage or parse error, 2 resource cap exceeded,
 3 mathematical precondition violated, 4 reproduction mismatch.
@@ -19,7 +20,7 @@ import argparse
 import json
 import sys
 from itertools import product
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 
 from . import codes, quantum, reference
 from .errors import CapExceeded, ParseError, PreconditionError
@@ -84,34 +85,43 @@ def _encode_records(records: Iterable[dict]) -> list[str]:
         sys.set_int_max_str_digits(limit)
 
 
-def _write(lines: Iterable[str]) -> None:
-    """Write the lines to stdout in one write."""
+def _emit(records: list[dict], fmt: str, render: Callable[[list[dict]], Iterable[str]]) -> None:
+    """Write a command's records to stdout in one write: one JSON line per
+    record for "records", else the table lines that ``render`` draws from
+    the records alone, so records mode renders no table."""
+    lines = _encode_records(records) if fmt == "records" else render(records)
     sys.stdout.write("\n".join([*lines, ""]))
 
 
-def _emit(records: Iterable[dict], fmt: str, table_lines: Iterable[str]) -> None:
-    """Write the chosen format's lines; for a command of one or a few
-    records, whose two formats cost next to nothing to build."""
-    _write(_encode_records(records) if fmt == "records" else table_lines)
+def _status(ok: bool) -> str:
+    return "PASS" if ok else "FAIL"
+
+
+def _parameters_text(parameters: list[int]) -> str:
+    """[[n,k,d]], as QuantumCodeRecord prints itself."""
+    return "[[{},{},{}]]".format(*parameters)
+
+
+def _factor_table(records: list[dict]) -> Iterator[str]:
+    (rec,) = records
+    yield f"x^{rec['n']}+1 ="
+    for f in rec["factors"]:
+        suffix = f"^{f['multiplicity']}" if f["multiplicity"] > 1 else ""
+        yield f"  ({f['poly']}){suffix}  [{f['hex']}]"
+    yield f"divisors: {rec['divisor_count']}"
 
 
 def cmd_factor(args) -> int:
     fact = factor_xn1(args.n, bound=args.bound)
-    divisors = fact.divisor_count
     record = {
         "kind": "factorization",
         "n": args.n,
         "factors": [
             {**_poly_fields(f), "multiplicity": m} for f, m in fact.factors
         ],
-        "divisor_count": divisors,
+        "divisor_count": fact.divisor_count,
     }
-    lines = [f"x^{args.n}+1 ="]
-    for f, m in fact.factors:
-        suffix = f"^{m}" if m > 1 else ""
-        lines.append(f"  ({format_poly(f)}){suffix}  [{poly_hex(f)}]")
-    lines.append(f"divisors: {divisors}")
-    _emit([record], args.format, lines)
+    _emit([record], args.format, _factor_table)
     return EXIT_OK
 
 
@@ -132,6 +142,37 @@ def _component_report(n: int, f: int, dist_cap: int) -> dict:
     return entry
 
 
+def _inspect_table(records: list[dict]) -> Iterator[str]:
+    (rec,) = records
+    yield f"n = {rec['n']}"
+    for name in ("f1", "f2", "f3"):
+        yield f"{name} = {rec[name]['poly']}  [{rec[name]['hex']}]"
+    yield (f"code size = 2^{rec['size_log2']} (rank); claimed 2^{rec['size_formula_log2']}"
+           + ("" if rec["size_formula_matches"] else "  ** size formula mismatch"))
+
+    if rec.get("zero_code"):
+        yield "zero code: no distance, no quantum parameters"
+        return
+
+    yield "dual-containing: " + ", ".join(
+        f"{k}={str(v).lower()}" for k, v in rec["dual_containing"].items())
+    for entry in rec["components"]:
+        d_text = entry["d"] if entry["d"] is not None else "-"
+        yield f"component <{entry['poly']}>: [{entry['n']},{entry['dim']}] d={d_text}"
+
+    q = rec["quantum"]
+    if q is None:
+        yield "not dual-containing: no quantum parameters"
+    else:
+        yield (f"quantum parameters {_parameters_text([q['n'], q['k'], q['d']])} "
+               f"(d_method={q['d_method']}, validated={str(q['validated']).lower()})")
+        for note in q["notes"]:
+            yield f"  note: {note}"
+
+    for audit in rec["audits"]:
+        yield f"audit {audit['target']}: {_status(audit['pass'])}"
+
+
 def cmd_inspect(args) -> int:
     n = args.n
     fs = tuple(parse_poly(t) for t in (args.f1, args.f2, args.f3))
@@ -149,34 +190,15 @@ def cmd_inspect(args) -> int:
         "size_formula_log2": size.claimed_log2,
         "size_formula_matches": size.matches,
     }
-    lines = [
-        f"n = {n}",
-        f"f1 = {format_poly(fs[0])}  [{poly_hex(fs[0])}]",
-        f"f2 = {format_poly(fs[1])}  [{poly_hex(fs[1])}]",
-        f"f3 = {format_poly(fs[2])}  [{poly_hex(fs[2])}]",
-        f"code size = 2^{image.dim} (rank); claimed 2^{size.claimed_log2}"
-        + ("" if size.matches else "  ** size formula mismatch"),
-    ]
 
     if image.dim == 0:
         record["zero_code"] = True
-        lines.append("zero code: no distance, no quantum parameters")
-        _emit([record], args.format, lines)
+        _emit([record], args.format, _inspect_table)
         return EXIT_OK
 
     dc = {f"f{i + 1}": quantum.dual_containing_poly(n, f) for i, f in enumerate(fs)}
     record["dual_containing"] = dc
-    lines.append(
-        "dual-containing: "
-        + ", ".join(f"{k}={str(v).lower()}" for k, v in dc.items())
-    )
-
     record["components"] = [_component_report(n, f, args.enum_cap) for f in fs]
-    for entry in record["components"]:
-        d_text = entry["d"] if entry.get("d") is not None else "-"
-        lines.append(
-            f"component <{entry['poly']}>: [{n},{entry['dim']}] d={d_text}"
-        )
 
     if all(dc.values()):
         rec = quantum.css_from_triple(n, *fs)
@@ -185,27 +207,15 @@ def cmd_inspect(args) -> int:
             "d_method": rec.d_method, "validated": rec.validated,
             "notes": list(rec.notes),
         }
-        lines.append(
-            f"quantum parameters {rec} (d_method={rec.d_method}, "
-            f"validated={str(rec.validated).lower()})"
-        )
-        for note in rec.notes:
-            lines.append(f"  note: {note}")
     else:
         record["quantum"] = None
-        lines.append("not dual-containing: no quantum parameters")
 
-    audits = [
+    record["audits"] = [
         _decomposition_record(codes.audit_decomposition_image(image), "inspected code"),
         _dual_formula_record(codes.audit_dual_formula(n, *fs)),
         _single_generator_record(codes.audit_single_generator(n, *fs)),
     ]
-    record["audits"] = audits
-    for audit in audits:
-        status = "PASS" if audit["pass"] else "FAIL"
-        lines.append(f"audit {audit['target']}: {status}")
-
-    _emit([record], args.format, lines)
+    _emit([record], args.format, _inspect_table)
     return EXIT_OK
 
 
@@ -278,6 +288,20 @@ def _size_record(a: codes.SizeFormulaAudit) -> dict:
     }
 
 
+def _search_table(records: list[dict]) -> Iterator[str]:
+    *found, summary = records
+    for rec in found:
+        flags = " ".join(
+            filter(None, [rec["d_method"],
+                          "validated" if rec["validated"] else "unvalidated",
+                          "; ".join(rec["notes"])])
+        )
+        yield (f"{_parameters_text(rec['parameters'])}  f1={rec['f1']['poly']} "
+               f"f2={rec['f2']['poly']} f3={rec['f3']['poly']}  ({flags})")
+    yield (f"scanned {summary['scanned']} triples, {summary['admissible']} admissible, "
+           f"{summary['emitted']} emitted")
+
+
 def cmd_search(args) -> int:
     outcome = quantum.search_triples(
         n=args.n,
@@ -286,73 +310,52 @@ def cmd_search(args) -> int:
         max_results=args.max_results,
         divisor_cap=args.divisor_cap,
     )
-    if args.format == "records":
-        records = [{
-            "kind": "search_result",
-            "n": rec.ring_n,
-            "f1": _poly_fields(rec.f1),
-            "f2": _poly_fields(rec.f2),
-            "f3": _poly_fields(rec.f3),
-            "parameters": list(rec.parameters),
-            "d_method": rec.d_method,
-            "validated": rec.validated,
-            "notes": list(rec.notes),
-        } for rec in outcome.records]
-        records.append({
-            "kind": "search_result",
-            "summary": True,
-            "scanned": outcome.scanned,
-            "admissible": outcome.admissible,
-            "emitted": outcome.emitted,
-        })
-        _write(_encode_records(records))
-        return EXIT_OK
-    lines = []
-    for rec in outcome.records:
-        flags = " ".join(
-            filter(None, [rec.d_method,
-                          "validated" if rec.validated else "unvalidated",
-                          "; ".join(rec.notes)])
-        )
-        lines.append(
-            f"{rec}  f1={format_poly(rec.f1)} f2={format_poly(rec.f2)} "
-            f"f3={format_poly(rec.f3)}  ({flags})"
-        )
-    lines.append(
-        f"scanned {outcome.scanned} triples, {outcome.admissible} admissible, "
-        f"{outcome.emitted} emitted"
-    )
-    _write(lines)
+    records = [{
+        "kind": "search_result",
+        "n": rec.ring_n,
+        "f1": _poly_fields(rec.f1),
+        "f2": _poly_fields(rec.f2),
+        "f3": _poly_fields(rec.f3),
+        "parameters": list(rec.parameters),
+        "d_method": rec.d_method,
+        "validated": rec.validated,
+        "notes": list(rec.notes),
+    } for rec in outcome.records]
+    records.append({
+        "kind": "search_result",
+        "summary": True,
+        "scanned": outcome.scanned,
+        "admissible": outcome.admissible,
+        "emitted": outcome.emitted,
+    })
+    _emit(records, args.format, _search_table)
     return EXIT_OK
+
+
+def _reproduce_table(records: list[dict]) -> Iterator[str]:
+    *rows, summary = records
+    for row in rows:
+        yield (f"{_status(row['match'])}  {row['label']}: published "
+               f"{_parameters_text(row['published'])}, computed "
+               f"{_parameters_text(row['computed'])}")
+        for note in row["notes"]:
+            yield f"      note: {note}"
+    yield f"{summary['matched']}/{summary['rows']} rows match"
 
 
 def cmd_reproduce(args) -> int:
     results = reference.reproduce_all()
-    records = []
-    lines = []
-    all_match = True
-    for res in results:
-        all_match &= res.matches
-        published = res.row.published
-        records.append({
-            "kind": "reproduction",
-            "label": res.row.label,
-            "n": res.row.n,
-            "f": _poly_fields(parse_poly(res.row.f)),
-            "published": list(published),
-            "computed": list(res.computed),
-            "match": res.matches,
-            "validated": res.record.validated,
-            "notes": list(res.notes),
-        })
-        status = "PASS" if res.matches else "FAIL"
-        lines.append(
-            f"{status}  {res.row.label}: published "
-            f"[[{published[0]},{published[1]},{published[2]}]], computed "
-            f"[[{res.computed[0]},{res.computed[1]},{res.computed[2]}]]"
-        )
-        for note in res.notes:
-            lines.append(f"      note: {note}")
+    records = [{
+        "kind": "reproduction",
+        "label": res.row.label,
+        "n": res.row.n,
+        "f": _poly_fields(parse_poly(res.row.f)),
+        "published": list(res.row.published),
+        "computed": list(res.computed),
+        "match": res.matches,
+        "validated": res.record.validated,
+        "notes": list(res.notes),
+    } for res in results]
     matched = sum(r.matches for r in results)
     records.append({
         "kind": "reproduction",
@@ -360,9 +363,8 @@ def cmd_reproduce(args) -> int:
         "rows": len(results),
         "matched": matched,
     })
-    lines.append(f"{matched}/{len(results)} rows match")
-    _emit(records, args.format, lines)
-    return EXIT_OK if all_match else EXIT_MISMATCH
+    _emit(records, args.format, _reproduce_table)
+    return EXIT_OK if matched == len(results) else EXIT_MISMATCH
 
 
 # Fixed catalog of linear (mostly non-cyclic) codes the audit always runs,
@@ -379,61 +381,51 @@ AUDIT_CATALOG: tuple[tuple[str, int, tuple[tuple[int, ...], ...]], ...] = (
 )
 
 
+def _audit_table(records: list[dict]) -> Iterator[str]:
+    """A line per catalog code, with its witnesses, then a line per divisor
+    triple for its four claims; every verdict is a record's "pass"."""
+    catalog = len(AUDIT_CATALOG)
+    for rec in records[:catalog]:
+        detail = (
+            f"|C|={rec['code_size']}, product={rec['product_size']}, "
+            f"tensor={'ok' if rec['tensor_equal'] else 'FAIL'}, "
+            f"reconstruction={'ok' if rec['reconstruction_equal'] else 'FAIL'}"
+        )
+        yield f"{_status(rec['pass'])}  decomposition  {rec['code']}  ({detail})"
+        if "tensor_witness" in rec:
+            yield f"      tensor witness: {rec['tensor_witness']}"
+        if "reconstruction_witness" in rec:
+            yield (f"      reconstruction witness: {rec['reconstruction_witness']} "
+                   f"({rec['reconstruction_witness_side']})")
+    for i in range(catalog, len(records), 4):
+        claims = records[i:i + 4]
+        yield f"{claims[0]['code']}: " + " ".join(
+            f"{claim}={_status(rec['pass'])}"
+            for claim, rec in zip(("decomposition", "size", "single_generator",
+                                   "dual_formula"), claims))
+    failed = sum(not rec["pass"] for rec in records)
+    yield f"{len(records)} audits, {failed} failed claims (witnesses recorded)"
+
+
 def cmd_audit(args) -> int:
-    catalog = [
-        (label, codes.audit_decomposition_image(codes.gray_image_basis(codes.RingCode(n, gens))))
+    records = [
+        _decomposition_record(
+            codes.audit_decomposition_image(codes.gray_image_basis(codes.RingCode(n, gens))),
+            label)
         for label, n, gens in AUDIT_CATALOG
     ]
-    cyclic = []
     for n in range(1, args.n_max + 1):
         for f1, f2, f3 in product(enumerate_divisors(n), repeat=3):
             label = (f"cyclic n={n}, ({format_poly(f1)}; "
                      f"{format_poly(f2)}; {format_poly(f3)})")
-            cyclic.append((
-                label,
-                codes.audit_decomposition_image(codes.cyclic_image(n, f1, f2, f3)),
-                codes.audit_size_formula(n, f1, f2, f3),
-                codes.audit_single_generator(n, f1, f2, f3),
-                codes.audit_dual_formula(n, f1, f2, f3),
-            ))
-
-    if args.format == "records":
-        records = [_decomposition_record(dec, label) for label, dec in catalog]
-        for label, dec, size, single, dual in cyclic:
-            records += (_decomposition_record(dec, label), _size_record(size),
-                        _single_generator_record(single), _dual_formula_record(dual))
-        _write(_encode_records(records))
-        return EXIT_OK
-
-    lines = []
-    verdicts = []
-    for label, dec in catalog:
-        verdicts.append(dec.passed)
-        status = "PASS" if dec.passed else "FAIL"
-        detail = (
-            f"|C|={dec.code_size}, product={dec.product_size}, "
-            f"tensor={'ok' if dec.tensor_equal else 'FAIL'}, "
-            f"reconstruction={'ok' if dec.reconstruction_equal else 'FAIL'}"
-        )
-        lines.append(f"{status}  decomposition  {label}  ({detail})")
-        if dec.tensor_witness is not None:
-            lines.append(f"      tensor witness: {format_vec(dec.tensor_witness)}")
-        if dec.reconstruction_witness is not None:
-            lines.append(
-                f"      reconstruction witness: {format_vec(dec.reconstruction_witness)} "
-                f"({dec.reconstruction_witness_side})"
+            records += (
+                _decomposition_record(
+                    codes.audit_decomposition_image(codes.cyclic_image(n, f1, f2, f3)), label),
+                _size_record(codes.audit_size_formula(n, f1, f2, f3)),
+                _single_generator_record(codes.audit_single_generator(n, f1, f2, f3)),
+                _dual_formula_record(codes.audit_dual_formula(n, f1, f2, f3)),
             )
-    for label, dec, size, single, dual in cyclic:
-        # the "pass" of each record that the records format would write
-        passed = (dec.passed, size.matches, single.equal, dual.formula_matches_brute)
-        verdicts += passed
-        lines.append(f"{label}: " + " ".join(
-            f"{claim}={'PASS' if ok else 'FAIL'}"
-            for claim, ok in zip(("decomposition", "size", "single_generator",
-                                  "dual_formula"), passed)))
-    lines.append(f"{len(verdicts)} audits, {verdicts.count(False)} failed claims "
-                 "(witnesses recorded)")
-    _write(lines)
+    _emit(records, args.format, _audit_table)
     return EXIT_OK
 
 

@@ -423,13 +423,7 @@ def audit_decomposition_image(image: BinaryCode) -> DecompositionAudit:
         *(_combination_mask(0, 0, c, n) for c in c3.basis),
     ])
     reconstruction_equal = recon == image
-    witness = None
-    side = ""
-    if not reconstruction_equal:
-        extras, other, side = ((image, recon, "only_in_code")
-                               if image.contains_code(recon)
-                               else (recon, image, "only_in_reconstruction"))
-        witness = gray_vec_inverse(_least_outside(extras, other, _ring_order_key(n)), n)
+    witness, side = _ring_witness(image, "only_in_code", recon, "only_in_reconstruction")
 
     return DecompositionAudit(
         n=n,
@@ -476,6 +470,19 @@ def _ring_order_key(n: int) -> Callable[[int], int]:
 def _interleave(x: int) -> int:
     """x with bit i moved to bit 3i: its bits read as octal digits."""
     return int(f"{x:b}", 8)
+
+
+def _ring_witness(x: BinaryCode, x_side: str, y: BinaryCode,
+                  y_side: str) -> tuple[Optional[tuple[int, ...]], str]:
+    """The witness that two Gray images differ, as a ring vector, and the
+    side that holds it: the least member, in the order of ring tuples, of
+    the code with members outside the other, x when x holds y.  (None, "")
+    when they are equal."""
+    if x == y:
+        return None, ""
+    extras, other, side = (x, y, x_side) if x.contains_code(y) else (y, x, y_side)
+    n = x.n // 3
+    return gray_vec_inverse(_least_outside(extras, other, _ring_order_key(n)), n), side
 
 
 def _least_outside(x: BinaryCode, y: BinaryCode, key: Callable[[int], int]) -> int:
@@ -528,22 +535,16 @@ def audit_dual_formula(n: int, f1: int, f2: int, f3: int) -> DualFormulaAudit:
     """Compare the claimed dual, the span of the one generator
     v*h1* + (1+v)*h2* + (1+v^2)*h3* (the _single_image of _dual_polys), with
     the exact dual, the image of the code key's dual key (_dual_key), by
-    their bases.  The claim is under audit, not a trusted construction.
+    their bases.  The code and its dual are both read off the one code key.
+    The claim is under audit, not a trusted construction.
     """
-    code = cyclic_image(n, f1, f2, f3)
-    dual = _key_image(n, *_dual_key(n, *code_key(n, f1, f2, f3)))
+    key = code_key(n, f1, f2, f3)
+    code = _key_image(n, *key)
+    dual = _key_image(n, *_dual_key(n, *key))
     hs = _dual_polys(n, f1, f2, f3)
     formula = _single_image(n, *hs)
     three_gen = cyclic_image(n, *hs)
-
-    witness = None
-    side = ""
-    if formula != dual:
-        # The side with codewords outside the other one holds the witness.
-        extras, other, side = ((formula, dual, "only_in_formula")
-                               if formula.contains_code(dual)
-                               else (dual, formula, "only_in_brute"))
-        witness = gray_vec_inverse(_least_outside(extras, other, _ring_order_key(n)), n)
+    witness, side = _ring_witness(formula, "only_in_formula", dual, "only_in_brute")
 
     claimed = 1 << (degree(f1) + degree(f2) + degree(f3))
     return DualFormulaAudit(

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from vcubed import cli
 from vcubed.cli import build_parser, main
 from vcubed.codes import BinaryCode
 from vcubed.gf2poly import enumerate_divisors, parse_poly
@@ -340,13 +341,43 @@ class _CountingStdout:
 @pytest.mark.parametrize("argv", [
     ("audit", "--n-max", "2", "--format", "records"),
     ("search", "--n", "7"),
+    ("audit", "--n-max", "2"),
+    ("search", "--n", "7", "--format", "records"),
+    ("factor", "--n", "15"),
+    ("factor", "--n", "15", "--format", "records"),
+    INSPECT_ARGV,
+    (*INSPECT_ARGV, "--format", "records"),
+    ("reproduce-paper",),
+    ("reproduce-paper", "--format", "records"),
 ])
-def test_each_command_writes_stdout_once(monkeypatch, argv):
+def test_each_command_writes_stdout_once(monkeypatch, capsys, argv):
+    # reproduce-paper exits 4: one published row disagrees with the computation
+    exit_code = 4 if argv[0] == "reproduce-paper" else 0
     stdout = _CountingStdout()
-    monkeypatch.setattr(sys, "stdout", stdout)
-    assert main(list(argv)) == 0
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", stdout)
+        assert main(list(argv)) == exit_code
     assert len(stdout.writes) == 1
-    assert stdout.writes[0].count("\n") > 1
+    # the one write is the command's whole stdout
+    assert run(capsys, *argv) == (exit_code, stdout.writes[0], "")
+
+
+def _no_table(records):
+    raise AssertionError("records mode rendered a table")
+
+
+@pytest.mark.parametrize("argv", [
+    ("search", "--n", "8", "--format", "records"),
+    ("audit", "--n-max", "2", "--format", "records"),
+])
+def test_records_mode_renders_no_table(monkeypatch, capsys, argv):
+    renderers = [name for name in vars(cli) if name.endswith("_table")]
+    assert len(renderers) == 5
+    for name in renderers:
+        monkeypatch.setattr(cli, name, _no_table)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert all(json.loads(line)["kind"] for line in out.splitlines())
 
 
 def test_search_n8_equal_triples(capsys):
@@ -528,3 +559,33 @@ def test_audit_and_reproduction_stdout_is_pinned(capsys, argv, exit_code, digest
     code, out, err = run(capsys, *argv)
     assert (code, err) == (exit_code, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _joined_digest(capsys, argvs, exit_code):
+    outs = []
+    for argv in argvs:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (exit_code, ""), argv
+        outs.append(out)
+    return hashlib.sha256("".join(outs).encode()).hexdigest()
+
+
+SMALL_INSPECTIONS = [
+    ("inspect", "--n", str(n), "--f1", hex(fs[0]), "--f2", hex(fs[1]), "--f3", hex(fs[2]))
+    for n in range(1, 5) for fs in product(enumerate_divisors(n), repeat=3)]
+
+
+# Digests of the joined table stdout, recorded by running commit af3cc42,
+# before each table was rendered from its command's records: inspect on all
+# 224 divisor triples at n <= 4, reproduce-paper, and factor at n = 1..128.
+# No table may change a byte.
+@pytest.mark.parametrize("argvs, exit_code, digest", [
+    (SMALL_INSPECTIONS, 0,
+     "c3b94c7132c6494a2c5fd390b1ae9bc4dec911090e4f02439ddf9aa175fd8236"),
+    ([("reproduce-paper",)], 4,
+     "d6cafe78655a3c90c3738eb6708141f8bf052db3d59f2d591d855378cee4f368"),
+    ([("factor", "--n", str(n)) for n in range(1, 129)], 0,
+     "8c1a4c853aefd37eefe27d2294961fe3e73382fbd2ebe7bf9daf8d4dcbae70b0"),
+], ids=["inspect", "reproduce-paper", "factor"])
+def test_table_stdout_is_pinned(capsys, argvs, exit_code, digest):
+    assert _joined_digest(capsys, argvs, exit_code) == digest

@@ -1116,5 +1116,4 @@ def test_record_defaults_and_text():
     row = ReferenceRow("n=1", 1, "1", (3, 3, 1))
     assert (row.code_display, row.dual_display) == (None, None)
     assert repr(BinaryCode(2, (1,))) == "BinaryCode(n=2, basis=(1,))"
-    # the search and inspect tables print a record through __str__
     assert str(css_from_triple(8, F8, F8, F8)) == "[[24,6,2]]"

@@ -114,3 +114,25 @@ def test_every_parameter_is_read():
                 unread += [f"{getattr(node, 'name', 'lambda')}.{p}"
                            for p in params if p not in loaded]
     assert unread == []
+
+
+def _writes_stdout(node):
+    """Does the node touch sys.stdout or call _encode_records?  A print
+    without a file= argument writes to sys.stdout too."""
+    return any(
+        (isinstance(sub, ast.Attribute) and sub.attr == "stdout"
+         and isinstance(sub.value, ast.Name) and sub.value.id == "sys")
+        or (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+            and (sub.func.id == "_encode_records"
+                 or sub.func.id == "print" and not any(k.arg == "file" for k in sub.keywords)))
+        for sub in ast.walk(node))
+
+
+def test_only_emit_writes_a_command_output():
+    # Each command hands its records to cli._emit, which encodes them or
+    # renders the table from them: no other function writes to stdout or
+    # encodes records, so a command has one data path in either format.
+    tree = ast.parse((SRC / "vcubed" / "cli.py").read_text())
+    writers = sorted(node.name for node in ast.walk(tree)
+                     if isinstance(node, ast.FunctionDef) and _writes_stdout(node))
+    assert writers == ["_emit"]
