@@ -5,10 +5,12 @@ a human-readable table (default) or line-delimited records ("--format
 records", one JSON object per line with a leading "kind" field).  Every
 polynomial appears in both algebraic and hexadecimal form.
 
-A run builds the top-level parser with the invoked command's subparser
-alone (main).  Each command builds its records once and hands them to
-_emit with its table renderer, which draws the table from the records
-alone; records mode encodes them and renders no table.
+A well-formed argv (a command followed only by exact spellings of its own
+options) is read straight off the command table, COMMANDS, and builds no
+parser; any other argv goes to the full argparse parser, which words every
+usage, help and error text (main).  Each command builds its records once
+and hands them to _emit with its table renderer, which draws the table
+from the records alone; records mode encodes them and renders no table.
 
 Exit codes: 0 success, 1 usage or parse error, 2 resource cap exceeded,
 3 mathematical precondition violated, 4 reproduction mismatch.
@@ -16,10 +18,10 @@ Exit codes: 0 success, 1 usage or parse error, 2 resource cap exceeded,
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from itertools import product
+from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator
 
 from . import codes, quantum, reference
@@ -41,17 +43,14 @@ EXIT_CAP = 2
 EXIT_PRECONDITION = 3
 EXIT_MISMATCH = 4
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # usage problems exit 1, not argparse's 2
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
 
 def _int(text: str) -> int:
     """An optional leading '-' and ASCII digits; int() alone would also take
     '_' separators, surrounding blanks and non-ASCII digits."""
     digits = text[1:] if text.startswith("-") else text
     if not (digits.isascii() and digits.isdigit()):
+        import argparse  # only a rejected value needs it, for its error type
+
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     return int(text)
 
@@ -59,6 +58,8 @@ def _int(text: str) -> int:
 def _positive_int(text: str) -> int:
     value = _int(text)
     if value < 1:
+        import argparse
+
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
     return value
 
@@ -95,11 +96,6 @@ def _emit(records: list[dict], fmt: str, render: Callable[[list[dict]], Iterable
 
 def _status(ok: bool) -> str:
     return "PASS" if ok else "FAIL"
-
-
-def _parameters_text(parameters: list[int]) -> str:
-    """[[n,k,d]], as QuantumCodeRecord prints itself."""
-    return "[[{},{},{}]]".format(*parameters)
 
 
 def _factor_table(records: list[dict]) -> Iterator[str]:
@@ -164,7 +160,7 @@ def _inspect_table(records: list[dict]) -> Iterator[str]:
     if q is None:
         yield "not dual-containing: no quantum parameters"
     else:
-        yield (f"quantum parameters {_parameters_text([q['n'], q['k'], q['d']])} "
+        yield (f"quantum parameters {quantum.format_parameters([q['n'], q['k'], q['d']])} "
                f"(d_method={q['d_method']}, validated={str(q['validated']).lower()})")
         for note in q["notes"]:
             yield f"  note: {note}"
@@ -296,7 +292,7 @@ def _search_table(records: list[dict]) -> Iterator[str]:
                           "validated" if rec["validated"] else "unvalidated",
                           "; ".join(rec["notes"])])
         )
-        yield (f"{_parameters_text(rec['parameters'])}  f1={rec['f1']['poly']} "
+        yield (f"{quantum.format_parameters(rec['parameters'])}  f1={rec['f1']['poly']} "
                f"f2={rec['f2']['poly']} f3={rec['f3']['poly']}  ({flags})")
     yield (f"scanned {summary['scanned']} triples, {summary['admissible']} admissible, "
            f"{summary['emitted']} emitted")
@@ -336,8 +332,8 @@ def _reproduce_table(records: list[dict]) -> Iterator[str]:
     *rows, summary = records
     for row in rows:
         yield (f"{_status(row['match'])}  {row['label']}: published "
-               f"{_parameters_text(row['published'])}, computed "
-               f"{_parameters_text(row['computed'])}")
+               f"{quantum.format_parameters(row['published'])}, computed "
+               f"{quantum.format_parameters(row['computed'])}")
         for note in row["notes"]:
             yield f"      note: {note}"
     yield f"{summary['matched']}/{summary['rows']} rows match"
@@ -429,73 +425,112 @@ def cmd_audit(args) -> int:
     return EXIT_OK
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The top-level parser with one subparser per command, each declaring
-    only the options it reads, or with the subparser of ``command`` alone
-    when it names one.  Both come from the one table below, so a command's
-    subparser is the same whichever parser holds it."""
-    n_option = (("--n",), {"type": _positive_int, "required": True})
-    format_option = (("--format",), {"choices": ("table", "records"), "default": "table",
-                                     "help": "human table or line-delimited JSON records"})
-    commands = (
-        ("factor", "factor x^n+1 over GF(2)", cmd_factor, (
-            n_option,
-            (("--bound",), {"type": _positive_int, "default": DEFAULT_FACTOR_BOUND}),
-            format_option,
-        )),
-        ("inspect", "inspect one generator triple", cmd_inspect, (
-            n_option,
-            (("--f1",), {"required": True}),
-            (("--f2",), {"required": True}),
-            (("--f3",), {"required": True}),
-            format_option,
-            (("--enum-cap",), {"dest": "enum_cap", "type": _positive_int,
-                               "default": codes.DEFAULT_ENUM_CAP,
-                               "help": "max size 2^dim of a component <fi> whose "
-                                       "distance the component reports search; "
-                                       "the quantum d does not read it"}),
-        )),
-        ("search", "search divisor triples for quantum codes", cmd_search, (
-            n_option,
-            (("--min-k",), {"dest": "min_k", "type": _int, "default": None}),
-            (("--equal-triples-only",), {"action": "store_true"}),
-            (("--max-results",), {"dest": "max_results", "type": _positive_int,
-                                  "default": None}),
-            format_option,
-            (("--divisor-cap",), {"dest": "divisor_cap", "type": _positive_int,
-                                  "default": DEFAULT_DIVISOR_CAP,
-                                  "help": "max number of divisors of x^n+1"}),
-        )),
-        ("reproduce-paper", "recompute the published parameter table", cmd_reproduce,
-         (format_option,)),
-        ("audit", "audit structural claims by exact rank algebra", cmd_audit, (
-            (("--n-max",), {"dest": "n_max", "type": _positive_int, "default": 3}),
-            format_option,
-        )),
-    )
+_N_OPTION = {"--n": {"type": _positive_int, "required": True}}
+_FORMAT_OPTION = {"--format": {"choices": ("table", "records"), "default": "table",
+                               "help": "human table or line-delimited JSON records"}}
 
-    parser = _Parser(prog="vcubed",
-                     description="Cyclic codes over F2[v]/(v^3 - v), Gray images, "
-                                 "and CSS quantum-code parameters.")
+# One entry per command: its help, its handler and the options it reads,
+# each an exact long spelling with its add_argument keywords.  Both the
+# full parser and _parse_argv read it.
+COMMANDS: dict[str, tuple[str, Callable, dict[str, dict]]] = {
+    "factor": ("factor x^n+1 over GF(2)", cmd_factor, {
+        **_N_OPTION,
+        "--bound": {"type": _positive_int, "default": DEFAULT_FACTOR_BOUND},
+        **_FORMAT_OPTION,
+    }),
+    "inspect": ("inspect one generator triple", cmd_inspect, {
+        **_N_OPTION,
+        "--f1": {"required": True},
+        "--f2": {"required": True},
+        "--f3": {"required": True},
+        **_FORMAT_OPTION,
+        "--enum-cap": {"type": _positive_int, "default": codes.DEFAULT_ENUM_CAP,
+                       "help": "max size 2^dim of a component <fi> whose "
+                               "distance the component reports search; "
+                               "the quantum d does not read it"},
+    }),
+    "search": ("search divisor triples for quantum codes", cmd_search, {
+        **_N_OPTION,
+        "--min-k": {"type": _int, "default": None},
+        "--equal-triples-only": {"action": "store_true", "default": False},
+        "--max-results": {"type": _positive_int, "default": None},
+        **_FORMAT_OPTION,
+        "--divisor-cap": {"type": _positive_int, "default": DEFAULT_DIVISOR_CAP,
+                          "help": "max number of divisors of x^n+1"},
+    }),
+    "reproduce-paper": ("recompute the published parameter table", cmd_reproduce,
+                        _FORMAT_OPTION),
+    "audit": ("audit structural claims by exact rank algebra", cmd_audit, {
+        "--n-max": {"type": _positive_int, "default": 3},
+        **_FORMAT_OPTION,
+    }),
+}
+
+
+def build_parser():
+    """The full parser: the top-level parser with one subparser per entry of
+    COMMANDS.  A usage problem exits 1, not argparse's 2."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+    parser = Parser(prog="vcubed",
+                    description="Cyclic codes over F2[v]/(v^3 - v), Gray images, "
+                                "and CSS quantum-code parameters.")
     sub = parser.add_subparsers(dest="command", required=True)
-    chosen = [c for c in commands if c[0] == command] or commands
-    for name, help_text, func, options in chosen:
+    for name, (help_text, func, options) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        for flags, kwargs in options:
-            p.add_argument(*flags, **kwargs)
+        for flag, kwargs in options.items():
+            p.add_argument(flag, **kwargs)
         p.set_defaults(func=func)
     return parser
 
 
+def _parse_argv(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace build_parser().parse_args(argv) returns, read straight
+    off COMMANDS, when argv is a command followed only by exact spellings of
+    its own options, every value well formed and every required option
+    given; any other argv gives None.  A value may not start with "-", so
+    argparse could not take it for an option."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, func, options = COMMANDS[argv[0]]
+    given = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        spec = options.get(flag)
+        if spec is None:
+            return None
+        if spec.get("action") == "store_true":
+            given[flag] = True
+            continue
+        text = next(tokens, "-")
+        if text.startswith("-"):
+            return None
+        try:
+            value = spec.get("type", str)(text)
+        except Exception:  # the full parser calls the same type and words the error
+            return None
+        if value not in spec.get("choices", (value,)):
+            return None
+        given[flag] = value
+    if any(spec.get("required") and flag not in given for flag, spec in options.items()):
+        return None
+    # argparse's dest for a long option: its name with "-" turned into "_"
+    dests = {flag[2:].replace("-", "_"): given.get(flag, spec.get("default"))
+             for flag, spec in options.items()}
+    return SimpleNamespace(command=argv[0], **dests, func=func)
+
+
 def main(argv: list[str] | None = None) -> int:
-    """Run one command.  Only the invoked command's subparser is built; an
-    argv it does not take whole (no command first, or arguments left over)
-    is parsed again by the full parser, so every usage, help and error text
-    is the full parser's."""
+    """Run one command.  A well-formed argv is read straight off COMMANDS
+    (_parse_argv) and builds no parser; any other argv goes to the full
+    parser, so every usage, help and error text is argparse's."""
     argv = sys.argv[1:] if argv is None else argv
-    args, extra = build_parser(argv[0] if argv else None).parse_known_args(argv)
-    if extra:
-        args = build_parser().parse_args(argv)
+    args = _parse_argv(argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

@@ -78,6 +78,11 @@ def _component_distance(n: int, f: int) -> int:
     return min_hamming(binary_cyclic(n, f))
 
 
+def format_parameters(parameters) -> str:
+    """[[n,k,d]]: the one text of a quantum code's parameters."""
+    return "[[{},{},{}]]".format(*parameters)
+
+
 class QuantumCodeRecord(NamedTuple):
     """One derived quantum parameter set [[n, k, d]] with provenance.
 
@@ -102,7 +107,7 @@ class QuantumCodeRecord(NamedTuple):
         return (self.n, self.k, self.d)
 
     def __str__(self) -> str:
-        return f"[[{self.n},{self.k},{self.d}]]"
+        return format_parameters(self.parameters)
 
 
 def css_from_triple(n: int, f1: int, f2: int, f3: int) -> QuantumCodeRecord:

@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional
 
 from .codes import _dual_poly
 from .gf2poly import format_poly, parse_poly
-from .quantum import QuantumCodeRecord, css_from_triple
+from .quantum import QuantumCodeRecord, css_from_triple, format_parameters
 
 
 class ReferenceRow(NamedTuple):
@@ -84,9 +84,8 @@ def reproduce_row(row: ReferenceRow) -> RowResult:
             )
     if computed != row.published:
         notes.append(
-            f"computed [[{computed[0]},{computed[1]},{computed[2]}]] "
-            f"differs from published "
-            f"[[{row.published[0]},{row.published[1]},{row.published[2]}]]"
+            f"computed {format_parameters(computed)} "
+            f"differs from published {format_parameters(row.published)}"
         )
 
     return RowResult(

@@ -146,7 +146,20 @@ def test_removed_options_are_usage_errors(capsys, argv, option):
     assert f"unrecognized arguments: {' '.join(option)}" in err
 
 
-def test_a_command_builds_its_own_subparser_alone(monkeypatch, capsys):
+# A well-formed argv of each command: a command followed only by exact
+# spellings of its own options, each with a well-formed value.
+WELL_FORMED = [
+    ("factor", "--n", "21", "--bound", "64"),
+    ("inspect", "--n", "8", "--f1", "x^3+x^2+x+1", "--f2", "1", "--f3", "0xF",
+     "--enum-cap", "256"),
+    ("search", "--n", "8", "--min-k", "2", "--equal-triples-only", "--max-results", "3",
+     "--divisor-cap", "64"),
+    ("reproduce-paper",),
+    ("audit", "--n-max", "2"),
+]
+
+
+def test_a_well_formed_argv_builds_no_parser(monkeypatch, capsys):
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -155,10 +168,59 @@ def test_a_command_builds_its_own_subparser_alone(monkeypatch, capsys):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-    assert main(["search", "--n", "8"]) == 0
+    for argv in WELL_FORMED:
+        assert main([*argv, "--format", "records"]) in (0, 4), argv
     capsys.readouterr()
-    # the top-level parser and the search subparser, not the other four
-    assert len(built) == 2
+    assert built == []
+    # help comes from the full parser: the top level and its five subparsers
+    with pytest.raises(SystemExit):
+        main(["search", "--n", "8", "-h"])
+    capsys.readouterr()
+    assert len(built) == 6
+
+
+# Argvs that the table parse must read exactly as argparse does, or leave
+# to it (None): abbreviations, "=" spellings, negative and empty values,
+# repeats, help, "--", and each kind of usage error.
+DIFFERENTIAL = [
+    *([*argv, "--format", fmt] for argv in WELL_FORMED for fmt in ("table", "records")),
+    *WELL_FORMED,
+    ["search", "--n", "8", "--equal"],
+    ["audit", "--n-m", "4"],
+    ["search", "--n=8"],
+    ["search", "--n", "8", "--min-k", "-3"],
+    ["search", "--n", "8", "--n", "16", "--format", "table", "--format", "records"],
+    ["search", "--n", "8", "--equal-triples-only", "--equal-triples-only"],
+    ["search", "--", "--n", "8"],
+    ["search", "--n", "8", "--"],
+    ["search", "-h"],
+    ["search", "--n", "8", "-h"],
+    ["inspect", "--n", "8", "--f1", "", "--f2", "1", "--f3", "1"],
+    ["inspect", "--n", "8", "--f1", "1", "--f2", "1"],
+    ["factor"],
+    ["factor", "--n", "eight"],
+    ["factor", "--n", "0"],
+    ["search", "--n", "8", "--format", "json"],
+    ["search", "--n", "8", "--equal-triples-only", "x"],
+    ["search", "--n"],
+    ["search", "--n", "8", "--bogus"],
+    ["bogus"],
+    [],
+]
+
+
+@pytest.mark.parametrize("argv", DIFFERENTIAL, ids=" ".join)
+def test_table_parse_agrees_with_argparse(argv):
+    args = cli._parse_argv(list(argv))
+    if args is None:
+        return
+    assert vars(args) == vars(build_parser().parse_args(list(argv)))
+
+
+def test_well_formed_argvs_take_the_table_parse():
+    for argv in WELL_FORMED:
+        for fmt in ("table", "records"):
+            assert cli._parse_argv([*argv, "--format", fmt]) is not None
 
 
 def _exit_and_output(capsys, call):
@@ -173,9 +235,9 @@ def _exit_and_output(capsys, call):
 EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 
 
-# Exit code and the digests of stdout and stderr, from before main built the
-# invoked command's subparser alone.  The text is Python 3.11's argparse at
-# 80 columns; its wording and layout differ between Python versions.
+# Exit code and the digests of stdout and stderr, recorded from the full
+# parser built with all five subparsers.  The text is Python 3.11's argparse
+# at 80 columns; its wording and layout differ between Python versions.
 @pytest.mark.parametrize("argv, exit_code, out_digest, err_digest", [
     ((), 1, EMPTY, "8e8dd0450570c638982abc255a961d4b10f8f401de2047950ee6290187623fa9"),
     (("-h",), 0, "047ba65d1ce87c4a1884039caab7545c7793929a6a8e8695f7dd570e52634a67", EMPTY),
