@@ -15,6 +15,19 @@ rotates each n-bit third (A|B|C) of its mask by one position, and the Gray
 masks of v*g and v^2*g are (0|C|B) and (0|B|C), so a cyclic span is built
 on the thirds alone (_mask_span).
 
+The idempotents e1 = 1+v^2 and e2 = v^2 split R as e1*R + e2*R (Abualrub
+and Siap, Des. Codes Cryptogr. 2007), and the audits build and compare
+images through that split.  With x = a + v*b + v^2*c, so that its Gray mask
+is (A|B|C) = (a|b|a+c), e2*x = v*b + v^2*(a+c) and e1*x = x + e2*x =
+a + v^2*a have the Gray masks (0|B|C) and (A|0|0).  An R-submodule holds
+e1*x and e2*x with each x, and x = e1*x + e2*x, so its Gray image is the
+direct sum of its first third and its last two thirds, and v maps the
+second part into itself, taking (0|B|C) to (0|C|B).  The canonical basis
+of the image is therefore the basis of the first part followed by the
+basis of the second: a single image is two cached cyclic spans
+(_single_image), and the projections are read off the basis with no
+elimination (_image_projections).
+
 A search meets the same generators and the same Gray images many times
 over, so the work is memoised where it repeats, in bounded lru_caches.  A
 module is the sum of the submodules its generators span, so
@@ -28,9 +41,12 @@ search needs only the image's rank, which it reads off _key_image of the
 key it already holds: the paper's criterion already implies dual
 containment (quantum.css_from_triple).
 BinaryCode is immutable and hashable, so audit_decomposition_image runs
-once per distinct code.  The audits build the single generator's image
-once per triple (_single_image), straight from the generator's Gray mask
-with no ring vector in between, and h* once per divisor (_dual_poly).
+once per distinct code, and each code that holds a ring-order witness is
+eliminated in that order once (_ring_order_rows).  The audits build the
+single generator's image once per triple (_single_image), from the two
+parts of the generator's Gray mask with no ring vector in between, each
+part's cyclic span once per (n, mask) (_part_span), and h* once per
+divisor (_dual_poly).
 min_hamming is not cached: a search asks it for the distance of each
 divisor's code, which quantum._component_distance caches.  rref is
 canonical, so a cached result is the same basis a fresh one would be.
@@ -48,10 +64,10 @@ when the claim fails, never assuming it.  Every set they compare is a GF(2)
 subspace, so the audits are rank algebra on bases: sizes are ranks, equality
 and containment are basis comparisons, and each witness, the least member
 of one subspace outside another, is read off the elimination of the first
-subspace (_least_outside) without walking a single codeword.  Each mask
+subspace (_mirrored_rows) without walking a single codeword.  Each mask
 carries its order key in its low bits, so that the key's lowest bit is the
 pivot; the witness is the first row, as _reduced yields them, that the
-other subspace does not contain, and the back-substitution stops there.
+other subspace does not contain (_least_outside).
 """
 
 from __future__ import annotations
@@ -267,12 +283,12 @@ def cyclic_image(n: int, f1: int, f2: int, f3: int) -> BinaryCode:
 
     It is _key_image of the triple's code_key, so triples that share a key
     share one image, and in the audits one dual.  This tier stays per
-    triple because the audits of one triple ask for its image several
-    times, and the dual-formula audit asks for the image of the dual triple
-    (h1*, h2*, h3*), which an audit of every divisor triple builds on its
-    own turn; it holds as many triples as the other per-image tiers.  A
-    search does not come here: css_from_triple reads _key_image of the key
-    it has already computed.
+    triple because the decomposition, size and single-generator audits of
+    one triple each ask for its image; it holds as many triples as the
+    other per-image tiers.  The dual-formula audit does not come here: it
+    compares the key of (h1*, h2*, h3*) with the dual key.  Nor does a
+    search: css_from_triple reads _key_image of the key it has already
+    computed.
     """
     return _key_image(n, *code_key(n, f1, f2, f3))
 
@@ -305,7 +321,15 @@ def _combination_mask(a: int, b: int, c: int, n: int) -> int:
 def _single_image(n: int, f1: int, f2: int, f3: int) -> BinaryCode:
     """Gray image of the cyclic code that the one generator
     v*f1 + (1+v)*f2 + (1+v^2)*f3 spans, each fi reduced mod x^n - 1, built
-    once per triple from the generator's Gray mask (_combination_mask).
+    once per triple from the generator's Gray mask (_combination_mask),
+    (f2+f3 | f1+f2 | f2).
+
+    The module that g spans is the sum of the modules that e1*g and e2*g
+    span, with the Gray masks (f2+f3 | 0 | 0) and (0 | f1+f2 | f2) (the
+    split in the module docstring), and their images lie on disjoint
+    thirds.  So the canonical basis is the span of the first part followed
+    by the span of the second, each read from _part_span, which many
+    triples share.
 
     The single-generator audit of a triple T and the dual-formula audit of
     the triple whose dual polynomials (_dual_polys) are T both read it; h*
@@ -322,7 +346,16 @@ def _single_image(n: int, f1: int, f2: int, f3: int) -> BinaryCode:
     """
     modulus = xn1(n)
     mask = _combination_mask(*(poly_mod(f, modulus) for f in (f1, f2, f3)), n)
-    return BinaryCode(3 * n, _mask_span(mask, n, cyclic=True))
+    first = mask & ((1 << n) - 1)
+    return BinaryCode(3 * n, _part_span(n, first) + _part_span(n, mask ^ first))
+
+
+@lru_cache(maxsize=1024)
+def _part_span(n: int, mask: int) -> tuple[int, ...]:
+    """Canonical basis of the Gray image of the cyclic module that the
+    vector with Gray mask ``mask``, one part of a single generator
+    (_single_image), spans."""
+    return _mask_span(mask, n, cyclic=True)
 
 
 def _dual_polys(n: int, f1: int, f2: int, f3: int) -> tuple[int, ...]:
@@ -357,13 +390,24 @@ def _dual_poly(n: int, f: int) -> int:
 
 
 def _image_projections(image: BinaryCode) -> tuple[BinaryCode, BinaryCode, BinaryCode]:
-    """The first, second and last thirds of a Gray image, as codes of length n.
+    """The first, second and last thirds of a Gray image, as codes of length
+    n, read off its canonical basis with no elimination.
 
-    Projection is linear, so each is spanned by the thirds of the basis rows.
+    ``image`` must be the Gray image of an R-linear code (every caller
+    passes one: a cyclic code's image, or a catalog code's).  Its basis is
+    then the basis of its first third followed by the basis of its last two
+    thirds (the split in the module docstring).  So C1 is the rows with
+    their pivot in the first third, which lie wholly in it.  C2 is the
+    middle thirds of the rows with their pivot in the middle third: every
+    other row is 0 there, and these middle thirds keep the rows' distinct
+    pivots and cleared pivot columns, so they are canonical.  v maps
+    (0|B|C) to (0|C|B) inside the image, so C3 = C2.
     """
     n = image.n // 3
     thirds = [_thirds(mask, n) for mask in image.basis]
-    return tuple(BinaryCode.from_rows(n, [t[i] for t in thirds]) for i in range(3))
+    c1 = BinaryCode(n, tuple(a for a, _, _ in thirds if a))
+    c2 = BinaryCode(n, tuple(b for a, b, _ in thirds if b and not a))
+    return c1, c2, c2
 
 
 # ---------------------------------------------------------------------------
@@ -410,11 +454,12 @@ def audit_decomposition_image(image: BinaryCode) -> DecompositionAudit:
     tensor_equal = image.size == product_size
     tensor_witness = None
     if not tensor_equal:
-        direct_sum = BinaryCode.from_rows(
-            image.n, [*c1.basis, *(b << n for b in c2.basis), *(c << (2 * n) for c in c3.basis)]
+        # the canonical bases of codes on disjoint thirds, in pivot order
+        direct_sum = BinaryCode(
+            image.n, (*c1.basis, *(b << n for b in c2.basis), *(c << (2 * n) for c in c3.basis))
         )
         tensor_witness = gray_vec_inverse(
-            _least_outside(direct_sum, image, _product_order_key(n)), n
+            _least_outside(_mirrored_rows(direct_sum, _product_order_key(n)), image), n
         )
 
     recon = BinaryCode.from_rows(image.n, [
@@ -481,33 +526,49 @@ def _ring_witness(x: BinaryCode, x_side: str, y: BinaryCode,
     if x == y:
         return None, ""
     extras, other, side = (x, y, x_side) if x.contains_code(y) else (y, x, y_side)
-    n = x.n // 3
-    return gray_vec_inverse(_least_outside(extras, other, _ring_order_key(n)), n), side
+    return gray_vec_inverse(_least_outside(_ring_order_rows(extras), other), x.n // 3), side
 
 
-def _least_outside(x: BinaryCode, y: BinaryCode, key: Callable[[int], int]) -> int:
-    """The least mask of x outside y, in the mirrored order of key(mask):
-    of two keys, the one with a 0 at the lowest bit where they differ is
-    less.
+@lru_cache(maxsize=1024)
+def _ring_order_rows(x: BinaryCode) -> tuple[int, ...]:
+    """_mirrored_rows of x in the order of ring tuples, eliminated once per
+    code: the codes that hold the audits' witnesses recur across triples
+    (an exact dual, a claimed dual, a reconstruction)."""
+    return tuple(_mirrored_rows(x, _ring_order_key(x.n // 3)))
+
+
+def _mirrored_rows(x: BinaryCode, key: Callable[[int], int]) -> Iterator[int]:
+    """A basis of x reduced in the mirrored order of key(mask), least row
+    first: of two keys, the one with a 0 at the lowest bit where they
+    differ is less.
 
     key must be a linear bijection (here, a bit relabelling), so a mask m
     travels as m << x.n | key(m) and sums act on both halves at once; each
     row's pivot, its lowest set bit, lies in the key half.  In the mirrored
     order a row with a higher pivot is less, and rref reduces each row by
-    exactly the rows with higher pivots, which _reduced yields first; the
-    first reduced row that y rejects gives the witness.  The rows before it
-    lie in y, so the whole coset of that row lies outside y.  Every member
-    of x with a higher lowest bit lies in the span of those rows, which is
-    inside y, and every one with a lower lowest bit is greater.  The reduced
-    row is the least member of its coset (adding any nonzero sum of the
-    rows before it sets that sum's lowest bit, a pivot column that the
-    reduction cleared, and leaves every bit below it), so it is the unique
-    least member of x \\ y, and any basis of x gives the same witness.
+    exactly the rows with higher pivots, which _reduced yields first.  Each
+    reduced row is the least member of its coset of the span of the rows
+    before it: adding any nonzero sum of those rows sets that sum's lowest
+    bit, a pivot column that the reduction cleared, and leaves every bit
+    below it.  The rows do not depend on the basis of x they start from.
     """
     n = x.n
-    for row in _reduced(m << n | key(m) for m in x.basis):
-        if not y.contains(row >> n):
-            return row >> n
+    return (row >> n for row in _reduced(m << n | key(m) for m in x.basis))
+
+
+def _least_outside(rows: Iterable[int], y: BinaryCode) -> int:
+    """The least mask of x outside y in the mirrored order of a key, given
+    the rows of x as _mirrored_rows yields them for that key.
+
+    It is the first row that y rejects.  The rows before it lie in y, so
+    the whole coset of that row lies outside y.  Every member of x with a
+    higher lowest key bit lies in the span of those rows, which is inside
+    y, and every one with a lower lowest key bit is greater.  The row is the
+    least member of its coset, so it is the unique least member of x \\ y.
+    """
+    for row in rows:
+        if not y.contains(row):
+            return row
     raise PreconditionError("no codeword outside the other code")
 
 
@@ -535,22 +596,28 @@ def audit_dual_formula(n: int, f1: int, f2: int, f3: int) -> DualFormulaAudit:
     """Compare the claimed dual, the span of the one generator
     v*h1* + (1+v)*h2* + (1+v^2)*h3* (the _single_image of _dual_polys), with
     the exact dual, the image of the code key's dual key (_dual_key), by
-    their bases.  The code and its dual are both read off the one code key.
-    The claim is under audit, not a trusted construction.
+    their bases.  The claim is under audit, not a trusted construction.
+
+    The code's own image is not built: |C| * |C^perp| = 8^n, so the code
+    has 2^(3n - dim) words, where dim is the dual's dimension.  Nor is the
+    image of the three-generator variant <v h1*, (1+v) h2*, (1+v^2) h3*>:
+    a key (g_a, g_u, g_v) with g_u | g_v is read back off its image, as
+    <g_a> = the first third, <g_u> = the middle third and <g_v> = the last
+    thirds of the words (0|0|y), and every code key and dual key is such a
+    key, so two images are equal exactly when their keys are.
     """
     key = code_key(n, f1, f2, f3)
-    code = _key_image(n, *key)
-    dual = _key_image(n, *_dual_key(n, *key))
+    dual_key = _dual_key(n, *key)
+    dual = _key_image(n, *dual_key)
     hs = _dual_polys(n, f1, f2, f3)
     formula = _single_image(n, *hs)
-    three_gen = cyclic_image(n, *hs)
     witness, side = _ring_witness(formula, "only_in_formula", dual, "only_in_brute")
 
     claimed = 1 << (degree(f1) + degree(f2) + degree(f3))
     return DualFormulaAudit(
         n=n,
         fs=(f1, f2, f3),
-        code_size=code.size,
+        code_size=1 << (3 * n - dual.dim),
         brute_dual_size=dual.size,
         formula_span_size=formula.size,
         claimed_dual_size=claimed,
@@ -558,7 +625,7 @@ def audit_dual_formula(n: int, f1: int, f2: int, f3: int) -> DualFormulaAudit:
         witness=witness,
         witness_side=side,
         size_claim_matches=claimed == dual.size,
-        three_generator_matches_brute=three_gen == dual,
+        three_generator_matches_brute=code_key(n, *hs) == dual_key,
     )
 
 

@@ -22,7 +22,9 @@ and v-multiples at once, built with phi and _v_multiples.
 
 The set-based audits take the library's Gray images and walk their
 codewords, as the audits did before they became rank algebra, so they check
-the library's witnesses against plain set differences.
+the library's witnesses against plain set differences.  The projections of
+an image by the rref of its thirds are the library's form before it read
+them off the image's basis.
 
 The last section holds references on the library's own representations,
 moved out of the package because only tests use them: the null space and
@@ -347,6 +349,18 @@ def gray_image_basis_by_shifts(code):
 # Set-based audits: the codeword walks that the library's rank algebra
 # replaced, kept as references for its witnesses.
 # ---------------------------------------------------------------------------
+
+
+def image_projections_by_rref(image: BinaryCode) -> tuple[BinaryCode, BinaryCode, BinaryCode]:
+    """The first, second and last thirds of a Gray image, as codes of length
+    n, each the rref of the thirds of the basis rows (projection is linear).
+
+    It takes any binary code of length 3n, so it is the reference for
+    codes._image_projections, which reads the thirds of an R-linear code's
+    image off its basis."""
+    n = image.n // 3
+    thirds = [_thirds(mask, n) for mask in image.basis]
+    return tuple(BinaryCode.from_rows(n, [t[i] for t in thirds]) for i in range(3))
 
 
 def _least_ring_vector(masks, n):

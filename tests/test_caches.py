@@ -92,7 +92,7 @@ def test_warm_audit_matches_cold_audit(capsys):
     assert cli.main(argv) == 0
     cold = capsys.readouterr().out
     tiers = (codes.audit_decomposition_image, codes.cyclic_image, codes._single_image,
-             codes._dual_poly)
+             codes._part_span, codes._ring_order_rows, codes._dual_poly)
     misses = [fn.cache_info().misses for fn in tiers]
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == cold
@@ -121,6 +121,15 @@ def test_audit_builds_each_single_generator_image_once(monkeypatch, capsys):
     # single-generator images are spanned straight from their Gray masks,
     # not through gray_image_basis
     assert len(built) == 130
+    # each single image is two part spans, (f2+f3 | 0 | 0) and
+    # (0 | f1+f2 | f2), and the 448 parts of the 224 images are 74 masks
+    info = codes._part_span.cache_info()
+    assert (info.misses, info.hits) == (74, 374)
+    # one ring-order elimination per code that holds a witness: of the 297
+    # witnesses, 183 are read off a code eliminated before (81 claimed
+    # duals, 63 exact duals and 39 reconstructions equal to an earlier one)
+    info = codes._ring_order_rows.cache_info()
+    assert (info.misses, info.hits) == (114, 183)
     # h* once for each of the 14 divisors of x^n - 1, n <= 4
     assert codes._dual_poly.cache_info().misses == 14
 

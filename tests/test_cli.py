@@ -601,10 +601,12 @@ def test_entry_point_process_prints_the_pinned_search():
 
 
 # Digests of stdout from before the unread options and the codeword-walk
-# limits were removed and (the last three) from before the witnesses were
+# limits were removed, (the next three) from before the witnesses were
 # read off leading-bit pivot tables and the decomposition audit was cached
 # per image, with the always-true product_law_ok key then deleted from each
-# audit record; no run may change a byte.
+# audit record, and (the last) from before the audits built their images
+# through the idempotent split, which matters most at n = 8, where
+# x^8 + 1 = (x+1)^8; no run may change a byte.
 @pytest.mark.parametrize("argv, exit_code, digest", [
     (("audit", "--n-max", "4", "--format", "records"), 0,
      "84bf15f73d02abdd86a02c23e0572841253c450bc509cbcf77efd74abd285535"),
@@ -616,6 +618,8 @@ def test_entry_point_process_prints_the_pinned_search():
      "8d860e8b849ff8b071d32f8325973d1567070e943d8db40aadf7c6633fdc21d1"),
     (("audit", "--n-max", "6", "--format", "records"), 0,
      "eb9fd7d9e4b645007086c72053512d2541d46c4f1883fabaf87684237df7361c"),
+    (("audit", "--n-max", "8", "--format", "records"), 0,
+     "6168143db548dbf64282d8049db742a6ee22778319234db85a97b6aaf1c10805"),
 ])
 def test_audit_and_reproduction_stdout_is_pinned(capsys, argv, exit_code, digest):
     code, out, err = run(capsys, *argv)

@@ -12,8 +12,10 @@ from vcubed.codes import (
     _dual_key,
     _image_projections,
     _key_image,
+    _dual_polys,
     _least_outside,
     _mask_span,
+    _mirrored_rows,
     _product_order_key,
     _reduced,
     _ring_order_key,
@@ -58,6 +60,7 @@ from oracles import (
     dual_ring_formula,
     dual_witness_by_walk,
     gray_image_basis_by_shifts,
+    image_projections_by_rref,
     is_cyclic,
     is_quasicyclic3,
     is_self_orthogonal,
@@ -356,6 +359,21 @@ def test_projections_examples():
         assert set(codewords(c)) == {0}
 
 
+def test_projections_read_off_the_basis_match_rref_of_thirds():
+    # _image_projections reads C1 and C2 off the basis of an R-linear code's
+    # image, with C3 = C2; the oracle takes the rref of each third, on every
+    # key image and single image at n <= 6 and the catalog codes
+    images = [gray_image_basis(RingCode(n, gens)) for _, n, gens in AUDIT_CATALOG]
+    for n in range(1, 7):
+        images += [_key_image(n, *key) for key in _canonical_keys(n)]
+        images += [_single_image(n, *fs) for fs in product(enumerate_divisors(n), repeat=3)]
+    assert len(images) == 8 + 495 + 1017
+    for image in images:
+        oracle = image_projections_by_rref(image)
+        assert _image_projections(image) == oracle, image
+        assert oracle[1] == oracle[2], image
+
+
 def test_dual_ring_bruteforce_examples():
     ideal_v = span_enumerate(RingCode(1, ((V,),)))
     assert dual_ring_bruteforce(ideal_v, 1) == {(0,), (ONE_PLUS_V2,)}
@@ -630,12 +648,12 @@ def test_gray_image_basis_matches_shift_oracle():
 
 
 def test_single_image_matches_shift_oracle():
-    # _single_image spans the Gray mask of the combined generator; compare
-    # with the oracle's generator, laid out from unit coefficients, on all
-    # 1,017 divisor triples at n <= 6
-    triples = [(n, fs) for n in range(1, 7)
+    # _single_image spans the two parts of the combined generator's Gray
+    # mask; compare with the oracle's generator, laid out from unit
+    # coefficients and spanned whole, on all 2,770 divisor triples at n <= 9
+    triples = [(n, fs) for n in range(1, 10)
                for fs in product(enumerate_divisors(n), repeat=3)]
-    assert len(triples) == 1017
+    assert len(triples) == 2770
     for n, fs in triples:
         oracle = gray_image_basis_by_shifts(
             RingCode(n, (combined_generator(n, *fs),), cyclic=True))
@@ -924,7 +942,7 @@ def test_least_outside_matches_walk():
         cases += 1
         for key, order in ((_product_order_key(n), _product_order(n)),
                            (_ring_order_key(n), _ring_order(n))):
-            least = _least_outside(x, y, key)
+            least = _least_outside(_mirrored_rows(x, key), y)
             assert x.contains(least) and not y.contains(least)
             assert least == min((m for m in codewords(x) if not y.contains(m)), key=order)
     assert cases > 250
@@ -934,7 +952,7 @@ def test_least_outside_refuses_a_contained_code():
     y = BinaryCode.from_rows(6, [0b000011, 0b001100, 0b110000])
     for x in (y, BinaryCode.from_rows(6, [0b001111]), BinaryCode(6, ())):
         with pytest.raises(PreconditionError):
-            _least_outside(x, y, _ring_order_key(2))
+            _least_outside(_mirrored_rows(x, _ring_order_key(2)), y)
 
 
 def test_least_outside_matches_walk_on_audit_inputs():
@@ -963,11 +981,11 @@ def test_least_outside_matches_walk_on_audit_inputs():
         for x, y in ((a, b), (b, a)):
             outside = set(codewords(x)) - set(codewords(y))
             if outside:
-                assert _least_outside(x, y, key) == min(outside, key=order(n))
+                assert _least_outside(_mirrored_rows(x, key), y) == min(outside, key=order(n))
                 witnesses += 1
             else:
                 with pytest.raises(PreconditionError):
-                    _least_outside(x, y, key)
+                    _least_outside(_mirrored_rows(x, key), y)
     assert witnesses == 447
 
 
@@ -1000,6 +1018,35 @@ def test_dual_formula_witness_matches_walk():
         for fs in product(enumerate_divisors(n), repeat=3):
             audit = audit_dual_formula(n, *fs)
             assert (audit.witness, audit.witness_side) == dual_witness_by_walk(n, *fs), (n, fs)
+
+
+def test_audit_verdicts_follow_key_conditions_at_n_le_9():
+    # two of the proved conditions, on all 2,770 divisor triples at n <= 9:
+    # tensor_equal exactly when g_u = g_v, and the three-generator dual
+    # variant exactly when f1 = f2 = f3 (mod x^n - 1).  The dual-formula
+    # audit reads the variant's verdict and the code's size off keys, so
+    # each is also checked against the images it no longer builds, and two
+    # triples' images are equal exactly when their keys are
+    triples = 0
+    for n in range(1, 10):
+        divisors = enumerate_divisors(n)
+        images = {}
+        for fs in product(divisors, repeat=3):
+            triples += 1
+            key = codes.code_key(n, *fs)
+            image = cyclic_image(n, *fs)
+            assert images.setdefault(key, image) == image
+            g_a, g_u, g_v = key
+            assert audit_decomposition_image(image).tensor_equal == (g_u == g_v), (n, fs)
+            audit = audit_dual_formula(n, *fs)
+            reduced = {gf2poly.poly_mod(f, gf2poly.xn1(n)) for f in fs}
+            assert audit.three_generator_matches_brute == (len(reduced) == 1), (n, fs)
+            dual = _key_image(n, *_dual_key(n, *key))
+            assert audit.three_generator_matches_brute == (
+                cyclic_image(n, *_dual_polys(n, *fs)) == dual), (n, fs)
+            assert audit.code_size == image.size, (n, fs)
+        assert len(set(images.values())) == len(images), n
+    assert triples == 2770
 
 
 def _least_walked(x, y, order, n):
