@@ -11,6 +11,8 @@ parser; any other argv goes to the full argparse parser, which words every
 usage, help and error text (main).  Each command builds its records once
 and hands them to _emit with its table renderer, which draws the table
 from the records alone; records mode encodes them and renders no table.
+One JSON encoder serves the whole run (_encode), and each divisor's text
+fields are built once (_poly_fields) and shared by the records that name it.
 
 Exit codes: 0 success, 1 usage or parse error, 2 resource cap exceeded,
 3 mathematical precondition violated, 4 reproduction mismatch.
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import json
 import sys
+from functools import lru_cache
 from itertools import product
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator
@@ -64,12 +67,28 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@lru_cache(maxsize=1024)
 def _poly_fields(p: int) -> dict:
+    """A divisor's two text forms, built once per divisor: records share
+    the dict, which is safe because no record is changed once built."""
     return {"poly": format_poly(p), "hex": poly_hex(p)}
 
 
-# Records are trees of dicts, lists, strs, ints and bools: no cycle to check.
-_encode = json.JSONEncoder(check_circular=False).encode
+def _make_encode() -> Callable[[dict], str]:
+    """JSONEncoder().encode with one C encoder for the whole run: encode()
+    builds a new one per call.  Records are trees of dicts, lists, strs,
+    ints and bools, so there is no cycle to check."""
+    encoder = json.JSONEncoder(check_circular=False)
+    make = json.encoder.c_make_encoder
+    if make is None:  # a Python without the _json accelerator
+        return encoder.encode
+    chunks = make(None, encoder.default, json.encoder.encode_basestring_ascii,
+                  encoder.indent, encoder.key_separator, encoder.item_separator,
+                  encoder.sort_keys, encoder.skipkeys, encoder.allow_nan)
+    return lambda rec: "".join(chunks(rec, 0))
+
+
+_encode = _make_encode()
 
 
 def _encode_records(records: Iterable[dict]) -> list[str]:
@@ -89,7 +108,9 @@ def _encode_records(records: Iterable[dict]) -> list[str]:
 def _emit(records: list[dict], fmt: str, render: Callable[[list[dict]], Iterable[str]]) -> None:
     """Write a command's records to stdout in one write: one JSON line per
     record for "records", else the table lines that ``render`` draws from
-    the records alone, so records mode renders no table."""
+    the records alone, so records mode renders no table.  The records are
+    only read here and dropped after, so they may share the cached
+    _poly_fields dicts."""
     lines = _encode_records(records) if fmt == "records" else render(records)
     sys.stdout.write("\n".join([*lines, ""]))
 

@@ -8,9 +8,16 @@ b's, then all a+c's) and the result is packed into a single int bitmask of
 length 3n.  The map is an additive bijection that takes Lee weight to
 Hamming weight, so the package computes on these masks alone and turns a
 mask back into a ring vector only to print a witness.
+
+The inverse reads a mask's three n-bit thirds (a, b, a+c) at byte speed:
+each third is spread so that its bit i lands on bit 8i (_spread, cached per
+third), and the spread thirds a | b<<1 | c<<2 are an n-byte string whose
+byte i is the element a_i + v*b_i + v^2*c_i.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 
 def gray_vec(vec: tuple[int, ...]) -> int:
@@ -24,15 +31,20 @@ def gray_vec(vec: tuple[int, ...]) -> int:
     return a | b << n | (a ^ c) << (2 * n)
 
 
+@lru_cache(maxsize=4096)
+def _spread(bits: int) -> int:
+    """bits with bit i moved to bit 8i: its binary digits, read as hex
+    digits with a 0 between each two, put bit i on hex digit 2i."""
+    return int("0".join(f"{bits:b}"), 16)
+
+
 def gray_vec_inverse(mask: int, n: int) -> tuple[int, ...]:
     """The unique ring vector whose Gray image is the given 3n-bit mask."""
     full = (1 << n) - 1
     a = mask & full
     b = (mask >> n) & full
     c = a ^ (mask >> (2 * n)) & full
-    return tuple(
-        ((a >> i) & 1) | ((b >> i) & 1) << 1 | ((c >> i) & 1) << 2 for i in range(n)
-    )
+    return tuple((_spread(a) | _spread(b) << 1 | _spread(c) << 2).to_bytes(n, "little"))
 
 
 # ---------------------------------------------------------------------------

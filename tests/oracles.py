@@ -2,7 +2,9 @@
 
 The ring's element arithmetic comes first: addition and the product of
 elements, units and principal ideals, Lee weights, the Gray map of one
-element, scaling, the inner product and the text grammar of an element.
+element, the per-coordinate inverse of the Gray map on vectors (the
+package's form before it unpacked masks by bytes), scaling, the inner
+product and the text grammar of an element.
 The package computes on Gray masks alone and needs none of it; these are
 the paper's definitions, which the tests hold the Gray map to.
 
@@ -135,6 +137,18 @@ def gray(x: int) -> tuple[int, int, int]:
 def gray_inverse(t: tuple[int, int, int]) -> int:
     a, b, third = t
     return a | b << 1 | (a ^ third) << 2
+
+
+def gray_vec_inverse_by_bits(mask: int, n: int) -> tuple[int, ...]:
+    """The ring vector of a 3n-bit Gray mask, read one coordinate at a
+    time: the package's form before it spread each third into bytes."""
+    full = (1 << n) - 1
+    a = mask & full
+    b = (mask >> n) & full
+    c = a ^ (mask >> (2 * n)) & full
+    return tuple(
+        ((a >> i) & 1) | ((b >> i) & 1) << 1 | ((c >> i) & 1) << 2 for i in range(n)
+    )
 
 
 def scale_vec(s: int, vec: tuple[int, ...]) -> tuple[int, ...]:

@@ -100,6 +100,24 @@ def test_warm_audit_matches_cold_audit(capsys):
     assert [fn.cache_info().misses for fn in tiers] == misses
 
 
+def test_records_that_share_cached_fields_print_the_same_twice(capsys):
+    # a record that changed a cached _poly_fields dict would change the
+    # second run's bytes
+    argvs = [[*argv, "--format", fmt]
+             for argv in (["search", "--n", "8"], ["factor", "--n", "15"])
+             for fmt in ("table", "records")]
+    _clear_caches()
+    runs = []
+    for _ in range(2):
+        for argv in argvs:
+            assert cli.main(argv) == 0
+            runs.append(capsys.readouterr().out)
+    assert runs[:4] == runs[4:]
+    # the 375 fields of the 125 admissible triples at n = 8 name 5 divisors,
+    # and x^15+1 has 4 factors besides x+1: every other field was shared
+    assert cli._poly_fields.cache_info().misses == 5 + 4
+
+
 def test_audit_builds_each_single_generator_image_once(monkeypatch, capsys):
     _clear_caches()
     build = codes.gray_image_basis

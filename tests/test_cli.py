@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -209,7 +210,13 @@ DIFFERENTIAL = [
 ]
 
 
-@pytest.mark.parametrize("argv", DIFFERENTIAL, ids=" ".join)
+def _argv_id(argv):
+    """The argv as a shell quotes it, so an empty value reads '' and no id
+    is empty."""
+    return shlex.join(argv) or "(no arguments)"
+
+
+@pytest.mark.parametrize("argv", DIFFERENTIAL, ids=_argv_id)
 def test_table_parse_agrees_with_argparse(argv):
     args = cli._parse_argv(list(argv))
     if args is None:
@@ -386,6 +393,51 @@ def test_records_carry_sizes_past_the_int_digit_limit(capsys):
     decomposition = record["audits"][0]
     assert decomposition["target"] == "decomposition"
     assert decomposition["code_size"] == 2 ** 2400
+
+
+def _records(monkeypatch, argv):
+    """The records a command hands to _emit."""
+    seen = []
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_emit", lambda records, fmt, render: seen.extend(records))
+        main(list(argv))
+    return seen
+
+
+@pytest.mark.parametrize("argv", [
+    ("search", "--n", "8"),
+    ("audit", "--n-max", "3"),
+    ("factor", "--n", "15"),
+    INSPECT_ARGV,
+    ("reproduce-paper",),
+], ids=_argv_id)
+def test_the_run_encoder_writes_what_json_dumps_does(monkeypatch, argv):
+    records = _records(monkeypatch, argv)
+    expected = [json.dumps(rec) for rec in records]
+    assert cli._encode_records(records) == expected
+    # a Python without the _json accelerator encodes through JSONEncoder.encode
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    assert list(map(cli._make_encode(), records)) == expected
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no limit on int-to-str digits")
+def test_encoding_restores_the_int_digit_limit(monkeypatch):
+    (record,) = _records(monkeypatch, ("inspect", "--n", "5000", "--f1", "1",
+                                       "--f2", "1", "--f3", "1"))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # Python's default
+    try:
+        # code_size = 2^15000 has 4,516 digits, past the limit
+        with pytest.raises(ValueError):
+            json.dumps(record)
+        lines = cli._encode_records([record])
+        assert sys.get_int_max_str_digits() == 4300
+        sys.set_int_max_str_digits(0)
+        expected = json.dumps(record)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert lines == [expected]
 
 
 class _CountingStdout:

@@ -18,6 +18,7 @@ from oracles import (
     classify,
     gray,
     gray_inverse,
+    gray_vec_inverse_by_bits,
     lee_weight,
     lee_weight_by_gray,
     lee_weight_vec,
@@ -137,6 +138,24 @@ def test_gray_vec_block_layout():
             assert (mask >> i) & 1 == a
             assert (mask >> (n + i)) & 1 == b
             assert (mask >> (2 * n + i)) & 1 == t3
+
+
+def _masks():
+    """Every 3n-bit mask at n <= 5, then random masks at n = 64 and 127."""
+    for n in range(6):
+        for mask in range(1 << 3 * n):
+            yield mask, n
+    rng = random.Random(30)
+    for n in (64, 127):
+        for _ in range(2000):
+            yield rng.getrandbits(3 * n), n
+
+
+def test_gray_vec_inverse_matches_per_bit_oracle():
+    for mask, n in _masks():
+        vec = gray_vec_inverse(mask, n)
+        assert vec == gray_vec_inverse_by_bits(mask, n)
+        assert gray_vec(vec) == mask
 
 
 def test_inner_product_examples():
