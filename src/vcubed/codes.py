@@ -13,42 +13,24 @@ from each stored row's lowest set bit to the row, and then back-substitutes
 once from the highest pivot down.  The cyclic shift of a Gray image
 rotates each n-bit third (A|B|C) of its mask by one position, and the Gray
 masks of v*g and v^2*g are (0|C|B) and (0|B|C), so a cyclic span is built
-on the thirds alone (_mask_span).
+on the thirds alone (_part_span).
 
 The idempotents e1 = 1+v^2 and e2 = v^2 split R as e1*R + e2*R (Abualrub
-and Siap, Des. Codes Cryptogr. 2007), and the audits build and compare
-images through that split.  With x = a + v*b + v^2*c, so that its Gray mask
+and Siap, Des. Codes Cryptogr. 2007), and every image is built through
+that split.  With x = a + v*b + v^2*c, so that its Gray mask
 is (A|B|C) = (a|b|a+c), e2*x = v*b + v^2*(a+c) and e1*x = x + e2*x =
 a + v^2*a have the Gray masks (0|B|C) and (A|0|0).  An R-submodule holds
 e1*x and e2*x with each x, and x = e1*x + e2*x, so its Gray image is the
 direct sum of its first third and its last two thirds, and v maps the
 second part into itself, taking (0|B|C) to (0|C|B).  The canonical basis
 of the image is therefore the basis of the first part followed by the
-basis of the second: a single image is two cached cyclic spans
-(_single_image), and the projections are read off the basis with no
+basis of the second: every span of one generator is two part spans
+(_mask_span), and the projections are read off the basis with no
 elimination (_image_projections).
 
 A search meets the same generators and the same Gray images many times
-over, so the work is memoised where it repeats, in bounded lru_caches.  A
-module is the sum of the submodules its generators span, so
-gray_image_basis is the rref of the union of per-generator spans, and each
-span is built once per (n, generator, cyclic) by _generator_span.  A
-divisor triple (f1, f2, f3) names the cyclic code <v f1, (1+v) f2,
-(1+v^2) f3>.  The code depends only on its code key (code_key), so
-_key_image builds the image once per key, from the key's own generators,
-and cyclic_image maps a triple to its key for inspect and the audits.  A
-search needs only the image's rank, which it reads off _key_image of the
-key it already holds: the paper's criterion already implies dual
-containment (quantum.css_from_triple).
-BinaryCode is immutable and hashable, so audit_decomposition_image runs
-once per distinct code, and each code that holds a ring-order witness is
-eliminated in that order once (_ring_order_rows).  The audits build the
-single generator's image once per triple (_single_image), from the two
-parts of the generator's Gray mask with no ring vector in between, each
-part's cyclic span once per (n, mask) (_part_span), and h* once per
-divisor (_dual_poly).
-min_hamming is not cached: a search asks it for the distance of each
-divisor's code, which quantum._component_distance caches.  rref is
+over, so the work is memoised where it repeats, in bounded lru_caches;
+each cached function says what it is cached per and why.  rref is
 canonical, so a cached result is the same basis a fresh one would be.
 
 The exact dual that the audits compare against is the binary dual of the
@@ -226,13 +208,33 @@ def gray_image_basis(code: RingCode) -> BinaryCode:
 
 @lru_cache(maxsize=1024)
 def _generator_span(n: int, gen: tuple[int, ...], cyclic: bool) -> tuple[int, ...]:
-    """Canonical basis of the Gray image of the submodule one generator spans."""
+    """Canonical basis of the Gray image of the submodule one generator
+    spans, once per (n, generator, cyclic): a search meets the same
+    generators for many triples."""
     return _mask_span(gray_vec(gen), n, cyclic)
 
 
 def _mask_span(mask: int, n: int, cyclic: bool) -> tuple[int, ...]:
     """Canonical basis of the Gray image of the submodule that the vector
-    with Gray mask ``mask`` spans.
+    with Gray mask ``mask`` spans (and every shift of it, when cyclic).
+
+    For the vector g with Gray mask (A|B|C), that submodule is the sum of
+    the submodules that e1*g and e2*g span, with the Gray masks (A|0|0) and
+    (0|B|C) (the split in the module docstring), and their images lie on
+    disjoint thirds.  So the canonical
+    basis is the span of the first part followed by the span of the
+    second, each read from _part_span, which many generators share.
+    """
+    first = mask & ((1 << n) - 1)
+    return _part_span(first, n, cyclic) + _part_span(mask ^ first, n, cyclic)
+
+
+@lru_cache(maxsize=1024)
+def _part_span(mask: int, n: int, cyclic: bool) -> tuple[int, ...]:
+    """Canonical basis of the Gray image of the submodule that one part of
+    a generator (_mask_span), with Gray mask ``mask``, spans; built once per
+    part, since single generators and the generators of key and catalog
+    images share their parts.
 
     Over R that submodule is the GF(2) span of {u*g : u in {1, v, v^2}} for
     the generator g (and every shift of it, when cyclic).  All of these are
@@ -305,6 +307,8 @@ def _key_image(n: int, g_a: int, g_u: int, g_v: int) -> BinaryCode:
     """
     g_a, g_u, g_v = (poly_mod(g, xn1(n)) for g in (g_a, g_u, g_v))
     masks = (g_a, g_u << n | g_u << (2 * n), g_v << (2 * n))
+    # The hop through ring vectors waits on ROADMAP items 1 and 8: the
+    # benchmark asserts that a search calls gray_vec_inverse.
     return gray_image_basis(RingCode(n, tuple(gray_vec_inverse(m, n) for m in masks), cyclic=True))
 
 
@@ -322,14 +326,7 @@ def _single_image(n: int, f1: int, f2: int, f3: int) -> BinaryCode:
     """Gray image of the cyclic code that the one generator
     v*f1 + (1+v)*f2 + (1+v^2)*f3 spans, each fi reduced mod x^n - 1, built
     once per triple from the generator's Gray mask (_combination_mask),
-    (f2+f3 | f1+f2 | f2).
-
-    The module that g spans is the sum of the modules that e1*g and e2*g
-    span, with the Gray masks (f2+f3 | 0 | 0) and (0 | f1+f2 | f2) (the
-    split in the module docstring), and their images lie on disjoint
-    thirds.  So the canonical basis is the span of the first part followed
-    by the span of the second, each read from _part_span, which many
-    triples share.
+    (f2+f3 | f1+f2 | f2), with no ring vector in between.
 
     The single-generator audit of a triple T and the dual-formula audit of
     the triple whose dual polynomials (_dual_polys) are T both read it; h*
@@ -337,25 +334,14 @@ def _single_image(n: int, f1: int, f2: int, f3: int) -> BinaryCode:
     asked for twice by an audit of all of them.
 
     It spans the mask rather than reading a key, because no key in closed
-    form is known for it.  The naive one, (gcd(f2+f3, x^n - 1),
+    form is known for it: the naive one, (gcd(f2+f3, x^n - 1),
     gcd(f1, f2 (x^n - 1)/f1), f1), gives the span at every odd n <= 9 but
-    not at even n: it misses on 3 of the 27 divisor triples at n = 2 (the
-    first is (x+1, 1, 1)), 30 of 125 at n = 4, 153 of 729 at n = 6 and 252
-    of 729 at n = 8.  At even n, a module over F2[w]/(w^2) is not fixed by
-    its residue and torsion ideals.
+    not at even n, where a module over F2[w]/(w^2) is not fixed by its
+    residue and torsion ideals.
     """
     modulus = xn1(n)
     mask = _combination_mask(*(poly_mod(f, modulus) for f in (f1, f2, f3)), n)
-    first = mask & ((1 << n) - 1)
-    return BinaryCode(3 * n, _part_span(n, first) + _part_span(n, mask ^ first))
-
-
-@lru_cache(maxsize=1024)
-def _part_span(n: int, mask: int) -> tuple[int, ...]:
-    """Canonical basis of the Gray image of the cyclic module that the
-    vector with Gray mask ``mask``, one part of a single generator
-    (_single_image), spans."""
-    return _mask_span(mask, n, cyclic=True)
+    return BinaryCode(3 * n, _mask_span(mask, n, cyclic=True))
 
 
 def _dual_polys(n: int, f1: int, f2: int, f3: int) -> tuple[int, ...]:
@@ -389,9 +375,10 @@ def _dual_poly(n: int, f: int) -> int:
     return reciprocal(poly_divmod(xn1(n), f)[0])
 
 
-def _image_projections(image: BinaryCode) -> tuple[BinaryCode, BinaryCode, BinaryCode]:
-    """The first, second and last thirds of a Gray image, as codes of length
-    n, read off its canonical basis with no elimination.
+def _image_projections(image: BinaryCode) -> tuple[BinaryCode, BinaryCode]:
+    """The projections C1 and C2 of a Gray image onto its first and second
+    thirds, as codes of length n, read off its canonical basis with no
+    elimination.
 
     ``image`` must be the Gray image of an R-linear code (every caller
     passes one: a cyclic code's image, or a catalog code's).  Its basis is
@@ -401,13 +388,14 @@ def _image_projections(image: BinaryCode) -> tuple[BinaryCode, BinaryCode, Binar
     middle thirds of the rows with their pivot in the middle third: every
     other row is 0 there, and these middle thirds keep the rows' distinct
     pivots and cleared pivot columns, so they are canonical.  v maps
-    (0|B|C) to (0|C|B) inside the image, so C3 = C2.
+    (0|B|C) to (0|C|B) inside the image, so the last third's projection C3
+    is C2.
     """
     n = image.n // 3
     thirds = [_thirds(mask, n) for mask in image.basis]
     c1 = BinaryCode(n, tuple(a for a, _, _ in thirds if a))
     c2 = BinaryCode(n, tuple(b for a, b, _ in thirds if b and not a))
-    return c1, c2, c2
+    return c1, c2
 
 
 # ---------------------------------------------------------------------------
@@ -448,15 +436,15 @@ def audit_decomposition_image(image: BinaryCode) -> DecompositionAudit:
     span of the images of the projections' basis rows.
     """
     n = image.n // 3
-    c1, c2, c3 = _image_projections(image)
-    product_size = c1.size * c2.size * c3.size
+    c1, c2 = _image_projections(image)  # C3 = C2
+    product_size = c1.size * c2.size * c2.size
 
     tensor_equal = image.size == product_size
     tensor_witness = None
     if not tensor_equal:
         # the canonical bases of codes on disjoint thirds, in pivot order
         direct_sum = BinaryCode(
-            image.n, (*c1.basis, *(b << n for b in c2.basis), *(c << (2 * n) for c in c3.basis))
+            image.n, (*c1.basis, *(b << n for b in c2.basis), *(c << (2 * n) for c in c2.basis))
         )
         tensor_witness = gray_vec_inverse(
             _least_outside(_mirrored_rows(direct_sum, _product_order_key(n)), image), n
@@ -465,7 +453,7 @@ def audit_decomposition_image(image: BinaryCode) -> DecompositionAudit:
     recon = BinaryCode.from_rows(image.n, [
         *(_combination_mask(a, 0, 0, n) for a in c1.basis),
         *(_combination_mask(0, b, 0, n) for b in c2.basis),
-        *(_combination_mask(0, 0, c, n) for c in c3.basis),
+        *(_combination_mask(0, 0, c, n) for c in c2.basis),
     ])
     reconstruction_equal = recon == image
     witness, side = _ring_witness(image, "only_in_code", recon, "only_in_reconstruction")
@@ -473,7 +461,7 @@ def audit_decomposition_image(image: BinaryCode) -> DecompositionAudit:
     return DecompositionAudit(
         n=n,
         code_size=image.size,
-        projection_sizes=(c1.size, c2.size, c3.size),
+        projection_sizes=(c1.size, c2.size, c2.size),
         product_size=product_size,
         tensor_equal=tensor_equal,
         tensor_witness=tensor_witness,
@@ -668,20 +656,19 @@ class SingleGeneratorAudit(NamedTuple):
 
 
 def audit_single_generator(n: int, f1: int, f2: int, f3: int) -> SingleGeneratorAudit:
-    code_basis = cyclic_image(n, f1, f2, f3)
-    single_basis = _single_image(n, f1, f2, f3)
-    equal = code_basis == single_basis
+    code = cyclic_image(n, f1, f2, f3)
+    single = _single_image(n, f1, f2, f3)
+    equal = code == single
     witness = None
     if not equal:
         # The combined generator is a sum of the code's generators, so the
         # single span lies inside the code and a code row lies outside it.
-        row = next(r for r in code_basis.basis if not single_basis.contains(r))
-        witness = gray_vec_inverse(row, n)
+        witness = gray_vec_inverse(_least_outside(code.basis, single), n)
     return SingleGeneratorAudit(
         n=n,
         fs=(f1, f2, f3),
-        code_log2=code_basis.dim,
-        single_log2=single_basis.dim,
+        code_log2=code.dim,
+        single_log2=single.dim,
         equal=equal,
         witness=witness,
     )

@@ -15,8 +15,7 @@ as ``0xB``.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import product
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
 from .errors import CapExceeded, ParseError, PreconditionError
@@ -65,8 +64,8 @@ def poly_gcd(p: int, q: int) -> int:
     """Greatest common divisor (over GF(2) every nonzero gcd is monic).
 
     Cached: a search takes the gcds of the same few divisor pairs for every
-    triple, in codes.code_key, once for the distance and once for the image.
-    It also splits x^m + 1 into its irreducible factors (_factor_odd).
+    triple, once per triple in codes.code_key.  It also splits x^m + 1 into
+    its irreducible factors (_factor_odd).
     """
     if p == 0 and q == 0:
         raise PreconditionError("gcd(0, 0) is undefined")
@@ -146,22 +145,6 @@ class Factorization(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _cyclotomic_cosets(m: int) -> list[list[int]]:
-    seen = [False] * m
-    cosets = []
-    for i in range(m):
-        if seen[i]:
-            continue
-        coset = []
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            coset.append(j)
-            j = (2 * j) % m
-        cosets.append(coset)
-    return cosets
-
-
 def _factor_odd(m: int) -> tuple[int, ...]:
     """Distinct irreducible factors of x^m + 1 for odd m, canonically ordered.
 
@@ -182,14 +165,18 @@ def _factor_odd(m: int) -> tuple[int, ...]:
     different pieces.
     """
     pieces = [xn1(m)]
-    for coset in _cyclotomic_cosets(m):
-        c = sum(1 << j for j in coset)
+    seen = 0  # the exponents of every coset summed so far
+    for i in range(m):
+        if seen >> i & 1:
+            continue
+        c, j = 0, i
+        while not c >> j & 1:  # walk i -> 2i mod m, summing x^j
+            c |= 1 << j
+            j = 2 * j % m
+        seen |= c
         pieces = [g for p in pieces for g in (poly_gcd(p, c), poly_gcd(p, c ^ 1)) if g != 1]
     pieces.sort()
-    prod = 1
-    for f in pieces:
-        prod = poly_mul(prod, f)
-    if prod != xn1(m):
+    if reduce(poly_mul, pieces, 1) != xn1(m):
         raise RuntimeError(f"factor product check failed for m={m}")
     return tuple(pieces)
 
@@ -198,12 +185,8 @@ def factor_xn1(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> Factorization:
     """Complete factorization of x^n + 1 over GF(2), for 1 <= n <= bound."""
     if not 1 <= n <= bound:
         raise PreconditionError(f"n={n} outside factorization bound 1..{bound}")
-    a, m = 0, n
-    while m % 2 == 0:
-        m //= 2
-        a += 1
-    mult = 1 << a
-    return Factorization(n, tuple((f, mult) for f in _factor_odd(m)))
+    mult = n & -n  # 2^a, with n = 2^a m and m odd
+    return Factorization(n, tuple((f, mult) for f in _factor_odd(n // mult)))
 
 
 def enumerate_divisors(n: int, cap: int = DEFAULT_DIVISOR_CAP) -> list[int]:
@@ -217,14 +200,12 @@ def enumerate_divisors(n: int, cap: int = DEFAULT_DIVISOR_CAP) -> list[int]:
     count = fact.divisor_count
     if count > cap:
         raise CapExceeded(f"{count} divisors of x^{n}+1 exceed divisor cap {cap}")
-    divisors = []
-    ranges = [range(mult + 1) for _, mult in fact.factors]
-    for exps in product(*ranges):
-        d = 1
-        for (f, _), e in zip(fact.factors, exps):
-            for _ in range(e):
-                d = poly_mul(d, f)
-        divisors.append(d)
+    divisors = [1]
+    for f, mult in fact.factors:
+        powers = [1]
+        for _ in range(mult):
+            powers.append(poly_mul(powers[-1], f))
+        divisors = [poly_mul(d, q) for d in divisors for q in powers]
     divisors.sort()
     return divisors
 

@@ -20,17 +20,9 @@ the ring code because the Gray map is a weight-preserving isometry.  The
 paper's min-of-components rule is a claim, kept as a note where it
 disagrees.
 
-The divisors of x^n - 1 are few and the triples many, so each layer of a
-search is memoised in a bounded lru_cache where its work repeats:
-divisibility (gf2poly.divides_xn1), h* (codes._dual_poly), dual
-containment (dual_containing_poly) and the distance of <g>
-(_component_distance) per divisor, the gcd per pair of divisors
-(gf2poly.poly_gcd), the Gray span per generator, and the Gray image per
-code key (codes._key_image), which many triples share; css_from_triple
-computes each triple's key once and reads the rank off that image, so the
-per-triple image tier (codes.cyclic_image) serves inspect and the audits
-only.  min_hamming keeps no cache of its own.  Errors are raised, not
-cached, and a warm search returns exactly what a cold one does.
+The divisors of x^n - 1 are few and the triples many, so a search caches
+its work per divisor and per code key in bounded lru_caches.  Errors are
+raised, not cached, and a warm search returns exactly what a cold one does.
 """
 
 from __future__ import annotations
@@ -59,6 +51,7 @@ from .gf2poly import (
 @lru_cache(maxsize=4096)
 def dual_containing_poly(n: int, f: int) -> bool:
     """Whether x^n - 1 = 0 (mod f * f_reciprocal); f must divide x^n - 1.
+    Decided once per divisor, which a search meets in many triples.
 
     That is when <f> holds its dual <h*>, h = (x^n - 1)/f (MacWilliams and
     Sloane, ch. 7), which is when f divides h*: f f* divides f h exactly
@@ -71,7 +64,8 @@ def dual_containing_poly(n: int, f: int) -> bool:
 
 @lru_cache(maxsize=4096)
 def _component_distance(n: int, f: int) -> int:
-    """Minimum distance of the binary cyclic code <f> of length n."""
+    """Minimum distance of the binary cyclic code <f> of length n, searched
+    once per divisor; min_hamming keeps no cache of its own."""
     # f = 1 generates the full space; no enumeration needed for distance 1.
     if f == 1:
         return 1

@@ -20,7 +20,9 @@ and v^2*x) are the library's earlier per-shift operators, which its
 one-pass span over the thirds of a mask replaced; the per-third shift is
 the form before phi.  The Gray image by shifts keeps the earlier,
 unmemoised gray_image_basis: one row space over every generator's shifts
-and v-multiples at once, built with phi and _v_multiples.
+and v-multiples at once, built with phi and _v_multiples.  The span of a
+mask by rows keeps that one-pass span over the full 3n bits, the form
+before the library split every mask into its two parts.
 
 The set-based audits take the library's Gray images and walk their
 codewords, as the audits did before they became rank algebra, so they check
@@ -359,6 +361,22 @@ def gray_image_basis_by_shifts(code):
     return BinaryCode.from_rows(3 * n, rows)
 
 
+def mask_span_by_rows(mask: int, n: int, cyclic: bool) -> tuple[int, ...]:
+    """The span of one Gray mask by the rows of its full 3n bits, with no
+    split into parts: the rref of (A|B|C), (0|C|B) and (0|B|C) for every
+    shift of the mask, each third rotated by one position per shift."""
+    full = (1 << n) - 1
+    top, n2 = n - 1, 2 * n
+    a, b, c = _thirds(mask, n)
+    rows: list[int] = []
+    for _ in range(n if cyclic else 1):
+        rows += (a | b << n | c << n2, c << n | b << n2, b << n | c << n2)
+        a = (a << 1 | a >> top) & full
+        b = (b << 1 | b >> top) & full
+        c = (c << 1 | c >> top) & full
+    return rref(rows)
+
+
 # ---------------------------------------------------------------------------
 # Set-based audits: the codeword walks that the library's rank algebra
 # replaced, kept as references for its witnesses.
@@ -370,8 +388,8 @@ def image_projections_by_rref(image: BinaryCode) -> tuple[BinaryCode, BinaryCode
     n, each the rref of the thirds of the basis rows (projection is linear).
 
     It takes any binary code of length 3n, so it is the reference for
-    codes._image_projections, which reads the thirds of an R-linear code's
-    image off its basis."""
+    codes._image_projections, which reads C1 and C2 = C3 of an R-linear
+    code's image off its basis."""
     n = image.n // 3
     thirds = [_thirds(mask, n) for mask in image.basis]
     return tuple(BinaryCode.from_rows(n, [t[i] for t in thirds]) for i in range(3))

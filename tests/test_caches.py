@@ -139,10 +139,13 @@ def test_audit_builds_each_single_generator_image_once(monkeypatch, capsys):
     # single-generator images are spanned straight from their Gray masks,
     # not through gray_image_basis
     assert len(built) == 130
-    # each single image is two part spans, (f2+f3 | 0 | 0) and
-    # (0 | f1+f2 | f2), and the 448 parts of the 224 images are 74 masks
+    # every span of one generator is two part spans: the 448 parts of the
+    # 224 single images, (f2+f3 | 0 | 0) and (0 | f1+f2 | f2), are 74 masks,
+    # and the 82 parts of the 41 generator spans of key and catalog images
+    # (_generator_span) add 9 more
+    assert codes._generator_span.cache_info().misses == 41
     info = codes._part_span.cache_info()
-    assert (info.misses, info.hits) == (74, 374)
+    assert (info.misses, info.hits) == (83, 447)
     # one ring-order elimination per code that holds a witness: of the 297
     # witnesses, 183 are read off a code eliminated before (81 claimed
     # duals, 63 exact duals and 39 reconstructions equal to an earlier one)

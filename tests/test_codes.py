@@ -64,6 +64,7 @@ from oracles import (
     is_cyclic,
     is_quasicyclic3,
     is_self_orthogonal,
+    mask_span_by_rows,
     min_lee_enum,
     nullspace,
     phi,
@@ -347,21 +348,23 @@ def test_build_ring_cyclic_closed_under_shift():
 
 
 def test_projections_examples():
-    c1, c2, c3 = _image_projections(gray_image_basis(RingCode(1, ((ONE_PLUS_V,),))))
+    # _image_projections gives C1 and C2; the oracle's C3 equals C2
+    image = gray_image_basis(RingCode(1, ((ONE_PLUS_V,),)))
+    c1, c2 = _image_projections(image)
+    c3 = image_projections_by_rref(image)[2]
     assert (set(codewords(c1)), set(codewords(c2)), set(codewords(c3))) == (
         {0, 1}, {0, 1}, {0, 1}
     )
     diag = gray_image_basis(build_ring_cyclic(2, P("x+1"), P("x+1"), P("x+1")))
-    for c in _image_projections(diag):
-        assert set(codewords(c)) == {0b00, 0b11}
     zero = gray_image_basis(RingCode(2, ()))
-    for c in _image_projections(zero):
-        assert set(codewords(c)) == {0}
+    for image, words in ((diag, {0b00, 0b11}), (zero, {0})):
+        for c in (*_image_projections(image), image_projections_by_rref(image)[2]):
+            assert set(codewords(c)) == words
 
 
 def test_projections_read_off_the_basis_match_rref_of_thirds():
     # _image_projections reads C1 and C2 off the basis of an R-linear code's
-    # image, with C3 = C2; the oracle takes the rref of each third, on every
+    # image, and C3 = C2; the oracle takes the rref of each third, on every
     # key image and single image at n <= 6 and the catalog codes
     images = [gray_image_basis(RingCode(n, gens)) for _, n, gens in AUDIT_CATALOG]
     for n in range(1, 7):
@@ -370,8 +373,8 @@ def test_projections_read_off_the_basis_match_rref_of_thirds():
     assert len(images) == 8 + 495 + 1017
     for image in images:
         oracle = image_projections_by_rref(image)
-        assert _image_projections(image) == oracle, image
-        assert oracle[1] == oracle[2], image
+        assert _image_projections(image) == oracle[:2], image
+        assert oracle[2] == oracle[1], image
 
 
 def test_dual_ring_bruteforce_examples():
@@ -563,6 +566,19 @@ def test_mask_span_matches_the_span_by_phi_and_v_multiples():
                 assert _mask_span(mask, n, cyclic) == gray_image_basis_by_shifts(code).basis
 
 
+def test_mask_span_matches_the_span_of_the_full_rows():
+    # _mask_span splits every mask into (A|0|0) and (0|B|C); the oracle
+    # eliminates the full 3n-bit rows at once
+    rng = random.Random(3107)
+    cases = [(n, range(1 << 3 * n)) for n in range(1, 5)]
+    cases += [(n, [rng.getrandbits(3 * n) for _ in range(200)]) for n in (21, 63)]
+    for n, masks in cases:
+        for mask in masks:
+            for cyclic in (False, True):
+                assert _mask_span(mask, n, cyclic) == mask_span_by_rows(mask, n, cyclic), (
+                    n, mask, cyclic)
+
+
 def test_v_multiples_match_ring_scaling():
     # v*x has Gray mask (0|C|B) and v^2*x has (0|B|C), for x with mask (A|B|C)
     def check(vec):
@@ -748,7 +764,10 @@ def test_audit_decomposition_matches_exhaustive_product():
     f = P("x+1")
     span = span_enumerate(build_ring_cyclic(2, f, f, 1))
     audit = audit_decomposition(span, 2)
-    c1, c2, c3 = _image_projections(gray_image_basis(build_ring_cyclic(2, f, f, 1)))
+    image = gray_image_basis(build_ring_cyclic(2, f, f, 1))
+    c1, c2 = _image_projections(image)
+    c3 = image_projections_by_rref(image)[2]
+    assert c3 == c2
     tensor = set()
     for a in codewords(c1):
         for b in codewords(c2):
@@ -762,7 +781,9 @@ def test_audit_decomposition_reconstruction_matches_ring_tuples():
     # coordinate as ring tuples, against the audit's (b+c | a+b | b) masks
     def by_ring_tuples(span, n):
         image = BinaryCode.from_rows(3 * n, [gray_vec(v) for v in span])
-        c1, c2, c3 = _image_projections(image)
+        c1, c2 = _image_projections(image)
+        c3 = image_projections_by_rref(image)[2]
+        assert c3 == c2
         recon = {
             tuple((V if (a >> i) & 1 else 0) ^ (ONE_PLUS_V if (b >> i) & 1 else 0)
                   ^ (ONE_PLUS_V2 if (c >> i) & 1 else 0) for i in range(n))
@@ -965,7 +986,9 @@ def test_least_outside_matches_walk_on_audit_inputs():
             image = cyclic_image(n, *fs)
             formula = gray_image_basis(dual_ring_formula(n, *fs))
             pairs.add((formula, dual_binary(image), _ring_order_key, _ring_order))
-            c1, c2, c3 = _image_projections(image)
+            c1, c2 = _image_projections(image)
+            c3 = image_projections_by_rref(image)[2]
+            assert c3 == c2
             direct_sum = BinaryCode.from_rows(3 * n, [
                 *c1.basis, *(b << n for b in c2.basis), *(c << (2 * n) for c in c3.basis)])
             recon = BinaryCode.from_rows(3 * n, [

@@ -187,6 +187,14 @@ def test_enumerate_divisors():
         enumerate_divisors(15, cap=10)
 
 
+def test_enumerate_divisors_matches_trial_division():
+    # every nonzero polynomial of degree <= n that leaves no remainder, in
+    # integer order, without the factorization the divisors are built from
+    for n in range(1, 13):
+        trial = [f for f in range(1, 1 << (n + 1)) if schoolbook_divmod(xn1(n), f)[1] == 0]
+        assert enumerate_divisors(n) == trial, n
+
+
 def pow_xp1(k):
     p = 1
     for _ in range(k):

@@ -7,13 +7,17 @@ The CLI reads a well-formed argv off its command table and imports argparse
 """
 
 import ast
+import io
 import os
+import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 from types import ModuleType
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+README = SRC.parent / "README.md"
 
 # Prints the modules that `import vcubed, vcubed.cli` adds to sys.modules,
 # one a line; diffing against the modules loaded before it keeps the check
@@ -85,18 +89,23 @@ def test_public_names_are_used_by_the_program():
     assert sorted(set(_public_names()) - _loaded_names()) == []
 
 
+def _definitions(tree):
+    """The top-level functions, classes and constants of a module."""
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(t.id for t in targets if isinstance(t, ast.Name))
+    return defined
+
+
 def test_every_definition_is_used_by_the_program():
     # The same for every top-level function, class and constant of a
     # module, private ones included: a helper left behind when its last
     # caller moved to tests/oracles.py fails here.
-    defined = set()
-    for tree in _modules():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined.add(node.name)
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+    defined = set().union(*map(_definitions, _modules()))
     assert defined
     assert sorted(defined - _loaded_names()) == []
 
@@ -138,3 +147,32 @@ def test_only_emit_writes_a_command_output():
     writers = sorted(node.name for node in ast.walk(tree)
                      if isinstance(node, ast.FunctionDef) and _writes_stdout(node))
     assert writers == ["_emit"]
+
+
+# A dotted name such as codes._mask_span in prose: the module, then the name.
+DOTTED = re.compile(r"\b(codes|quantum|ring|gf2poly|cli|reference)\.([A-Za-z_]\w*)")
+
+
+def _prose():
+    """README.md and every docstring and comment of the package."""
+    texts = [README.read_text()]
+    for path in sorted((SRC / "vcubed").glob("*.py")):
+        source = path.read_text()
+        texts += [ast.get_docstring(node, clean=False) or ""
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))]
+        texts += [tok.string for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+                  if tok.type == tokenize.COMMENT]
+    return texts
+
+
+def test_dotted_names_in_the_docs_are_defined():
+    # A doc that cites module.name for a name the module no longer defines
+    # (renamed, removed, or only imported there) fails here.
+    cited = {match.groups() for text in _prose() for match in DOTTED.finditer(text)}
+    assert cited
+    defined = {module: _definitions(ast.parse((SRC / "vcubed" / f"{module}.py").read_text()))
+               for module, _ in cited}
+    stale = sorted(f"{module}.{name}" for module, name in cited
+                   if name not in defined[module])
+    assert stale == []
