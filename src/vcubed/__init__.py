@@ -9,8 +9,8 @@ from .codes import (
     audit_dual_formula,
     audit_single_generator,
     audit_size_formula,
+    audit_triple,
     binary_cyclic,
-    cyclic_image,
     gray_image_basis,
     min_hamming,
 )

@@ -13,6 +13,8 @@ and hands them to _emit with its table renderer, which draws the table
 from the records alone; records mode encodes them and renders no table.
 One JSON encoder serves the whole run (_encode), and each divisor's text
 fields are built once (_poly_fields) and shared by the records that name it.
+The audits of a divisor triple come from one pass (codes.audit_triple), and
+its size, single-generator and dual-formula records share one fs list.
 
 Exit codes: 0 success, 1 usage or parse error, 2 resource cap exceeded,
 3 mathematical precondition violated, 4 reproduction mismatch.
@@ -110,7 +112,7 @@ def _emit(records: list[dict], fmt: str, render: Callable[[list[dict]], Iterable
     record for "records", else the table lines that ``render`` draws from
     the records alone, so records mode renders no table.  The records are
     only read here and dropped after, so they may share the cached
-    _poly_fields dicts."""
+    _poly_fields dicts and the fs list of a triple's audit records."""
     lines = _encode_records(records) if fmt == "records" else render(records)
     sys.stdout.write("\n".join([*lines, ""]))
 
@@ -193,8 +195,8 @@ def _inspect_table(records: list[dict]) -> Iterator[str]:
 def cmd_inspect(args) -> int:
     n = args.n
     fs = tuple(parse_poly(t) for t in (args.f1, args.f2, args.f3))
-    image = codes.cyclic_image(n, *fs)  # raises PreconditionError on bad fi
-    size = codes.audit_size_formula(n, *fs)
+    audit = codes.audit_triple(n, *fs)  # raises PreconditionError on bad fi
+    size = audit.size
 
     record = {
         "kind": "inspection",
@@ -202,13 +204,13 @@ def cmd_inspect(args) -> int:
         "f1": _poly_fields(fs[0]),
         "f2": _poly_fields(fs[1]),
         "f3": _poly_fields(fs[2]),
-        "size_log2": image.dim,
+        "size_log2": size.rank_log2,
         "size_method": "rank",
         "size_formula_log2": size.claimed_log2,
         "size_formula_matches": size.matches,
     }
 
-    if image.dim == 0:
+    if size.rank_log2 == 0:
         record["zero_code"] = True
         _emit([record], args.format, _inspect_table)
         return EXIT_OK
@@ -227,10 +229,11 @@ def cmd_inspect(args) -> int:
     else:
         record["quantum"] = None
 
+    texts = [record[name]["poly"] for name in ("f1", "f2", "f3")]
     record["audits"] = [
-        _decomposition_record(codes.audit_decomposition_image(image), "inspected code"),
-        _dual_formula_record(codes.audit_dual_formula(n, *fs)),
-        _single_generator_record(codes.audit_single_generator(n, *fs)),
+        _decomposition_record(audit.decomposition, "inspected code"),
+        _dual_formula_record(audit.dual_formula, texts),
+        _single_generator_record(audit.single_generator, texts),
     ]
     _emit([record], args.format, _inspect_table)
     return EXIT_OK
@@ -257,12 +260,12 @@ def _decomposition_record(a: codes.DecompositionAudit, label: str) -> dict:
     return rec
 
 
-def _dual_formula_record(a: codes.DualFormulaAudit) -> dict:
+def _dual_formula_record(a: codes.DualFormulaAudit, fs: list[str]) -> dict:
     rec = {
         "kind": "audit",
         "target": "dual_formula",
         "n": a.n,
-        "fs": [format_poly(f) for f in a.fs],
+        "fs": fs,
         "code_size": a.code_size,
         "brute_dual_size": a.brute_dual_size,
         "formula_span_size": a.formula_span_size,
@@ -278,12 +281,12 @@ def _dual_formula_record(a: codes.DualFormulaAudit) -> dict:
     return rec
 
 
-def _single_generator_record(a: codes.SingleGeneratorAudit) -> dict:
+def _single_generator_record(a: codes.SingleGeneratorAudit, fs: list[str]) -> dict:
     rec = {
         "kind": "audit",
         "target": "single_generator",
         "n": a.n,
-        "fs": [format_poly(f) for f in a.fs],
+        "fs": fs,
         "code_size_log2": a.code_log2,
         "single_generator_size_log2": a.single_log2,
         "pass": a.equal,
@@ -293,12 +296,12 @@ def _single_generator_record(a: codes.SingleGeneratorAudit) -> dict:
     return rec
 
 
-def _size_record(a: codes.SizeFormulaAudit) -> dict:
+def _size_record(a: codes.SizeFormulaAudit, fs: list[str]) -> dict:
     return {
         "kind": "audit",
         "target": "size_formula",
         "n": a.n,
-        "fs": [format_poly(f) for f in a.fs],
+        "fs": fs,
         "rank_log2": a.rank_log2,
         "claimed_log2": a.claimed_log2,
         "pass": a.matches,
@@ -432,15 +435,15 @@ def cmd_audit(args) -> int:
         for label, n, gens in AUDIT_CATALOG
     ]
     for n in range(1, args.n_max + 1):
-        for f1, f2, f3 in product(enumerate_divisors(n), repeat=3):
-            label = (f"cyclic n={n}, ({format_poly(f1)}; "
-                     f"{format_poly(f2)}; {format_poly(f3)})")
+        named = [(f, format_poly(f)) for f in enumerate_divisors(n)]
+        for (f1, t1), (f2, t2), (f3, t3) in product(named, repeat=3):
+            audit = codes.audit_triple(n, f1, f2, f3)
+            texts = [t1, t2, t3]
             records += (
-                _decomposition_record(
-                    codes.audit_decomposition_image(codes.cyclic_image(n, f1, f2, f3)), label),
-                _size_record(codes.audit_size_formula(n, f1, f2, f3)),
-                _single_generator_record(codes.audit_single_generator(n, f1, f2, f3)),
-                _dual_formula_record(codes.audit_dual_formula(n, f1, f2, f3)),
+                _decomposition_record(audit.decomposition, f"cyclic n={n}, ({t1}; {t2}; {t3})"),
+                _size_record(audit.size, texts),
+                _single_generator_record(audit.single_generator, texts),
+                _dual_formula_record(audit.dual_formula, texts),
             )
     _emit(records, args.format, _audit_table)
     return EXIT_OK

@@ -40,9 +40,12 @@ Frobenius ring.  It is read off the code key, as the image of the dual key
 (_dual_key): the binary dual of <g> is <h*>, h = (x^n - 1)/g (MacWilliams
 and Sloane, ch. 7), so no null space is taken.
 
-The decomposition, dual-formula and size-formula routines are audits: they
-compare a claimed identity against exact computation and report a witness
-when the claim fails, never assuming it.  Every set they compare is a GF(2)
+The decomposition, size-formula, single-generator and dual-formula routines
+are audits: they compare a claimed identity against exact computation and
+report a witness when the claim fails, never assuming it.  The four audits
+of a divisor triple run as one pass (audit_triple), which builds the code
+key, its image, the h* triple, the dual key and the claimed dimension once
+and hands them to each audit.  Every set they compare is a GF(2)
 subspace, so the audits are rank algebra on bases: sizes are ranks, equality
 and containment are basis comparisons, and each witness, the least member
 of one subspace outside another, is read off the elimination of the first
@@ -61,7 +64,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import CapExceeded, PreconditionError
 from .gf2poly import (
-    degree, poly_divmod, poly_gcd, poly_mod, reciprocal, require_divisor, xn1,
+    degree, poly_divmod, poly_gcd, reciprocal, require_divisor, xn1,
 )
 from .ring import gray_vec, gray_vec_inverse
 
@@ -277,25 +280,6 @@ def code_key(n: int, f1: int, f2: int, f3: int) -> tuple[int, int, int]:
 
 
 @lru_cache(maxsize=1024)
-def cyclic_image(n: int, f1: int, f2: int, f3: int) -> BinaryCode:
-    """Gray image of the cyclic code <v f1, (1+v) f2, (1+v^2) f3> of length
-    n, for inspect and the audits; BinaryCode is immutable.  Each fi must
-    divide x^n - 1 (code_key) and enters reduced mod x^n - 1, so x^n - 1
-    itself contributes the zero vector.
-
-    It is _key_image of the triple's code_key, so triples that share a key
-    share one image, and in the audits one dual.  This tier stays per
-    triple because the decomposition, size and single-generator audits of
-    one triple each ask for its image; it holds as many triples as the
-    other per-image tiers.  The dual-formula audit does not come here: it
-    compares the key of (h1*, h2*, h3*) with the dual key.  Nor does a
-    search: css_from_triple reads _key_image of the key it has already
-    computed.
-    """
-    return _key_image(n, *code_key(n, f1, f2, f3))
-
-
-@lru_cache(maxsize=1024)
 def _key_image(n: int, g_a: int, g_u: int, g_v: int) -> BinaryCode:
     """Gray image of the key (g_a, g_u, g_v), built by the rank path once
     per key: the image of every divisor triple with that code key, and the
@@ -303,9 +287,11 @@ def _key_image(n: int, g_a: int, g_u: int, g_v: int) -> BinaryCode:
 
     The key's own generators (1+v^2) g_a, (v+v^2) g_u and v^2 g_v generate
     the code (code_key); their Gray masks are (g_a|0|0), (0|g_u|g_u) and
-    (0|0|g_v), with each g reduced mod x^n - 1 as in cyclic_image.
+    (0|0|g_v).  Each g must divide x^n - 1, so it is reduced mod x^n - 1
+    already unless it is x^n - 1 itself, which contributes the zero vector.
     """
-    g_a, g_u, g_v = (poly_mod(g, xn1(n)) for g in (g_a, g_u, g_v))
+    modulus = xn1(n)
+    g_a, g_u, g_v = (0 if g == modulus else g for g in (g_a, g_u, g_v))
     masks = (g_a, g_u << n | g_u << (2 * n), g_v << (2 * n))
     # The hop through ring vectors waits on ROADMAP items 1 and 8: the
     # benchmark asserts that a search calls gray_vec_inverse.
@@ -324,12 +310,15 @@ def _combination_mask(a: int, b: int, c: int, n: int) -> int:
 @lru_cache(maxsize=1024)
 def _single_image(n: int, f1: int, f2: int, f3: int) -> BinaryCode:
     """Gray image of the cyclic code that the one generator
-    v*f1 + (1+v)*f2 + (1+v^2)*f3 spans, each fi reduced mod x^n - 1, built
-    once per triple from the generator's Gray mask (_combination_mask),
-    (f2+f3 | f1+f2 | f2), with no ring vector in between.
+    v*f1 + (1+v)*f2 + (1+v^2)*f3 spans, built once per triple from the
+    generator's Gray mask (_combination_mask), (f2+f3 | f1+f2 | f2), with
+    no ring vector in between.  Each fi must divide x^n - 1, so it is
+    reduced mod x^n - 1 already unless it is x^n - 1 itself, which enters
+    as 0.
 
-    The single-generator audit of a triple T and the dual-formula audit of
-    the triple whose dual polynomials (_dual_polys) are T both read it; h*
+    It is the one per-triple image of an audit (audit_triple): the
+    single-generator audit of a triple T and the dual-formula audit of the
+    triple whose dual polynomials (_dual_polys) are T both read it, and h*
     is an involution on the divisors of x^n - 1, so every divisor triple is
     asked for twice by an audit of all of them.
 
@@ -340,7 +329,7 @@ def _single_image(n: int, f1: int, f2: int, f3: int) -> BinaryCode:
     residue and torsion ideals.
     """
     modulus = xn1(n)
-    mask = _combination_mask(*(poly_mod(f, modulus) for f in (f1, f2, f3)), n)
+    mask = _combination_mask(*(0 if f == modulus else f for f in (f1, f2, f3)), n)
     return BinaryCode(3 * n, _mask_span(mask, n, cyclic=True))
 
 
@@ -580,31 +569,32 @@ class DualFormulaAudit(NamedTuple):
     three_generator_matches_brute: bool  # the <v h1r, (1+v) h2r, (1+v^2) h3r> variant
 
 
-def audit_dual_formula(n: int, f1: int, f2: int, f3: int) -> DualFormulaAudit:
+def audit_dual_formula(n: int, fs: tuple[int, int, int], hs: tuple[int, ...],
+                       dual_key: tuple[int, int, int], claimed_log2: int) -> DualFormulaAudit:
     """Compare the claimed dual, the span of the one generator
-    v*h1* + (1+v)*h2* + (1+v^2)*h3* (the _single_image of _dual_polys), with
-    the exact dual, the image of the code key's dual key (_dual_key), by
-    their bases.  The claim is under audit, not a trusted construction.
+    v*h1* + (1+v)*h2* + (1+v^2)*h3* (the _single_image of hs, the h* triple
+    of fs), with the exact dual, the image of ``dual_key``, the dual key of
+    the code key of fs (_dual_key), by their bases.  The claim is under
+    audit, not a trusted construction.  ``claimed_log2`` is the code's
+    claimed dimension 3n - sum deg fi (audit_size_formula), so the claimed
+    dual has 2^(sum deg fi) words.
 
-    The code's own image is not built: |C| * |C^perp| = 8^n, so the code
+    The code's own image is not read: |C| * |C^perp| = 8^n, so the code
     has 2^(3n - dim) words, where dim is the dual's dimension.  Nor is the
-    image of the three-generator variant <v h1*, (1+v) h2*, (1+v^2) h3*>:
-    a key (g_a, g_u, g_v) with g_u | g_v is read back off its image, as
-    <g_a> = the first third, <g_u> = the middle third and <g_v> = the last
-    thirds of the words (0|0|y), and every code key and dual key is such a
-    key, so two images are equal exactly when their keys are.
+    image of the three-generator variant <v h1*, (1+v) h2*, (1+v^2) h3*>
+    built: a key (g_a, g_u, g_v) with g_u | g_v is read back off its image,
+    as <g_a> = the first third, <g_u> = the middle third and <g_v> = the
+    last thirds of the words (0|0|y), and every code key and dual key is
+    such a key, so two images are equal exactly when their keys are.
     """
-    key = code_key(n, f1, f2, f3)
-    dual_key = _dual_key(n, *key)
     dual = _key_image(n, *dual_key)
-    hs = _dual_polys(n, f1, f2, f3)
     formula = _single_image(n, *hs)
     witness, side = _ring_witness(formula, "only_in_formula", dual, "only_in_brute")
 
-    claimed = 1 << (degree(f1) + degree(f2) + degree(f3))
+    claimed = 1 << (3 * n - claimed_log2)
     return DualFormulaAudit(
         n=n,
-        fs=(f1, f2, f3),
+        fs=fs,
         code_size=1 << (3 * n - dual.dim),
         brute_dual_size=dual.size,
         formula_span_size=formula.size,
@@ -627,19 +617,13 @@ class SizeFormulaAudit(NamedTuple):
     matches: bool
 
 
-def audit_size_formula(n: int, f1: int, f2: int, f3: int) -> SizeFormulaAudit:
-    """The rank of the triple's Gray image (cyclic_image) against the
-    claimed dimension (_size_formula_audit)."""
-    return _size_formula_audit(n, f1, f2, f3, cyclic_image(n, f1, f2, f3).dim)
-
-
-def _size_formula_audit(n: int, f1: int, f2: int, f3: int, rank: int) -> SizeFormulaAudit:
+def audit_size_formula(n: int, fs: tuple[int, int, int], rank: int) -> SizeFormulaAudit:
     """The one place the claimed dimension 3n - sum deg fi is computed, set
-    against ``rank``, the dimension of the triple's Gray image: a search
-    reads it off the code key's image (_key_image), an audit off
-    cyclic_image."""
-    claimed = 3 * n - (degree(f1) + degree(f2) + degree(f3))
-    return SizeFormulaAudit(n=n, fs=(f1, f2, f3), rank_log2=rank,
+    against ``rank``, the dimension of the Gray image of the triple fs: an
+    audit (audit_triple) and a search (quantum.css_from_triple) both read
+    it off the code key's image (_key_image)."""
+    claimed = 3 * n - sum(map(degree, fs))
+    return SizeFormulaAudit(n=n, fs=fs, rank_log2=rank,
                             claimed_log2=claimed, matches=rank == claimed)
 
 
@@ -655,9 +639,11 @@ class SingleGeneratorAudit(NamedTuple):
     witness: Optional[tuple[int, ...]]  # generated by three gens, missed by one
 
 
-def audit_single_generator(n: int, f1: int, f2: int, f3: int) -> SingleGeneratorAudit:
-    code = cyclic_image(n, f1, f2, f3)
-    single = _single_image(n, f1, f2, f3)
+def audit_single_generator(n: int, fs: tuple[int, int, int],
+                           code: BinaryCode) -> SingleGeneratorAudit:
+    """The span of the combined generator of fs (_single_image) against
+    ``code``, the Gray image of the triple's three-generator code."""
+    single = _single_image(n, *fs)
     equal = code == single
     witness = None
     if not equal:
@@ -666,9 +652,45 @@ def audit_single_generator(n: int, f1: int, f2: int, f3: int) -> SingleGenerator
         witness = gray_vec_inverse(_least_outside(code.basis, single), n)
     return SingleGeneratorAudit(
         n=n,
-        fs=(f1, f2, f3),
+        fs=fs,
         code_log2=code.dim,
         single_log2=single.dim,
         equal=equal,
         witness=witness,
+    )
+
+
+class TripleAudit(NamedTuple):
+    """The four audits of one divisor triple (audit_triple)."""
+
+    decomposition: DecompositionAudit
+    size: SizeFormulaAudit
+    single_generator: SingleGeneratorAudit
+    dual_formula: DualFormulaAudit
+
+
+def audit_triple(n: int, f1: int, f2: int, f3: int) -> TripleAudit:
+    """The four audits of the cyclic code <v f1, (1+v) f2, (1+v^2) f3> of
+    length n, in one pass; a PreconditionError names the first fi that does
+    not divide x^n - 1 (code_key).
+
+    The pass builds what the audits share once and hands it to each:
+    the code key, whose Gray image (_key_image) is the decomposition
+    audit's input, the size audit's rank and the single-generator audit's
+    code; the h* triple (_dual_polys) and the dual key (_dual_key) of the
+    dual-formula audit; and the claimed dimension, which the size audit
+    computes and the dual-formula audit reads.  Triples that share a code
+    key share one image and one exact dual, and the three claim records
+    share one fs tuple.
+    """
+    fs = (f1, f2, f3)
+    key = code_key(n, f1, f2, f3)
+    image = _key_image(n, *key)
+    size = audit_size_formula(n, fs, image.dim)
+    return TripleAudit(
+        decomposition=audit_decomposition_image(image),
+        size=size,
+        single_generator=audit_single_generator(n, fs, image),
+        dual_formula=audit_dual_formula(n, fs, _dual_polys(n, f1, f2, f3),
+                                        _dual_key(n, *key), size.claimed_log2),
     )

@@ -127,13 +127,6 @@ class Factorization(NamedTuple):
             count *= mult + 1
         return count
 
-    def product(self) -> int:
-        p = 1
-        for f, mult in self.factors:
-            for _ in range(mult):
-                p = poly_mul(p, f)
-        return p
-
 
 # ---------------------------------------------------------------------------
 # Factoring x^n + 1.

@@ -33,7 +33,7 @@ from typing import NamedTuple, Optional
 from .codes import (
     _dual_poly,
     _key_image,
-    _size_formula_audit,
+    audit_size_formula,
     binary_cyclic,
     code_key,
     gray_image_basis,  # noqa: F401  (bench/test_bench.py rebinds it here)
@@ -129,7 +129,7 @@ def css_from_triple(n: int, f1: int, f2: int, f3: int) -> QuantumCodeRecord:
     at n <= 12 has C^perp outside C.
 
     k = 2 dim - 3n with the paper's dimension 3n - sum deg fi, which
-    codes._size_formula_audit sets against the rank of the key's Gray image
+    codes.audit_size_formula sets against the rank of the key's Gray image
     (codes._key_image); the record is validated when the two agree and
     carries the rank as a note when they do not.  The paper's rule
     min(D(f1), D(f2), D(f3)) is a claim; where it differs from d the record
@@ -142,7 +142,7 @@ def css_from_triple(n: int, f1: int, f2: int, f3: int) -> QuantumCodeRecord:
                 f"{label} = {format_poly(f)} fails the dual-containment criterion"
             )
 
-    size = _size_formula_audit(n, f1, f2, f3, _key_image(n, *key).dim)
+    size = audit_size_formula(n, (f1, f2, f3), _key_image(n, *key).dim)
     k = 2 * size.claimed_log2 - 3 * n
     notes = []
     if k <= 0:

@@ -35,12 +35,15 @@ moved out of the package because only tests use them: the null space and
 binary dual of a code, with the argument that the dual of a Gray image is
 the image of the ring dual, the codeword walk of a binary code, the paper's
 cyclic code of a triple, its single generator and its claimed dual, each
-laid out from unit coefficients, whether a binary code holds its null-space
-dual, the exact CSS check of a divisor triple from its code key, full ring
+laid out from unit coefficients, the Gray image of a triple from its code
+key, the four audits of a triple each run on its own (as the package ran
+them before one pass shared their pieces), whether a binary code holds its
+null-space dual, the exact CSS check of a divisor triple from its code key, full ring
 spans through the Gray bijection (refused over an enumeration cap, the one
 bound left on a codeword walk), the minimum Lee weight of a span, the 8^n
 scan for the ring dual, shift and self-orthogonality checks on spans, the
-decomposition audit of a set of ring tuples, and the sum, the irreducibility
+decomposition audit of a set of ring tuples, the product of a
+factorization, and the sum, the irreducibility
 (by Rabin's test and by trial division) and the formal derivative of
 polynomials as ints.
 """
@@ -55,8 +58,18 @@ from vcubed.codes import (
     DEFAULT_ENUM_CAP,
     BinaryCode,
     DecompositionAudit,
+    DualFormulaAudit,
     RingCode,
+    SingleGeneratorAudit,
+    SizeFormulaAudit,
+    TripleAudit,
     _combination_mask,
+    _dual_key,
+    _dual_polys,
+    _key_image,
+    _least_outside,
+    _ring_witness,
+    _single_image,
     _thirds,
     audit_decomposition_image,
     audit_size_formula,
@@ -66,7 +79,8 @@ from vcubed.codes import (
 )
 from vcubed.errors import CapExceeded, ParseError, PreconditionError
 from vcubed.gf2poly import (
-    X, degree, poly_divmod, poly_gcd, poly_mod, poly_mul, reciprocal, require_divisor, xn1,
+    X, Factorization, degree, poly_divmod, poly_gcd, poly_mod, poly_mul, reciprocal,
+    require_divisor, xn1,
 )
 from vcubed.ring import _TERM_BITS, gray_vec, gray_vec_inverse
 
@@ -539,7 +553,7 @@ def combined_generator(n: int, f1: int, f2: int, f3: int) -> tuple[int, ...]:
 
 def build_ring_cyclic(n: int, f1: int, f2: int, f3: int) -> RingCode:
     """The paper's cyclic code <v f1, (1+v) f2, (1+v^2) f3>, the reference
-    for codes.cyclic_image, which builds the image from the code key.
+    for cyclic_image, which builds the image from the code key.
 
     Each fi must divide x^n - 1; it enters reduced mod x^n - 1, so x^n - 1
     itself contributes the zero vector.
@@ -548,6 +562,14 @@ def build_ring_cyclic(n: int, f1: int, f2: int, f3: int) -> RingCode:
         require_divisor(n, f, label)
     gens = (_unit_multiple(u, f, n) for u, f in zip((V, ONE_PLUS_V, ONE_PLUS_V2), (f1, f2, f3)))
     return RingCode(n, tuple(gens), cyclic=True)
+
+
+def cyclic_image(n: int, f1: int, f2: int, f3: int) -> BinaryCode:
+    """Gray image of the cyclic code <v f1, (1+v) f2, (1+v^2) f3> of length
+    n: the image of the triple's code key (codes._key_image).  Each fi must
+    divide x^n - 1 (code_key).  The package builds it inside its audit pass
+    (codes.audit_triple), from the key that pass computes once."""
+    return _key_image(n, *code_key(n, f1, f2, f3))
 
 
 def dual_ring_formula(n: int, f1: int, f2: int, f3: int) -> RingCode:
@@ -613,7 +635,7 @@ def validate_css_binary(n: int, f1: int, f2: int, f3: int) -> CssValidation:
     C^perp lies in C exactly when <g_a> holds <g_a>^perp and <g_u> holds
     <g_v>^perp (holds_dual_of).
     """
-    size = audit_size_formula(n, f1, f2, f3)
+    size = audit_size_formula(n, (f1, f2, f3), cyclic_image(n, f1, f2, f3).dim)
     g_a, g_u, g_v = code_key(n, f1, f2, f3)
     containment = holds_dual_of(n, g_a, g_a) and holds_dual_of(n, g_u, g_v)
     reasons = []
@@ -634,6 +656,57 @@ def validate_css_binary(n: int, f1: int, f2: int, f3: int) -> CssValidation:
         k_rank=2 * size.rank_log2 - 3 * n,
         validated=containment and size.matches,
         reason="; ".join(reasons),
+    )
+
+
+def audit_size_formula_per_claim(n: int, f1: int, f2: int, f3: int) -> SizeFormulaAudit:
+    """The size audit on its own: the rank of cyclic_image against the
+    claimed dimension 3n - sum deg fi."""
+    rank = cyclic_image(n, f1, f2, f3).dim
+    claimed = 3 * n - (degree(f1) + degree(f2) + degree(f3))
+    return SizeFormulaAudit(n=n, fs=(f1, f2, f3), rank_log2=rank,
+                            claimed_log2=claimed, matches=rank == claimed)
+
+
+def audit_single_generator_per_claim(n: int, f1: int, f2: int, f3: int) -> SingleGeneratorAudit:
+    """The single-generator audit on its own: the triple's single image
+    against its cyclic_image, with the least code row outside it."""
+    code = cyclic_image(n, f1, f2, f3)
+    single = _single_image(n, f1, f2, f3)
+    equal = code == single
+    witness = None if equal else gray_vec_inverse(_least_outside(code.basis, single), n)
+    return SingleGeneratorAudit(n=n, fs=(f1, f2, f3), code_log2=code.dim,
+                                single_log2=single.dim, equal=equal, witness=witness)
+
+
+def audit_dual_formula_per_claim(n: int, f1: int, f2: int, f3: int) -> DualFormulaAudit:
+    """The dual-formula audit on its own: its own code key, dual key and h*
+    triple, and the claimed dual size 2^(sum deg fi)."""
+    key = code_key(n, f1, f2, f3)
+    dual_key = _dual_key(n, *key)
+    dual = _key_image(n, *dual_key)
+    hs = _dual_polys(n, f1, f2, f3)
+    formula = _single_image(n, *hs)
+    witness, side = _ring_witness(formula, "only_in_formula", dual, "only_in_brute")
+    claimed = 1 << (degree(f1) + degree(f2) + degree(f3))
+    return DualFormulaAudit(
+        n=n, fs=(f1, f2, f3), code_size=1 << (3 * n - dual.dim),
+        brute_dual_size=dual.size, formula_span_size=formula.size,
+        claimed_dual_size=claimed, formula_matches_brute=formula == dual,
+        witness=witness, witness_side=side, size_claim_matches=claimed == dual.size,
+        three_generator_matches_brute=code_key(n, *hs) == dual_key,
+    )
+
+
+def audit_triple_per_claim(n: int, f1: int, f2: int, f3: int) -> TripleAudit:
+    """The four audits of a divisor triple, each run on its own as the
+    package ran them before one pass (codes.audit_triple) shared their
+    pieces: each audit builds its own key, image and claimed dimension."""
+    return TripleAudit(
+        decomposition=audit_decomposition_image(cyclic_image(n, f1, f2, f3)),
+        size=audit_size_formula_per_claim(n, f1, f2, f3),
+        single_generator=audit_single_generator_per_claim(n, f1, f2, f3),
+        dual_formula=audit_dual_formula_per_claim(n, f1, f2, f3),
     )
 
 
@@ -707,6 +780,16 @@ def is_quasicyclic3(masks: frozenset[int] | set[int], length: int) -> bool:
 def audit_decomposition(span: frozenset[tuple[int, ...]], n: int) -> DecompositionAudit:
     """The decomposition audit of a code given as its set of ring tuples."""
     return audit_decomposition_image(BinaryCode.from_rows(3 * n, [gray_vec(v) for v in span]))
+
+
+def factorization_product(fact: Factorization) -> int:
+    """The product of a factorization's irreducibles, each to its
+    multiplicity: x^n + 1 for factor_xn1(n)."""
+    p = 1
+    for f, mult in fact.factors:
+        for _ in range(mult):
+            p = poly_mul(p, f)
+    return p
 
 
 def poly_add(p: int, q: int) -> int:

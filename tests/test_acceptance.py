@@ -24,9 +24,8 @@ from functools import lru_cache
 
 from vcubed.codes import (
     RingCode,
-    audit_dual_formula,
+    audit_triple,
     binary_cyclic,
-    cyclic_image,
     gray_image_basis,
 )
 from vcubed.gf2poly import (
@@ -45,9 +44,11 @@ from oracles import (
     audit_decomposition,
     build_ring_cyclic,
     contains_dual,
+    cyclic_image,
     dual_binary,
     dual_ring_bruteforce,
     dual_ring_formula,
+    factorization_product,
     gray,
     irreducible_by_trial_division,
     is_irreducible,
@@ -123,7 +124,7 @@ def test_criterion_2_factorization():
         ok &= sorted(flat) == sorted(expected)
     for n in range(1, 65):
         fact = factor_xn1(n)
-        ok &= fact.product() == xn1(n)
+        ok &= factorization_product(fact) == xn1(n)
         for f, _ in fact.factors:
             ok &= is_irreducible(f)
             if degree(f) <= 16:
@@ -276,7 +277,7 @@ def test_criterion_8_dual_formula_audit():
     witnessed = 0
     for n in (1, 2, 3, 4):
         for f1, f2, f3 in _triples(n):
-            audit = audit_dual_formula(n, f1, f2, f3)
+            audit = audit_triple(n, f1, f2, f3).dual_formula
             if audit.formula_matches_brute:
                 confirmed += 1
                 ok &= audit.witness is None

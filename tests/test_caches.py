@@ -17,10 +17,10 @@ P = parse_poly
 MODULES = (cli, codes, gf2poly, quantum, reference, ring)
 
 # The memo tiers of a search: per divisor, per pair of divisors, per
-# generator, per triple and per code key.
+# generator, per part of a generator and per code key.
 TIERS = ("vcubed.gf2poly.divides_xn1", "vcubed.quantum.dual_containing_poly",
          "vcubed.quantum._component_distance", "vcubed.gf2poly.poly_gcd",
-         "vcubed.codes._generator_span", "vcubed.codes.cyclic_image",
+         "vcubed.codes._generator_span", "vcubed.codes._part_span",
          "vcubed.codes._key_image")
 
 
@@ -73,14 +73,14 @@ def test_search_builds_one_image_per_code_key(monkeypatch, n, triples, keys):
         keyed.append(args)
         return key(*args)
 
-    # quantum imports code_key by name; cyclic_image looks it up in codes
+    # quantum imports code_key by name; the audits look it up in codes
     monkeypatch.setattr(codes, "code_key", counted)
     monkeypatch.setattr(quantum, "code_key", counted)
     assert search_triples(n).admissible == triples
     # one code key per triple, whose rank is read off the key's image: the
-    # per-triple tier (cyclic_image) serves inspect and the audits only
+    # per-triple tier (_single_image) serves the audits only
     assert len(keyed) == triples
-    assert codes.cyclic_image.cache_info().misses == 0
+    assert codes._single_image.cache_info().misses == 0
     assert codes._key_image.cache_info().misses == keys
     # containment comes from the key, and the package takes no null space
     assert not hasattr(codes, "dual_binary")
@@ -91,7 +91,7 @@ def test_warm_audit_matches_cold_audit(capsys):
     argv = ["audit", "--n-max", "4", "--format", "records"]
     assert cli.main(argv) == 0
     cold = capsys.readouterr().out
-    tiers = (codes.audit_decomposition_image, codes.cyclic_image, codes._single_image,
+    tiers = (codes.audit_decomposition_image, codes._key_image, codes._single_image,
              codes._part_span, codes._ring_order_rows, codes._dual_poly)
     misses = [fn.cache_info().misses for fn in tiers]
     assert cli.main(argv) == 0
@@ -155,14 +155,40 @@ def test_audit_builds_each_single_generator_image_once(monkeypatch, capsys):
     assert codes._dual_poly.cache_info().misses == 14
 
 
+def test_audit_runs_each_triple_in_one_pass(monkeypatch, capsys):
+    _clear_caches()
+    key = codes.code_key
+    keyed = []
+
+    def counted(*args):
+        keyed.append(args)
+        return key(*args)
+
+    monkeypatch.setattr(codes, "code_key", counted)
+    assert cli.main(["audit", "--n-max", "4", "--format", "records"]) == 0
+    capsys.readouterr()
+    # one code key per triple, and one per h* triple for the three-generator
+    # variant of the dual formula, over the 224 divisor triples at n <= 4
+    assert len(keyed) == 2 * 224
+    # the audits build no per-triple image of the three generators: each
+    # triple reads its key's image once, and its exact dual once
+    assert not hasattr(codes, "cyclic_image")
+    info = codes._key_image.cache_info()
+    assert (info.misses, info.hits + info.misses) == (122, 2 * 224)
+    # each divisor's text is built once per length: the 14 divisors of
+    # x^n - 1, n <= 4, are 7 polynomials
+    info = gf2poly.format_poly.cache_info()
+    assert (info.misses, info.hits) == (7, 7)
+
+
 def _messages(bad):
     """The error text of each layer that checks that a polynomial divides x^8+1."""
     calls = (
         lambda: css_from_triple(8, bad, 1, 1),
         lambda: css_from_triple(8, 1, 1, bad),
         lambda: dual_containing_poly(8, bad),
-        lambda: codes.cyclic_image(8, 1, bad, 1),
-        lambda: codes.cyclic_image(8, 1, 1, bad),
+        lambda: codes.audit_triple(8, 1, bad, 1),
+        lambda: codes.audit_triple(8, 1, 1, bad),
         lambda: binary_cyclic(8, bad),
         lambda: codes._dual_polys(8, 1, 1, bad),
     )

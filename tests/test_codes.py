@@ -21,11 +21,8 @@ from vcubed.codes import (
     _ring_order_key,
     _single_image,
     audit_decomposition_image,
-    audit_dual_formula,
-    audit_single_generator,
-    audit_size_formula,
+    audit_triple,
     binary_cyclic,
-    cyclic_image,
     gray_image_basis,
     min_hamming,
     rref,
@@ -49,12 +46,14 @@ from oracles import (
     _v_multiples,
     audit_decomposition,
     audit_decomposition_by_sets,
+    audit_triple_per_claim,
     binary_dual_direct,
     binary_min_weight_direct,
     build_ring_cyclic,
     check_enum_cap,
     codewords,
     combined_generator,
+    cyclic_image,
     dual_binary,
     dual_ring_bruteforce,
     dual_ring_formula,
@@ -311,9 +310,9 @@ def test_build_ring_cyclic_examples():
 
 
 def test_key_image_equals_the_rank_path_on_every_triple():
-    # cyclic_image builds one image per code key (gcd(f2, f3), gcd(f1, f2),
-    # f1) from the key's own generators; the oracle builds each triple's own
-    # image.
+    # _key_image builds one image per code key (gcd(f2, f3), gcd(f1, f2),
+    # f1) from the key's own generators (cyclic_image); the oracle builds
+    # each triple's own image.
     for n in (*range(1, 10), 12):
         divisors = enumerate_divisors(n)
         for fs in product(divisors, repeat=3):
@@ -453,7 +452,7 @@ def test_dual_key_matches_the_null_space_on_every_canonical_key():
 def test_dual_formula_audit_diag_code():
     # (2, x+1 x3): the diagonal code is self-dual; the single-generator
     # claim misses half of it, while the three-generator variant matches.
-    audit = audit_dual_formula(2, P("x+1"), P("x+1"), P("x+1"))
+    audit = audit_triple(2, P("x+1"), P("x+1"), P("x+1")).dual_formula
     assert audit.brute_dual_size == 8
     assert audit.formula_span_size == 4
     assert not audit.formula_matches_brute
@@ -728,17 +727,17 @@ def test_audit_decomposition_trivial_and_equal_triple():
 
 def test_audit_size_formula():
     f = P("x^3+x^2+x+1")
-    audit = audit_size_formula(8, f, f, f)
+    audit = audit_triple(8, f, f, f).size
     assert audit.matches and audit.rank_log2 == 15
     # distinct triple where the claimed size is wrong
-    audit = audit_size_formula(2, 1, P("x+1"), 1)
+    audit = audit_triple(2, 1, P("x+1"), 1).size
     assert not audit.matches
     assert audit.rank_log2 > audit.claimed_log2
 
 
 def test_audit_single_generator():
     f = P("x+1")
-    audit = audit_single_generator(2, f, f, f)
+    audit = audit_triple(2, f, f, f).single_generator
     assert not audit.equal  # v^2*(x+1) spans 4 of the 8 diagonal words
     assert audit.single_log2 == 2 and audit.code_log2 == 3
     assert audit.witness is not None
@@ -749,6 +748,17 @@ def test_audit_single_generator():
         RingCode(2, ((V2, V2),), cyclic=True)
     )
     assert audit.witness in span and audit.witness not in single_span
+
+
+def test_audit_triple_matches_the_per_claim_path():
+    # the one pass shares the key, its image, the h* triple, the dual key
+    # and the claimed dimension among the four audits; the oracle runs each
+    # audit on its own, on all 2,770 divisor triples at n <= 9
+    triples = [(n, fs) for n in range(1, 10)
+               for fs in product(enumerate_divisors(n), repeat=3)]
+    assert len(triples) == 2770
+    for n, fs in triples:
+        assert audit_triple(n, *fs) == audit_triple_per_claim(n, *fs), (n, fs)
 
 
 def test_single_generator_image_lies_inside_the_code():
@@ -896,7 +906,7 @@ def test_dual_formula_audit_matches_bruteforce_sets():
     # dual's enumerated span and the tuple min of their difference
     for n in (1, 2, 3):
         for fs in product(enumerate_divisors(n), repeat=3):
-            audit = audit_dual_formula(n, *fs)
+            audit = audit_triple(n, *fs).dual_formula
             brute = dual_ring_bruteforce(span_enumerate(build_ring_cyclic(n, *fs)), n)
             formula = span_enumerate(dual_ring_formula(n, *fs))
             assert audit.brute_dual_size == len(brute)
@@ -1039,7 +1049,7 @@ def test_decomposition_on_images_matches_set_audit():
 def test_dual_formula_witness_matches_walk():
     for n in (1, 2, 3, 4):
         for fs in product(enumerate_divisors(n), repeat=3):
-            audit = audit_dual_formula(n, *fs)
+            audit = audit_triple(n, *fs).dual_formula
             assert (audit.witness, audit.witness_side) == dual_witness_by_walk(n, *fs), (n, fs)
 
 
@@ -1061,7 +1071,7 @@ def test_audit_verdicts_follow_key_conditions_at_n_le_9():
             assert images.setdefault(key, image) == image
             g_a, g_u, g_v = key
             assert audit_decomposition_image(image).tensor_equal == (g_u == g_v), (n, fs)
-            audit = audit_dual_formula(n, *fs)
+            audit = audit_triple(n, *fs).dual_formula
             reduced = {gf2poly.poly_mod(f, gf2poly.xn1(n)) for f in fs}
             assert audit.three_generator_matches_brute == (len(reduced) == 1), (n, fs)
             dual = _key_image(n, *_dual_key(n, *key))
@@ -1114,7 +1124,7 @@ def test_audit_witnesses_are_the_least_walked_members():
                             "only_in_formula")
             else:
                 expected = None, ""
-            dual_audit = audit_dual_formula(n, *fs)
+            dual_audit = audit_triple(n, *fs).dual_formula
             assert (dual_audit.witness, dual_audit.witness_side) == expected, (n, fs)
 
 
@@ -1143,12 +1153,14 @@ RECORDS = [
      ("n", "fs", "code_size", "brute_dual_size", "formula_span_size",
       "claimed_dual_size", "formula_matches_brute", "witness", "witness_side",
       "size_claim_matches", "three_generator_matches_brute"), {},
-     lambda: audit_dual_formula(8, F8, F8, F8)),
+     lambda: audit_triple(8, F8, F8, F8).dual_formula),
     (codes.SizeFormulaAudit, ("n", "fs", "rank_log2", "claimed_log2", "matches"), {},
-     lambda: audit_size_formula(8, F8, F8, F8)),
+     lambda: audit_triple(8, F8, F8, F8).size),
     (codes.SingleGeneratorAudit,
      ("n", "fs", "code_log2", "single_log2", "equal", "witness"), {},
-     lambda: audit_single_generator(8, F8, F8, F8)),
+     lambda: audit_triple(8, F8, F8, F8).single_generator),
+    (codes.TripleAudit, ("decomposition", "size", "single_generator", "dual_formula"), {},
+     lambda: audit_triple(8, F8, F8, F8)),
     (gf2poly.Factorization, ("n", "factors"), {}, lambda: factor_xn1(8)),
     (quantum.QuantumCodeRecord,
      ("ring_n", "f1", "f2", "f3", "n", "k", "d", "d_method", "validated", "notes"), {},

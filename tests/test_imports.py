@@ -44,7 +44,7 @@ PUBLIC = """
 BinaryCode CapExceeded Factorization ParseError PreconditionError
 QuantumCodeRecord REFERENCE_ROWS RingCode SearchOutcome
 audit_decomposition_image audit_dual_formula audit_single_generator
-audit_size_formula binary_cyclic css_from_triple cyclic_image degree
+audit_size_formula audit_triple binary_cyclic css_from_triple degree
 divides_xn1 dual_containing_poly enumerate_divisors factor_xn1
 format_poly gray_image_basis gray_vec gray_vec_inverse min_hamming
 parse_poly poly_divmod poly_gcd poly_hex poly_mod poly_mul reciprocal
@@ -108,6 +108,20 @@ def test_every_definition_is_used_by_the_program():
     defined = set().union(*map(_definitions, _modules()))
     assert defined
     assert sorted(defined - _loaded_names()) == []
+
+
+def test_every_method_is_used_by_the_program():
+    # The same for the methods and properties of the package's classes,
+    # which are only ever read as attributes: a loaded name of the same
+    # spelling (an import, a local) does not count.
+    attributes = {node.attr for tree in _modules() for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    methods = {f"{cls.name}.{node.name}"
+               for tree in _modules() for cls in tree.body if isinstance(cls, ast.ClassDef)
+               for node in cls.body
+               if isinstance(node, ast.FunctionDef) and not node.name.startswith("__")}
+    assert methods
+    assert sorted(m for m in methods if m.split(".")[1] not in attributes) == []
 
 
 def test_every_parameter_is_read():

@@ -4,7 +4,6 @@ import pytest
 
 from vcubed.codes import (
     binary_cyclic,
-    cyclic_image,
     gray_image_basis,
     min_hamming,
 )
@@ -25,6 +24,7 @@ from oracles import (
     binary_min_weight_direct,
     build_ring_cyclic,
     contains_dual,
+    cyclic_image,
     dual_binary,
     dual_ring_bruteforce,
     holds_dual_of,
