@@ -50,14 +50,17 @@ subspace, so the audits are rank algebra on bases: sizes are ranks, equality
 and containment are basis comparisons, and each witness, the least member
 of one subspace outside another, is read off the elimination of the first
 subspace (_mirrored_rows) without walking a single codeword.  Each mask
-carries its order key in its low bits, so that the key's lowest bit is the
-pivot; the witness is the first row, as _reduced yields them, that the
-other subspace does not contain (_least_outside).
+rides above its order key, so that the key's lowest bit is the pivot; the
+witness is the first row, as _reduced yields them, that the other subspace
+does not contain (_least_outside).  A witness that is least as a ring
+tuple takes its key from ring (tuple_order_key), the packing that
+gray_vec_inverse prints it with.  The tensor witness is read off the
+family (0|0|C3) alone (audit_decomposition_image).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from itertools import combinations
 from operator import xor
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -66,7 +69,7 @@ from .errors import CapExceeded, PreconditionError
 from .gf2poly import (
     degree, poly_divmod, poly_gcd, reciprocal, require_divisor, xn1,
 )
-from .ring import gray_vec, gray_vec_inverse
+from .ring import gray_vec, gray_vec_inverse, tuple_order_key
 
 DEFAULT_ENUM_CAP = 1 << 24
 DEFAULT_DIST_CAP = 1 << 20
@@ -420,9 +423,21 @@ def audit_decomposition_image(image: BinaryCode) -> DecompositionAudit:
     so it runs once per distinct image; BinaryCode is immutable.
 
     C1 x C2 x C3 is the direct sum of the three projections and always holds
-    the image, so the tensor claim is a rank question.  The reconstruction
-    map (a, b, c) -> v*a + (1+v)*b + (1+v^2)*c is linear, so its set is the
-    span of the images of the projections' basis rows.
+    the image, so the tensor claim is a rank question.  Its witness, the
+    first word of product(sorted(C1), sorted(C2), sorted(C3)) outside the
+    image, lies in the family (0|0|C3), the only one eliminated.  The image
+    is its first part C1 x 0 x 0 plus a part P inside (0|C2|C3) (the split
+    in the module docstring); let K = {y : (0|0|y) in the image}.  If
+    K = C3, then P holds (0|b|y) + (0|0|C3) = (0|b|C3) for each b in C2, so
+    P = C2 x C3 and the claim holds.  Otherwise let c be the least member
+    of C3 \\ K: the words before (0|0|c) in that order are the (0|0|y) with
+    y in C3 below c, all in K, so (0|0|c) is the witness.  For a key
+    image, C3 = <g_u> and K = <g_v> (code_key), and g_u is the least
+    nonzero member of <g_u>, so the witness is v^2*g_u.
+
+    The reconstruction map (a, b, c) -> v*a + (1+v)*b + (1+v^2)*c is
+    linear, so its set is the span of the images of the projections' basis
+    rows.
     """
     n = image.n // 3
     c1, c2 = _image_projections(image)  # C3 = C2
@@ -431,12 +446,9 @@ def audit_decomposition_image(image: BinaryCode) -> DecompositionAudit:
     tensor_equal = image.size == product_size
     tensor_witness = None
     if not tensor_equal:
-        # the canonical bases of codes on disjoint thirds, in pivot order
-        direct_sum = BinaryCode(
-            image.n, (*c1.basis, *(b << n for b in c2.basis), *(c << (2 * n) for c in c2.basis))
-        )
+        last = BinaryCode(image.n, tuple(c << (2 * n) for c in c2.basis))  # (0|0|C3)
         tensor_witness = gray_vec_inverse(
-            _least_outside(_mirrored_rows(direct_sum, _product_order_key(n)), image), n
+            _least_outside(_mirrored_rows(last, _product_order_key(n)), image), n
         )
 
     recon = BinaryCode.from_rows(image.n, [
@@ -464,34 +476,13 @@ def _product_order_key(n: int) -> Callable[[int], int]:
     """The order of product(sorted(C1), sorted(C2), sorted(C3)) on masks,
     as the mirrored order of a key (_least_outside): (A|B|C) compares as
     the integer A<<2n | B<<n | C, so the key is that integer's 3n bits
-    reversed, which is the mask with each third reversed in place."""
+    reversed, which is the mask with each third reversed in place.  The
+    tensor audit orders only (0|0|C3) words by it, which compare as their
+    last thirds."""
     def key(mask: int) -> int:
         a, b, c = _thirds(mask, n)
         return int(f"{a << (2 * n) | b << n | c:0{3 * n}b}"[::-1], 2)
     return key
-
-
-def _ring_order_key(n: int) -> Callable[[int], int]:
-    """The order of ring tuples (gray_vec_inverse) on masks, as the mirrored
-    order of a key (_least_outside).
-
-    The vector of a mask (A|B|C) has entries e_i = a_i | b_i<<1 | c_i<<2 with
-    c = A^C, and tuples compare entry by entry from e_0, each entry as an
-    integer.  So they compare in the mirrored order of sum e'_i * 8^i, where
-    e'_i = c_i | b_i<<1 | a_i<<2 is e_i with its three bits reversed: that
-    is T(A)<<2 | T(B)<<1 | T(A^C), where T (_interleave) moves bit i to bit
-    3i.
-    """
-    def key(mask: int) -> int:
-        a, b, c = _thirds(mask, n)
-        return _interleave(a) << 2 | _interleave(b) << 1 | _interleave(a ^ c)
-    return key
-
-
-@lru_cache(maxsize=4096)
-def _interleave(x: int) -> int:
-    """x with bit i moved to bit 3i: its bits read as octal digits."""
-    return int(f"{x:b}", 8)
 
 
 def _ring_witness(x: BinaryCode, x_side: str, y: BinaryCode,
@@ -511,7 +502,7 @@ def _ring_order_rows(x: BinaryCode) -> tuple[int, ...]:
     """_mirrored_rows of x in the order of ring tuples, eliminated once per
     code: the codes that hold the audits' witnesses recur across triples
     (an exact dual, a claimed dual, a reconstruction)."""
-    return tuple(_mirrored_rows(x, _ring_order_key(x.n // 3)))
+    return tuple(_mirrored_rows(x, partial(tuple_order_key, n=x.n // 3)))
 
 
 def _mirrored_rows(x: BinaryCode, key: Callable[[int], int]) -> Iterator[int]:
@@ -519,18 +510,20 @@ def _mirrored_rows(x: BinaryCode, key: Callable[[int], int]) -> Iterator[int]:
     first: of two keys, the one with a 0 at the lowest bit where they
     differ is less.
 
-    key must be a linear bijection (here, a bit relabelling), so a mask m
-    travels as m << x.n | key(m) and sums act on both halves at once; each
-    row's pivot, its lowest set bit, lies in the key half.  In the mirrored
-    order a row with a higher pivot is less, and rref reduces each row by
-    exactly the rows with higher pivots, which _reduced yields first.  Each
-    reduced row is the least member of its coset of the span of the rows
-    before it: adding any nonzero sum of those rows sets that sum's lowest
-    bit, a pivot column that the reduction cleared, and leaves every bit
-    below it.  The rows do not depend on the basis of x they start from.
+    key must be linear and one-to-one, so a mask m travels as m << w |
+    key(m), with w the width of the widest key of a basis row, and sums act
+    on both halves at once; no sum of keys is wider, so each row's pivot,
+    its lowest set bit, lies in the key half.  In the mirrored order a row
+    with a higher pivot is less, and rref reduces each row by exactly the
+    rows with higher pivots, which _reduced yields first.  Each reduced
+    row is the least member of its coset of the span of the rows before
+    it: adding any nonzero sum of those rows sets that sum's lowest bit, a
+    pivot column that the reduction cleared, and leaves every bit below
+    it.  The rows do not depend on the basis of x they start from.
     """
-    n = x.n
-    return (row >> n for row in _reduced(m << n | key(m) for m in x.basis))
+    keys = [key(m) for m in x.basis]
+    w = max(keys, default=0).bit_length()
+    return (row >> w for row in _reduced(m << w | k for m, k in zip(x.basis, keys)))
 
 
 def _least_outside(rows: Iterable[int], y: BinaryCode) -> int:

@@ -233,19 +233,18 @@ def parse_poly(text: str) -> int:
             exp_text = stripped[2:]
             if not (exp_text.isascii() and exp_text.isdigit()):
                 raise ParseError(f"bad exponent in term {stripped!r}", offset)
-            p ^= 1 << int(exp_text)
+            try:
+                p ^= 1 << int(exp_text)
+            except ValueError:  # more digits than int() converts
+                raise ParseError(f"exponent of {len(exp_text)} digits is too long", offset) from None
         else:
             raise ParseError(f"bad term {stripped!r}", offset)
         pos += len(term) + 1
     return p
 
 
-@lru_cache(maxsize=4096)
 def format_poly(p: int) -> str:
-    """Canonical descending-degree text; inverse of parse_poly.
-
-    Every audit and search label names its divisors, so the text is cached.
-    """
+    """Canonical descending-degree text; inverse of parse_poly."""
     if p == 0:
         return "0"
     bits = f"{p:b}"  # one pass over the coefficients, highest degree first

@@ -10,9 +10,11 @@ Hamming weight, so the package computes on these masks alone and turns a
 mask back into a ring vector only to print a witness.
 
 The inverse reads a mask's three n-bit thirds (a, b, a+c) at byte speed:
-each third is spread so that its bit i lands on bit 8i (_spread, cached per
-third), and the spread thirds a | b<<1 | c<<2 are an n-byte string whose
-byte i is the element a_i + v*b_i + v^2*c_i.
+each bit plane a, b, c is spread so that its bit i lands on bit 8i
+(_spread, cached per plane), and the spread planes a | b<<1 | c<<2 are an
+n-byte string whose byte i is the element a_i + v*b_i + v^2*c_i.  The same
+packing with the planes in the order (c, b, a) is the order key of the
+audits' witnesses (tuple_order_key): masks compare as their ring vectors do.
 """
 
 from __future__ import annotations
@@ -38,13 +40,34 @@ def _spread(bits: int) -> int:
     return int("0".join(f"{bits:b}"), 16)
 
 
-def gray_vec_inverse(mask: int, n: int) -> tuple[int, ...]:
-    """The unique ring vector whose Gray image is the given 3n-bit mask."""
+def _planes(mask: int, n: int) -> tuple[int, int, int]:
+    """The bit planes (a, b, c) of the ring vector whose Gray image is the
+    3n-bit mask (a|b|a+c)."""
     full = (1 << n) - 1
     a = mask & full
-    b = (mask >> n) & full
-    c = a ^ (mask >> (2 * n)) & full
+    return a, (mask >> n) & full, a ^ (mask >> (2 * n)) & full
+
+
+def gray_vec_inverse(mask: int, n: int) -> tuple[int, ...]:
+    """The unique ring vector whose Gray image is the given 3n-bit mask."""
+    a, b, c = _planes(mask, n)
     return tuple((_spread(a) | _spread(b) << 1 | _spread(c) << 2).to_bytes(n, "little"))
+
+
+def tuple_order_key(mask: int, n: int) -> int:
+    """The 8n-bit key whose mirrored order on 3n-bit Gray masks is the order
+    of their ring vectors (gray_vec_inverse) as tuples: of two keys, the one
+    with a 0 at the lowest bit where they differ is less.
+
+    It is the packing of gray_vec_inverse with the planes reversed, so its
+    byte i is e_i with its three bits reversed, for the entry e_i = a_i |
+    b_i<<1 | c_i<<2.  Two tuples compare at their first differing entry,
+    by the highest bit where those entries differ.  Reversed, that bit is
+    the lowest bit where the two keys differ, and the tuple with a 0 there
+    is less.  The key is linear in the mask and one-to-one.
+    """
+    a, b, c = _planes(mask, n)
+    return _spread(c) | _spread(b) << 1 | _spread(a) << 2
 
 
 # ---------------------------------------------------------------------------

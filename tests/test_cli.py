@@ -366,6 +366,21 @@ def test_inspect_parse_error_exit_code(capsys):
     assert "parse error" in err
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no limit on str-to-int digits")
+def test_inspect_of_an_exponent_too_long_to_read_is_a_parse_error(capsys):
+    # 5,000 digits are over Python's default int() conversion limit of 4,300
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run(capsys, "inspect", "--n", "4", "--f1", "x+x^" + "1" * 5000,
+                             "--f2", "1", "--f3", "1")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out) == (1, "")
+    assert err == "parse error: exponent of 5000 digits is too long (at position 2)\n"
+
+
 def test_inspect_of_a_huge_non_divisor_exits_quickly(capsys):
     # the error message names x^1000000; its text takes one pass over the bits
     start = time.perf_counter()

@@ -1,5 +1,5 @@
 import random
-from functools import cmp_to_key
+from functools import cmp_to_key, partial
 from itertools import product
 
 import pytest
@@ -18,7 +18,6 @@ from vcubed.codes import (
     _mirrored_rows,
     _product_order_key,
     _reduced,
-    _ring_order_key,
     _single_image,
     audit_decomposition_image,
     audit_triple,
@@ -33,7 +32,7 @@ from vcubed.errors import CapExceeded, PreconditionError
 from vcubed.gf2poly import enumerate_divisors, factor_xn1, parse_poly
 from vcubed.quantum import css_from_triple, search_triples
 from vcubed.reference import REFERENCE_ROWS, ReferenceRow, reproduce_row
-from vcubed.ring import gray_vec, gray_vec_inverse
+from vcubed.ring import gray_vec, gray_vec_inverse, tuple_order_key
 from oracles import (
     ONE,
     ONE_PLUS_V,
@@ -942,6 +941,11 @@ def _product_order(n):
     return lambda mask: (mask & full, (mask >> n) & full, mask >> (2 * n))
 
 
+def _tuple_order_key(n):
+    """ring.tuple_order_key at length n, as a key of one mask."""
+    return partial(tuple_order_key, n=n)
+
+
 def _mirrored(key):
     """Sort key for the mirrored order of key(mask): of two keys, the one
     with a 0 at the lowest bit where they differ is less."""
@@ -972,7 +976,7 @@ def test_least_outside_matches_walk():
             continue
         cases += 1
         for key, order in ((_product_order_key(n), _product_order(n)),
-                           (_ring_order_key(n), _ring_order(n))):
+                           (_tuple_order_key(n), _ring_order(n))):
             least = _least_outside(_mirrored_rows(x, key), y)
             assert x.contains(least) and not y.contains(least)
             assert least == min((m for m in codewords(x) if not y.contains(m)), key=order)
@@ -983,7 +987,7 @@ def test_least_outside_refuses_a_contained_code():
     y = BinaryCode.from_rows(6, [0b000011, 0b001100, 0b110000])
     for x in (y, BinaryCode.from_rows(6, [0b001111]), BinaryCode(6, ())):
         with pytest.raises(PreconditionError):
-            _least_outside(_mirrored_rows(x, _ring_order_key(2)), y)
+            _least_outside(_mirrored_rows(x, _tuple_order_key(2)), y)
 
 
 def test_least_outside_matches_walk_on_audit_inputs():
@@ -995,7 +999,7 @@ def test_least_outside_matches_walk_on_audit_inputs():
         for fs in product(enumerate_divisors(n), repeat=3):
             image = cyclic_image(n, *fs)
             formula = gray_image_basis(dual_ring_formula(n, *fs))
-            pairs.add((formula, dual_binary(image), _ring_order_key, _ring_order))
+            pairs.add((formula, dual_binary(image), _tuple_order_key, _ring_order))
             c1, c2 = _image_projections(image)
             c3 = image_projections_by_rref(image)[2]
             assert c3 == c2
@@ -1006,7 +1010,7 @@ def test_least_outside_matches_walk_on_audit_inputs():
                 *(_combination_mask(0, b, 0, n) for b in c2.basis),
                 *(_combination_mask(0, 0, c, n) for c in c3.basis)])
             pairs.add((direct_sum, image, _product_order_key, _product_order))
-            pairs.add((recon, image, _ring_order_key, _ring_order))
+            pairs.add((recon, image, _tuple_order_key, _ring_order))
     witnesses = 0
     for a, b, order_key, order in pairs:
         n = a.n // 3
@@ -1023,12 +1027,24 @@ def test_least_outside_matches_walk_on_audit_inputs():
 
 
 def test_ring_order_key_is_the_tuple_order():
+    # ring.tuple_order_key sorts masks exactly as their ring tuples sort:
+    # every 3n-bit mask at n <= 3, and random masks up to n = 127, where the
+    # key is 8n bits wide
     rng = random.Random(83)
+    cases = [(n, range(1 << (3 * n))) for n in (1, 2, 3)]
+    cases += [(n, [rng.getrandbits(3 * n) for _ in range(2)])
+              for n in (rng.randint(1, 21) for _ in range(300))]
+    cases += [(n, [rng.getrandbits(3 * n) for _ in range(200)]) for n in (63, 127)]
+    for n, masks in cases:
+        by_key = sorted(masks, key=_mirrored(_tuple_order_key(n)))
+        assert by_key == sorted(masks, key=_ring_order(n))
+        assert all(tuple_order_key(m, n) >> (8 * n) == 0 for m in masks)
+        # the entry 1 at the last place is the byte 0b100 at the top
+        last = gray_vec((0,) * (n - 1) + (1,))
+        assert tuple_order_key(last, n) == 4 << (8 * (n - 1))
     for _ in range(300):
         n = rng.randint(1, 21)
         masks = [rng.getrandbits(3 * n) for _ in range(2)]
-        by_key = sorted(masks, key=_mirrored(_ring_order_key(n)))
-        assert by_key == sorted(masks, key=_ring_order(n))
         by_key = sorted(masks, key=_mirrored(_product_order_key(n)))
         assert by_key == sorted(masks, key=_product_order(n))
 
@@ -1059,8 +1075,10 @@ def test_audit_verdicts_follow_key_conditions_at_n_le_9():
     # variant exactly when f1 = f2 = f3 (mod x^n - 1).  The dual-formula
     # audit reads the variant's verdict and the code's size off keys, so
     # each is also checked against the images it no longer builds, and two
-    # triples' images are equal exactly when their keys are
-    triples = 0
+    # triples' images are equal exactly when their keys are.  A failing
+    # tensor audit's witness is v^2*g_u, the closed form in
+    # audit_decomposition_image.
+    triples = failing = 0
     for n in range(1, 10):
         divisors = enumerate_divisors(n)
         images = {}
@@ -1070,7 +1088,12 @@ def test_audit_verdicts_follow_key_conditions_at_n_le_9():
             image = cyclic_image(n, *fs)
             assert images.setdefault(key, image) == image
             g_a, g_u, g_v = key
-            assert audit_decomposition_image(image).tensor_equal == (g_u == g_v), (n, fs)
+            decomposition = audit_decomposition_image(image)
+            assert decomposition.tensor_equal == (g_u == g_v), (n, fs)
+            if not decomposition.tensor_equal:
+                failing += 1
+                witness = gray_vec_inverse(g_u << (2 * n), n)
+                assert decomposition.tensor_witness == witness, (n, fs)
             audit = audit_triple(n, *fs).dual_formula
             reduced = {gf2poly.poly_mod(f, gf2poly.xn1(n)) for f in fs}
             assert audit.three_generator_matches_brute == (len(reduced) == 1), (n, fs)
@@ -1079,7 +1102,21 @@ def test_audit_verdicts_follow_key_conditions_at_n_le_9():
                 cyclic_image(n, *_dual_polys(n, *fs)) == dual), (n, fs)
             assert audit.code_size == image.size, (n, fs)
         assert len(set(images.values())) == len(images), n
-    assert triples == 2770
+    assert (triples, failing) == (2770, 1438)
+    # on the catalog codes, which have no key, the witness is (0|0|c) with c
+    # the least member of C3 outside K = {y : (0|0|y) in the image}, walked
+    failing = 0
+    for _, n, gens in AUDIT_CATALOG:
+        image = gray_image_basis(RingCode(n, gens))
+        words = set(codewords(image))
+        c3 = {m >> (2 * n) for m in words}
+        k = {m >> (2 * n) for m in words if not m & ((1 << (2 * n)) - 1)}
+        decomposition = audit_decomposition_image(image)
+        assert decomposition.tensor_equal == (k == c3)
+        if k != c3:
+            failing += 1
+            assert decomposition.tensor_witness == gray_vec_inverse(min(c3 - k) << (2 * n), n)
+    assert failing == 3
 
 
 def _least_walked(x, y, order, n):
