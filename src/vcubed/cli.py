@@ -34,10 +34,12 @@ from .errors import CapExceeded, ParseError, PreconditionError
 from .gf2poly import (
     DEFAULT_DIVISOR_CAP,
     DEFAULT_FACTOR_BOUND,
+    divisor_of_terms,
     enumerate_divisors,
     factor_xn1,
     format_poly,
     parse_poly,
+    parse_terms,
     poly_hex,
 )
 from .ring import format_vec
@@ -194,8 +196,11 @@ def _inspect_table(records: list[dict]) -> Iterator[str]:
 
 def cmd_inspect(args) -> int:
     n = args.n
-    fs = tuple(parse_poly(t) for t in (args.f1, args.f2, args.f3))
-    audit = codes.audit_triple(n, *fs)  # raises PreconditionError on bad fi
+    # every text is parsed before any is checked, and the checks run in the
+    # order f1, f2, f3; a degree above n is refused before its int is built
+    terms = [parse_terms(t) for t in (args.f1, args.f2, args.f3)]
+    fs = tuple(divisor_of_terms(n, t, label) for label, t in zip(("f1", "f2", "f3"), terms))
+    audit = codes.audit_triple(n, *fs)
     size = audit.size
 
     record = {
@@ -240,10 +245,17 @@ def cmd_inspect(args) -> int:
 
 
 def _decomposition_record(a: codes.DecompositionAudit, label: str) -> dict:
+    return {"kind": "audit", "target": "decomposition", "code": label,
+            **_decomposition_fields(a)}
+
+
+@lru_cache(maxsize=1024)
+def _decomposition_fields(a: codes.DecompositionAudit) -> dict:
+    """The fields of a decomposition record after its "code" label, built
+    once per distinct audit: the triples of one code key share one image,
+    and so one audit (codes.audit_decomposition_image).  Records share the
+    dict's values, which is safe because no record is changed once built."""
     rec = {
-        "kind": "audit",
-        "target": "decomposition",
-        "code": label,
         "n": a.n,
         "code_size": a.code_size,
         "projection_sizes": list(a.projection_sizes),

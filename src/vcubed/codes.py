@@ -25,8 +25,10 @@ direct sum of its first third and its last two thirds, and v maps the
 second part into itself, taking (0|B|C) to (0|C|B).  The canonical basis
 of the image is therefore the basis of the first part followed by the
 basis of the second: every span of one generator is two part spans
-(_mask_span), and the projections are read off the basis with no
-elimination (_image_projections).
+(_mask_span), the image of a code key is the span of its first generator
+followed by the Plotkin part that the other two span (_key_image), and
+the projections are read off the basis with no elimination
+(_image_projections).
 
 A search meets the same generators and the same Gray images many times
 over, so the work is memoised where it repeats, in bounded lru_caches;
@@ -284,21 +286,41 @@ def code_key(n: int, f1: int, f2: int, f3: int) -> tuple[int, int, int]:
 
 @lru_cache(maxsize=1024)
 def _key_image(n: int, g_a: int, g_u: int, g_v: int) -> BinaryCode:
-    """Gray image of the key (g_a, g_u, g_v), built by the rank path once
-    per key: the image of every divisor triple with that code key, and the
-    exact dual of every image whose dual key (_dual_key) it is.
+    """Gray image of the key (g_a, g_u, g_v), once per key: the image of
+    every divisor triple with that code key, and the exact dual of every
+    image whose dual key (_dual_key) it is.
 
     The key's own generators (1+v^2) g_a, (v+v^2) g_u and v^2 g_v generate
     the code (code_key); their Gray masks are (g_a|0|0), (0|g_u|g_u) and
-    (0|0|g_v).  Each g must divide x^n - 1, so it is reduced mod x^n - 1
-    already unless it is x^n - 1 itself, which contributes the zero vector.
+    (0|0|g_v).  The image is C_A x 0 x 0, the cyclic span of (g_a|0|0)
+    (_part_span), plus the Plotkin part spanned by the other two
+    (_plotkin_span), which many keys share.  Their concatenation is the rref
+    of the union of the three generators' spans: the two parts have
+    disjoint supports, and every pivot of the first part is below n while
+    every row of the second is 0 there, so no row of either part has a bit
+    in a pivot column of the other, and the pivots ascend.  Each g must
+    divide x^n - 1, so it is reduced mod x^n - 1 already unless it is
+    x^n - 1 itself, which contributes the zero vector.
+    """
+    first = _part_span(0 if g_a == xn1(n) else g_a, n, True)
+    return BinaryCode(3 * n, first + _plotkin_span(n, g_u, g_v))
+
+
+@lru_cache(maxsize=1024)
+def _plotkin_span(n: int, g_u: int, g_v: int) -> tuple[int, ...]:
+    """Canonical basis of the Plotkin part {(0 | u | u+y) : u in <g_u>,
+    y in <g_v>} of a key image (_key_image), the span of (0|g_u|g_u) and
+    (0|0|g_v), once per (n, g_u, g_v): keys that differ only in g_a share
+    it.  A g equal to x^n - 1 enters as 0.
     """
     modulus = xn1(n)
-    g_a, g_u, g_v = (0 if g == modulus else g for g in (g_a, g_u, g_v))
-    masks = (g_a, g_u << n | g_u << (2 * n), g_v << (2 * n))
-    # The hop through ring vectors waits on ROADMAP items 1 and 8: the
-    # benchmark asserts that a search calls gray_vec_inverse.
-    return gray_image_basis(RingCode(n, tuple(gray_vec_inverse(m, n) for m in masks), cyclic=True))
+    g_u, g_v = (0 if g == modulus else g for g in (g_u, g_v))
+    masks = (g_u << n | g_u << (2 * n), g_v << (2 * n))
+    # The hop through ring vectors, left in this part only, waits on ROADMAP
+    # items 1 and 8: the benchmark asserts that a search calls
+    # gray_vec_inverse.
+    gens = tuple(gray_vec_inverse(m, n) for m in masks)
+    return gray_image_basis(RingCode(n, gens, cyclic=True)).basis
 
 
 def _combination_mask(a: int, b: int, c: int, n: int) -> int:
@@ -321,7 +343,7 @@ def _single_image(n: int, f1: int, f2: int, f3: int) -> BinaryCode:
 
     It is the one per-triple image of an audit (audit_triple): the
     single-generator audit of a triple T and the dual-formula audit of the
-    triple whose dual polynomials (_dual_polys) are T both read it, and h*
+    triple whose h* triple is T both read it, and h*
     is an involution on the divisors of x^n - 1, so every divisor triple is
     asked for twice by an audit of all of them.
 
@@ -334,11 +356,6 @@ def _single_image(n: int, f1: int, f2: int, f3: int) -> BinaryCode:
     modulus = xn1(n)
     mask = _combination_mask(*(0 if f == modulus else f for f in (f1, f2, f3)), n)
     return BinaryCode(3 * n, _mask_span(mask, n, cyclic=True))
-
-
-def _dual_polys(n: int, f1: int, f2: int, f3: int) -> tuple[int, ...]:
-    """(h1*, h2*, h3*): the reciprocals of hi = (x^n - 1)/fi."""
-    return tuple(_dual_poly(n, f) for f in (f1, f2, f3))
 
 
 def _dual_key(n: int, g_a: int, g_u: int, g_v: int) -> tuple[int, int, int]:
@@ -575,10 +592,19 @@ def audit_dual_formula(n: int, fs: tuple[int, int, int], hs: tuple[int, ...],
     The code's own image is not read: |C| * |C^perp| = 8^n, so the code
     has 2^(3n - dim) words, where dim is the dual's dimension.  Nor is the
     image of the three-generator variant <v h1*, (1+v) h2*, (1+v^2) h3*>
-    built: a key (g_a, g_u, g_v) with g_u | g_v is read back off its image,
-    as <g_a> = the first third, <g_u> = the middle third and <g_v> = the
-    last thirds of the words (0|0|y), and every code key and dual key is
-    such a key, so two images are equal exactly when their keys are.
+    built, nor its key: that variant equals the exact dual exactly when
+    f1 = f2 = f3.  A key (g_a, g_u, g_v) with g_u | g_v is read back off
+    its image, as <g_a> = the first third, <g_u> = the middle third and
+    <g_v> = the last thirds of the words (0|0|y), and every code key and
+    dual key is such a key, so two images are equal exactly when their keys
+    are.  The variant's key is (gcd(h2*, h3*), gcd(h1*, h2*), h1*)
+    (code_key).  The dual key is (lcm(h2*, h3*), h1*, lcm(h1*, h2*)): h*
+    of gcd(fi, fj) is lcm(hi*, hj*), since (x^n - 1)/gcd(fi, fj) is
+    lcm(hi, hj) and the reciprocal keeps divisibility among divisors of
+    x^n - 1.  A gcd equals the lcm of the same pair only when the two are
+    equal, and gcd(h1*, h2*) = h1* = lcm(h1*, h2*) only when h1* = h2*, so
+    the keys agree exactly when h1* = h2* = h3*.  h* is a bijection on the
+    divisors of x^n - 1, so that is when f1 = f2 = f3.
     """
     dual = _key_image(n, *dual_key)
     formula = _single_image(n, *hs)
@@ -596,7 +622,7 @@ def audit_dual_formula(n: int, fs: tuple[int, int, int], hs: tuple[int, ...],
         witness=witness,
         witness_side=side,
         size_claim_matches=claimed == dual.size,
-        three_generator_matches_brute=code_key(n, *hs) == dual_key,
+        three_generator_matches_brute=fs[0] == fs[1] == fs[2],
     )
 
 
@@ -670,20 +696,23 @@ def audit_triple(n: int, f1: int, f2: int, f3: int) -> TripleAudit:
     The pass builds what the audits share once and hands it to each:
     the code key, whose Gray image (_key_image) is the decomposition
     audit's input, the size audit's rank and the single-generator audit's
-    code; the h* triple (_dual_polys) and the dual key (_dual_key) of the
-    dual-formula audit; and the claimed dimension, which the size audit
-    computes and the dual-formula audit reads.  Triples that share a code
-    key share one image and one exact dual, and the three claim records
-    share one fs tuple.
+    code; the dual key (_dual_key) and the h* triple (h1*, h2*, h3*) of
+    the dual-formula audit, the reciprocals of hi = (x^n - 1)/fi, whose h1*
+    is the dual key's h_v*, since g_v = f1; and the claimed dimension, which
+    the size audit computes and the dual-formula audit reads.  Triples that
+    share a code key share one image and one exact dual, and the three claim
+    records share one fs tuple.
     """
     fs = (f1, f2, f3)
     key = code_key(n, f1, f2, f3)
     image = _key_image(n, *key)
     size = audit_size_formula(n, fs, image.dim)
+    dual_key = _dual_key(n, *key)
+    # h1* is the dual key's h_v*, since g_v = f1
+    hs = (dual_key[1], _dual_poly(n, f2), _dual_poly(n, f3))
     return TripleAudit(
         decomposition=audit_decomposition_image(image),
         size=size,
         single_generator=audit_single_generator(n, fs, image),
-        dual_formula=audit_dual_formula(n, fs, _dual_polys(n, f1, f2, f3),
-                                        _dual_key(n, *key), size.claimed_log2),
+        dual_formula=audit_dual_formula(n, fs, hs, dual_key, size.claimed_log2),
     )

@@ -23,8 +23,6 @@ from .errors import CapExceeded, ParseError, PreconditionError
 DEFAULT_FACTOR_BOUND = 128
 DEFAULT_DIVISOR_CAP = 4096
 
-X = 0b10  # the polynomial x
-
 
 def degree(p: int) -> int:
     """Degree of p; -1 for the zero polynomial (sorts below every real degree)."""
@@ -106,8 +104,27 @@ def require_divisor(n: int, f: int, label: str = "") -> None:
     """Raise a PreconditionError unless f divides x^n - 1; the message names
     f as "label = f" when a label is given."""
     if not divides_xn1(n, f):
-        name = f"{label} = {format_poly(f)}" if label else format_poly(f)
-        raise PreconditionError(f"{name} does not divide x^{n}+1")
+        raise _not_a_divisor(n, format_poly(f), label)
+
+
+def divisor_of_terms(n: int, terms: tuple[int, ...], label: str) -> int:
+    """The polynomial whose terms are ``terms`` (parse_terms), once it is
+    known to divide x^n - 1, else the PreconditionError of require_divisor.
+
+    A divisor of x^n - 1 has degree at most n, so a higher degree is
+    refused from the terms alone: the int of x^K takes K bits, and a K
+    read from text can ask for more memory than the host has.
+    """
+    if terms and terms[0] > n:
+        raise _not_a_divisor(n, format_terms(terms), label)
+    f = poly_from_terms(terms)
+    require_divisor(n, f, label)
+    return f
+
+
+def _not_a_divisor(n: int, text: str, label: str) -> PreconditionError:
+    name = f"{label} = {text}" if label else text
+    return PreconditionError(f"{name} does not divide x^{n}+1")
 
 
 class Factorization(NamedTuple):
@@ -210,6 +227,13 @@ def enumerate_divisors(n: int, cap: int = DEFAULT_DIVISOR_CAP) -> list[int]:
 
 def parse_poly(text: str) -> int:
     """Parse the algebraic grammar or a 0x-prefixed hexadecimal bitmask."""
+    return poly_from_terms(parse_terms(text))
+
+
+def parse_terms(text: str) -> tuple[int, ...]:
+    """The exponents of the terms of a polynomial in either text form,
+    highest first: parse_poly without building the int, so that a caller
+    can check the degree first (divisor_of_terms)."""
     s = text.strip()
     if not s:
         raise ParseError("empty polynomial", 0)
@@ -217,39 +241,60 @@ def parse_poly(text: str) -> int:
         digits = s[2:]  # int(s, 16) would also take "_" and non-ASCII digits
         if not digits or digits.strip("0123456789abcdefABCDEF"):
             raise ParseError(f"bad hexadecimal polynomial {s!r}", 0)
-        return int(digits, 16)
+        return _exponents(int(digits, 16))
     if s == "0":
-        return 0
-    p = 0
+        return ()
+    exponents: set[int] = set()
     pos = 0
     for term in s.split("+"):
         stripped = term.strip()
         offset = pos + term.index(stripped) if stripped else pos
         if stripped == "1":
-            p ^= 1
+            e = 0
         elif stripped == "x":
-            p ^= X
+            e = 1
         elif stripped.startswith("x^"):
             exp_text = stripped[2:]
             if not (exp_text.isascii() and exp_text.isdigit()):
                 raise ParseError(f"bad exponent in term {stripped!r}", offset)
             try:
-                p ^= 1 << int(exp_text)
+                e = int(exp_text)
             except ValueError:  # more digits than int() converts
                 raise ParseError(f"exponent of {len(exp_text)} digits is too long", offset) from None
         else:
             raise ParseError(f"bad term {stripped!r}", offset)
+        exponents ^= {e}  # a repeated term XORs away
         pos += len(term) + 1
-    return p
+    return tuple(sorted(exponents, reverse=True))
+
+
+def poly_from_terms(terms: tuple[int, ...]) -> int:
+    """The polynomial whose terms are ``terms``, distinct exponents highest
+    first, read from one string of binary digits."""
+    if not terms:
+        return 0
+    digits = bytearray(b"0" * (terms[0] + 1))
+    for e in terms:
+        digits[terms[0] - e] = ord("1")
+    return int(digits, 2)
+
+
+def _exponents(p: int) -> tuple[int, ...]:
+    """The exponents of the terms of p, highest first, in one pass over its
+    binary digits."""
+    bits = f"{p:b}"
+    top = len(bits) - 1
+    return tuple(top - i for i, bit in enumerate(bits) if bit == "1")
 
 
 def format_poly(p: int) -> str:
     """Canonical descending-degree text; inverse of parse_poly."""
-    if p == 0:
-        return "0"
-    bits = f"{p:b}"  # one pass over the coefficients, highest degree first
-    return "+".join("1" if i == 0 else "x" if i == 1 else f"x^{i}"
-                    for i, bit in zip(range(len(bits) - 1, -1, -1), bits) if bit == "1")
+    return format_terms(_exponents(p))
+
+
+def format_terms(terms: tuple[int, ...]) -> str:
+    """The text of the polynomial whose terms are ``terms``, highest first."""
+    return "+".join("1" if e == 0 else "x" if e == 1 else f"x^{e}" for e in terms) or "0"
 
 
 def poly_hex(p: int) -> str:

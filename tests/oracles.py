@@ -36,8 +36,11 @@ binary dual of a code, with the argument that the dual of a Gray image is
 the image of the ring dual, the codeword walk of a binary code, the paper's
 cyclic code of a triple, its single generator and its claimed dual, each
 laid out from unit coefficients, the Gray image of a triple from its code
-key, the four audits of a triple each run on its own (as the package ran
-them before one pass shared their pieces), whether a binary code holds its
+key by the rank path (one elimination over the key's three generators, the
+package's form before it built a key image from two cached parts), the h*
+triple of a triple with each h* looked up on its own, the four audits of a
+triple each run on its own (as the package ran them before one pass shared
+their pieces), whether a binary code holds its
 null-space dual, the exact CSS check of a divisor triple from its code key, full ring
 spans through the Gray bijection (refused over an enumeration cap, the one
 bound left on a codeword walk), the minimum Lee weight of a span, the 8^n
@@ -65,8 +68,7 @@ from vcubed.codes import (
     TripleAudit,
     _combination_mask,
     _dual_key,
-    _dual_polys,
-    _key_image,
+    _dual_poly,
     _least_outside,
     _ring_witness,
     _single_image,
@@ -79,12 +81,13 @@ from vcubed.codes import (
 )
 from vcubed.errors import CapExceeded, ParseError, PreconditionError
 from vcubed.gf2poly import (
-    X, Factorization, degree, poly_divmod, poly_gcd, poly_mod, poly_mul, reciprocal,
+    Factorization, degree, poly_divmod, poly_gcd, poly_mod, poly_mul, reciprocal,
     require_divisor, xn1,
 )
 from vcubed.ring import _TERM_BITS, gray_vec, gray_vec_inverse
 
 DEFAULT_RING_DUAL_CAP = 1 << 24
+X = 0b10  # the polynomial x
 
 
 # ---------------------------------------------------------------------------
@@ -566,10 +569,30 @@ def build_ring_cyclic(n: int, f1: int, f2: int, f3: int) -> RingCode:
 
 def cyclic_image(n: int, f1: int, f2: int, f3: int) -> BinaryCode:
     """Gray image of the cyclic code <v f1, (1+v) f2, (1+v^2) f3> of length
-    n: the image of the triple's code key (codes._key_image).  Each fi must
-    divide x^n - 1 (code_key).  The package builds it inside its audit pass
-    (codes.audit_triple), from the key that pass computes once."""
-    return _key_image(n, *code_key(n, f1, f2, f3))
+    n: the image of the triple's code key, by the rank path
+    (key_image_by_rank).  Each fi must divide x^n - 1 (code_key).  The
+    package builds it inside its audit pass (codes.audit_triple), from the
+    key that pass computes once."""
+    return key_image_by_rank(n, *code_key(n, f1, f2, f3))
+
+
+@lru_cache(maxsize=1024)
+def key_image_by_rank(n: int, g_a: int, g_u: int, g_v: int) -> BinaryCode:
+    """Gray image of the key (g_a, g_u, g_v) by one elimination of the
+    union of the spans of its generators (1+v^2) g_a, (v+v^2) g_u and
+    v^2 g_v, with the Gray masks (g_a|0|0), (0|g_u|g_u) and (0|0|g_v): the
+    package's form before it concatenated two cached parts
+    (codes._key_image).  A g equal to x^n - 1 enters as 0."""
+    g_a, g_u, g_v = (poly_mod(g, xn1(n)) for g in (g_a, g_u, g_v))
+    masks = (g_a, g_u << n | g_u << (2 * n), g_v << (2 * n))
+    return gray_image_basis(RingCode(n, tuple(gray_vec_inverse(m, n) for m in masks), cyclic=True))
+
+
+def dual_polys(n: int, f1: int, f2: int, f3: int) -> tuple[int, ...]:
+    """(h1*, h2*, h3*): the reciprocals of hi = (x^n - 1)/fi, each looked
+    up on its own, where the package reads h1* off the dual key
+    (codes.audit_triple)."""
+    return tuple(_dual_poly(n, f) for f in (f1, f2, f3))
 
 
 def dual_ring_formula(n: int, f1: int, f2: int, f3: int) -> RingCode:
@@ -684,8 +707,8 @@ def audit_dual_formula_per_claim(n: int, f1: int, f2: int, f3: int) -> DualFormu
     triple, and the claimed dual size 2^(sum deg fi)."""
     key = code_key(n, f1, f2, f3)
     dual_key = _dual_key(n, *key)
-    dual = _key_image(n, *dual_key)
-    hs = _dual_polys(n, f1, f2, f3)
+    dual = key_image_by_rank(n, *dual_key)
+    hs = dual_polys(n, f1, f2, f3)
     formula = _single_image(n, *hs)
     witness, side = _ring_witness(formula, "only_in_formula", dual, "only_in_brute")
     claimed = 1 << (degree(f1) + degree(f2) + degree(f3))

@@ -17,11 +17,12 @@ P = parse_poly
 MODULES = (cli, codes, gf2poly, quantum, reference, ring)
 
 # The memo tiers of a search: per divisor, per pair of divisors, per
-# generator, per part of a generator and per code key.
+# generator, per part of a generator, per Plotkin part (g_u, g_v) and per
+# code key.
 TIERS = ("vcubed.gf2poly.divides_xn1", "vcubed.quantum.dual_containing_poly",
          "vcubed.quantum._component_distance", "vcubed.gf2poly.poly_gcd",
          "vcubed.codes._generator_span", "vcubed.codes._part_span",
-         "vcubed.codes._key_image")
+         "vcubed.codes._plotkin_span", "vcubed.codes._key_image")
 
 
 def _caches():
@@ -47,7 +48,7 @@ def test_every_cache_is_bounded():
     )
     assert len(caches) == decorated
     # a new memo tier is a visible edit of this count
-    assert len(caches) == 13
+    assert len(caches) == 15
     assert set(TIERS) <= set(caches)
     unbounded = {name for name, fn in caches.items()
                  if fn.cache_parameters()["maxsize"] is None}
@@ -67,6 +68,8 @@ def test_warm_search_matches_cold_search(n, equal_only):
 
 @pytest.mark.parametrize("n, triples, keys", [(8, 125, 45), (21, 729, 121)])
 def test_search_builds_one_image_per_code_key(monkeypatch, n, triples, keys):
+    # the pairs (g_u, g_v) of the code keys, and the admitted divisors
+    plotkin, admitted = {8: (15, 5), 21: (25, 9)}[n]
     _clear_caches()
     key = codes.code_key
     keyed = []
@@ -75,15 +78,32 @@ def test_search_builds_one_image_per_code_key(monkeypatch, n, triples, keys):
         keyed.append(args)
         return key(*args)
 
+    build = codes.gray_image_basis
+    built = []
+
+    def built_counted(code):
+        built.append(code)
+        return build(code)
+
     # quantum imports code_key by name; the audits look it up in codes
     monkeypatch.setattr(codes, "code_key", counted)
     monkeypatch.setattr(quantum, "code_key", counted)
+    monkeypatch.setattr(codes, "gray_image_basis", built_counted)
     assert search_triples(n).admissible == triples
     # one code key per triple, whose rank is read off the key's image: the
     # per-triple tier (_single_image) serves the audits only
     assert len(keyed) == triples
     assert codes._single_image.cache_info().misses == 0
     assert codes._key_image.cache_info().misses == keys
+    # each key image is two cached parts: C_A = <g_a> once per g_a, and the
+    # Plotkin part, the one Gray image built, once per (g_u, g_v)
+    assert codes._plotkin_span.cache_info().misses == plotkin
+    assert len(built) == plotkin
+    # g_a, g_u and g_v each range over the admitted divisors: one span of
+    # (0|g_u|g_u) per g_u and of (0|0|g_v) per g_v, and one part span for
+    # each of their last two thirds, each (g_a|0|0) and the zero first third
+    assert codes._generator_span.cache_info().misses == 2 * admitted
+    assert codes._part_span.cache_info().misses == 3 * admitted + 1
     # containment comes from the key, and the package takes no null space
     assert not hasattr(codes, "dual_binary")
 
@@ -93,8 +113,9 @@ def test_warm_audit_matches_cold_audit(capsys):
     argv = ["audit", "--n-max", "4", "--format", "records"]
     assert cli.main(argv) == 0
     cold = capsys.readouterr().out
-    tiers = (codes.audit_decomposition_image, codes._key_image, codes._single_image,
-             codes._part_span, codes._ring_order_rows, codes._dual_poly)
+    tiers = (codes.audit_decomposition_image, codes._key_image, codes._plotkin_span,
+             codes._single_image, codes._part_span, codes._ring_order_rows,
+             codes._dual_poly, cli._decomposition_fields)
     misses = [fn.cache_info().misses for fn in tiers]
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == cold
@@ -136,25 +157,37 @@ def test_audit_builds_each_single_generator_image_once(monkeypatch, capsys):
     # reads the image that the single-generator audit of hs(T) built
     info = codes._single_image.cache_info()
     assert (info.misses, info.hits) == (224, 224)
-    # 8 catalog codes and 122 keys: the 88 code keys and the 34 dual keys
-    # (_dual_key) that are the code key of no divisor triple; the
+    # 8 catalog codes and the Plotkin parts of 122 keys: the 88 code keys
+    # and the 34 dual keys (_dual_key) that are the code key of no divisor
+    # triple share 33 pairs (g_u, g_v); their first parts and the
     # single-generator images are spanned straight from their Gray masks,
     # not through gray_image_basis
-    assert len(built) == 130
+    assert codes._key_image.cache_info().misses == 122
+    assert codes._plotkin_span.cache_info().misses == 33
+    assert len(built) == 8 + 33
     # every span of one generator is two part spans: the 448 parts of the
-    # 224 single images, (f2+f3 | 0 | 0) and (0 | f1+f2 | f2), are 74 masks,
-    # and the 82 parts of the 41 generator spans of key and catalog images
-    # (_generator_span) add 9 more
-    assert codes._generator_span.cache_info().misses == 41
+    # 224 single images, (f2+f3 | 0 | 0) and (0 | f1+f2 | f2), are 74 masks;
+    # the 122 first parts (g_a|0|0) of key images and the 62 parts of the
+    # 31 generator spans of Plotkin parts and catalog codes (_generator_span)
+    # add 9 more
+    assert codes._generator_span.cache_info().misses == 31
     info = codes._part_span.cache_info()
-    assert (info.misses, info.hits) == (83, 447)
+    assert (info.misses, info.hits) == (83, 549)
     # one ring-order elimination per code that holds a witness: of the 297
     # witnesses, 183 are read off a code eliminated before (81 claimed
     # duals, 63 exact duals and 39 reconstructions equal to an earlier one)
     info = codes._ring_order_rows.cache_info()
     assert (info.misses, info.hits) == (114, 183)
-    # h* once for each of the 14 divisors of x^n - 1, n <= 4
-    assert codes._dual_poly.cache_info().misses == 14
+    # h* once for each of the 14 divisors of x^n - 1, n <= 4, looked up five
+    # times per triple: h_a*, h_v* = h1* and h_u* of the dual key, h2*, h3*
+    info = codes._dual_poly.cache_info()
+    assert (info.misses, info.hits + info.misses) == (14, 5 * 224)
+    # one record body per distinct decomposition audit: the 8 catalog codes
+    # and the images of the 88 code keys are 91 distinct images, over 232
+    # records
+    info = cli._decomposition_fields.cache_info()
+    assert (info.misses, info.hits + info.misses) == (91, 232)
+    assert codes.audit_decomposition_image.cache_info().misses == 91
 
 
 def test_audit_runs_each_triple_in_one_pass(monkeypatch, capsys):
@@ -179,9 +212,9 @@ def test_audit_runs_each_triple_in_one_pass(monkeypatch, capsys):
     monkeypatch.setattr(gf2poly, "format_poly", formatted)
     assert cli.main(["audit", "--n-max", "4", "--format", "records"]) == 0
     capsys.readouterr()
-    # one code key per triple, and one per h* triple for the three-generator
-    # variant of the dual formula, over the 224 divisor triples at n <= 4
-    assert len(keyed) == 2 * 224
+    # one code key per triple, over the 224 divisor triples at n <= 4: the
+    # three-generator variant of the dual formula needs no key of its own
+    assert len(keyed) == 224
     # the audits build no per-triple image of the three generators: each
     # triple reads its key's image once, and its exact dual once
     assert not hasattr(codes, "cyclic_image")
@@ -201,7 +234,7 @@ def _messages(bad):
         lambda: codes.audit_triple(8, 1, bad, 1),
         lambda: codes.audit_triple(8, 1, 1, bad),
         lambda: binary_cyclic(8, bad),
-        lambda: codes._dual_polys(8, 1, 1, bad),
+        lambda: codes._dual_poly(8, bad),
     )
     out = []
     for call in calls:

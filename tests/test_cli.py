@@ -391,6 +391,24 @@ def test_inspect_of_a_huge_non_divisor_exits_quickly(capsys):
     assert "f1 = x^1000000 does not divide x^4+1" in err
 
 
+def test_inspect_refuses_a_degree_above_n_before_building_it(capsys):
+    # x^(2^40) would be a 128 GiB int: the degree alone refuses it
+    big = f"x^{1 << 40}"
+    code, out, err = run(capsys, "inspect", "--n", "4", "--f1", big, "--f2", "1", "--f3", "1")
+    assert (code, out) == (3, "")
+    assert err == f"precondition violated: f1 = {big} does not divide x^4+1\n"
+    # repeated terms XOR away first, and the checks keep the order f1, f2, f3
+    code, _, err = run(capsys, "inspect", "--n", "4", "--f1", "x+1",
+                       "--f2", f"{big}+x^2+1+{big}", "--f3", f"x+{big}")
+    assert (code, err) == (3, f"precondition violated: f3 = {big}+x does not divide x^4+1\n")
+    code, _, err = run(capsys, "inspect", "--n", "4", "--f1", "x^2+x+1",
+                       "--f2", big, "--f3", "1")
+    assert (code, err) == (3, "precondition violated: f1 = x^2+x+1 does not divide x^4+1\n")
+    # and every text is parsed before any is checked
+    code, _, err = run(capsys, "inspect", "--n", "4", "--f1", big, "--f2", "1", "--f3", "y")
+    assert (code, err) == (1, "parse error: bad term 'y' (at position 0)\n")
+
+
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                     reason="no limit on int-to-str digits")
 def test_records_carry_sizes_past_the_int_digit_limit(capsys):

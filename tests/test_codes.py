@@ -12,7 +12,6 @@ from vcubed.codes import (
     _dual_key,
     _image_projections,
     _key_image,
-    _dual_polys,
     _least_outside,
     _mask_span,
     _mirrored_rows,
@@ -54,6 +53,7 @@ from oracles import (
     combined_generator,
     cyclic_image,
     dual_binary,
+    dual_polys,
     dual_ring_bruteforce,
     dual_ring_formula,
     dual_witness_by_walk,
@@ -62,6 +62,7 @@ from oracles import (
     is_cyclic,
     is_quasicyclic3,
     is_self_orthogonal,
+    key_image_by_rank,
     mask_span_by_rows,
     min_lee_enum,
     nullspace,
@@ -309,13 +310,32 @@ def test_build_ring_cyclic_examples():
 
 
 def test_key_image_equals_the_rank_path_on_every_triple():
-    # _key_image builds one image per code key (gcd(f2, f3), gcd(f1, f2),
-    # f1) from the key's own generators (cyclic_image); the oracle builds
-    # each triple's own image.
+    # the image of the code key (gcd(f2, f3), gcd(f1, f2), f1), from the
+    # key's own generators by the rank path (cyclic_image), is the image of
+    # the triple's own generators; _key_image is held to the key's rank
+    # path by test_key_image_from_its_parts_equals_the_rank_path
     for n in (*range(1, 10), 12):
         divisors = enumerate_divisors(n)
         for fs in product(divisors, repeat=3):
             assert cyclic_image(n, *fs) == gray_image_basis(build_ring_cyclic(n, *fs)), (n, fs)
+
+
+@pytest.mark.parametrize("n, code_keys, all_keys", [
+    (1, 5, 6), (2, 13, 17), (3, 25, 34), (4, 45, 65), (5, 25, 34), (6, 169, 257),
+    (7, 125, 186), (8, 201, 321), (9, 125, 186), (15, 3125, 5226),
+    (16, 1105, 1921), (21, 15625, 27154)])
+def test_key_image_from_its_parts_equals_the_rank_path(n, code_keys, all_keys):
+    # _key_image concatenates the span of (g_a|0|0) and the Plotkin part
+    # (_plotkin_span); the oracle eliminates the union of the three
+    # generators' spans, on every code key and dual key of every triple
+    divisors = enumerate_divisors(n)
+    gcds = {(f, g): gf2poly.poly_gcd(f, g) for f in divisors for g in divisors}
+    keys = {(gcds[f2, f3], gcds[f1, f2], f1) for f1, f2, f3 in product(divisors, repeat=3)}
+    assert len(keys) == code_keys
+    keys |= {_dual_key(n, *key) for key in keys}
+    assert len(keys) == all_keys
+    for key in sorted(keys):
+        assert _key_image(n, *key) == key_image_by_rank(n, *key), (n, key)
 
 
 def _canonical_keys(n):
@@ -1099,7 +1119,7 @@ def test_audit_verdicts_follow_key_conditions_at_n_le_9():
             assert audit.three_generator_matches_brute == (len(reduced) == 1), (n, fs)
             dual = _key_image(n, *_dual_key(n, *key))
             assert audit.three_generator_matches_brute == (
-                cyclic_image(n, *_dual_polys(n, *fs)) == dual), (n, fs)
+                cyclic_image(n, *dual_polys(n, *fs)) == dual), (n, fs)
             assert audit.code_size == image.size, (n, fs)
         assert len(set(images.values())) == len(images), n
     assert (triples, failing) == (2770, 1438)

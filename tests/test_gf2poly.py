@@ -6,11 +6,15 @@ from vcubed.errors import CapExceeded, ParseError, PreconditionError
 from vcubed.gf2poly import (
     degree,
     divides_xn1,
+    divisor_of_terms,
     enumerate_divisors,
     factor_xn1,
     format_poly,
+    format_terms,
     parse_poly,
+    parse_terms,
     poly_divmod,
+    poly_from_terms,
     poly_gcd,
     poly_hex,
     poly_mul,
@@ -223,6 +227,38 @@ def test_parse_format_round_trip():
         assert P(format_poly(p)) == p
         assert P(poly_hex(p)) == p
     assert format_poly(P("1+x+x^3")) == "x^3+x+1"  # canonical descending order
+
+
+def test_terms_are_the_polynomial_without_its_int():
+    assert parse_terms("x^3+x+1") == (3, 1, 0)
+    assert parse_terms("1+x^3+x+x^3") == (1, 0)
+    assert parse_terms("x+x") == parse_terms("0") == ()
+    assert parse_terms("0x1a") == (4, 3, 1)
+    assert parse_terms(f"x^{1 << 40}+1") == (1 << 40, 0)
+    assert format_terms((1 << 40, 0)) == f"x^{1 << 40}+1"
+    assert poly_from_terms(()) == 0
+    rng = random.Random(5)
+    for _ in range(500):
+        p = rng.getrandbits(rng.randint(1, 300))
+        terms = parse_terms(format_poly(p))
+        assert terms == parse_terms(poly_hex(p)) == tuple(sorted(terms, reverse=True))
+        assert poly_from_terms(terms) == p
+        assert format_terms(terms) == format_poly(p)
+
+
+def test_divisor_of_terms_refuses_as_require_divisor_does():
+    for n in range(1, 9):
+        for p in range(1 << (n + 2)):
+            terms = parse_terms(poly_hex(p))
+            if divides_xn1(n, p):
+                assert divisor_of_terms(n, terms, "f2") == p
+                continue
+            with pytest.raises(PreconditionError) as info:
+                divisor_of_terms(n, terms, "f2")
+            assert str(info.value) == f"f2 = {format_poly(p)} does not divide x^{n}+1"
+    with pytest.raises(PreconditionError,
+                       match=r"^f1 = x\^1099511627776\+1 does not divide x\^3\+1$"):
+        divisor_of_terms(3, (1 << 40, 0), "f1")
 
 
 def test_parse_errors_carry_position():
