@@ -6,9 +6,6 @@ from .codes import (
     BinaryCode,
     RingCode,
     audit_decomposition_image,
-    audit_dual_formula,
-    audit_single_generator,
-    audit_size_formula,
     audit_triple,
     binary_cyclic,
     gray_image_basis,

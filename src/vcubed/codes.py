@@ -13,7 +13,9 @@ from each stored row's lowest set bit to the row, and then back-substitutes
 once from the highest pivot down.  The cyclic shift of a Gray image
 rotates each n-bit third (A|B|C) of its mask by one position, and the Gray
 masks of v*g and v^2*g are (0|C|B) and (0|B|C), so a cyclic span is built
-on the thirds alone (_part_span).
+on the thirds alone (_part_span).  A binary cyclic code <g> is the span of
+(g|0|0) there (binary_cyclic), the same cached span that is the first part
+of every key image with g_a = g.
 
 The idempotents e1 = 1+v^2 and e2 = v^2 split R as e1*R + e2*R (Abualrub
 and Siap, Des. Codes Cryptogr. 2007), and every image is built through
@@ -149,10 +151,22 @@ class BinaryCode(NamedTuple):
 
 
 def binary_cyclic(n: int, g: int) -> BinaryCode:
-    """Cyclic code of length n generated by g, which must divide x^n - 1."""
+    """Cyclic code of length n generated by g, which must divide x^n - 1.
+
+    It is the cyclic span of the Gray mask (g|0|0) (_part_span), which lies
+    in the first third: the shifts of g span <g>, and the ring vector with
+    that mask, (1+v^2)*g, has v and v^2 multiples 0.  So <g> is eliminated
+    in one place, and its span is the one that key images read as C_A
+    (_key_image).
+    """
     require_divisor(n, g)
-    rows = [g << i for i in range(n - degree(g))]
-    return BinaryCode.from_rows(n, rows)
+    return BinaryCode(n, _part_span(_residue(n, g), n, True))
+
+
+def _residue(n: int, g: int) -> int:
+    """g reduced mod x^n - 1, for a divisor g of x^n - 1: g itself, which
+    has degree below n, unless g is x^n - 1, which enters as 0."""
+    return 0 if g == xn1(n) else g
 
 
 def min_hamming(code: BinaryCode, cap: int = DEFAULT_DIST_CAP) -> int:
@@ -207,19 +221,12 @@ def gray_image_basis(code: RingCode) -> BinaryCode:
     """Canonical basis of the Gray image, a binary code of length 3n.
 
     A module is the sum of the submodules its generators span, so the image
-    is the row space of the union of the generators' own spans.
+    is the row space of the union of the generators' own spans, each the
+    _mask_span of the generator's Gray mask, whose parts are cached.
     """
     rows = [row for gen in code.generators
-            for row in _generator_span(code.n, gen, code.cyclic)]
+            for row in _mask_span(gray_vec(gen), code.n, code.cyclic)]
     return BinaryCode.from_rows(3 * code.n, rows)
-
-
-@lru_cache(maxsize=1024)
-def _generator_span(n: int, gen: tuple[int, ...], cyclic: bool) -> tuple[int, ...]:
-    """Canonical basis of the Gray image of the submodule one generator
-    spans, once per (n, generator, cyclic): a search meets the same
-    generators for many triples."""
-    return _mask_span(gray_vec(gen), n, cyclic)
 
 
 def _mask_span(mask: int, n: int, cyclic: bool) -> tuple[int, ...]:
@@ -241,8 +248,8 @@ def _mask_span(mask: int, n: int, cyclic: bool) -> tuple[int, ...]:
 def _part_span(mask: int, n: int, cyclic: bool) -> tuple[int, ...]:
     """Canonical basis of the Gray image of the submodule that one part of
     a generator (_mask_span), with Gray mask ``mask``, spans; built once per
-    part, since single generators and the generators of key and catalog
-    images share their parts.
+    part, since single generators, the generators of key and catalog
+    images and the binary cyclic codes (binary_cyclic) share their parts.
 
     Over R that submodule is the GF(2) span of {u*g : u in {1, v, v^2}} for
     the generator g (and every shift of it, when cyclic).  All of these are
@@ -298,11 +305,11 @@ def _key_image(n: int, g_a: int, g_u: int, g_v: int) -> BinaryCode:
     of the union of the three generators' spans: the two parts have
     disjoint supports, and every pivot of the first part is below n while
     every row of the second is 0 there, so no row of either part has a bit
-    in a pivot column of the other, and the pivots ascend.  Each g must
-    divide x^n - 1, so it is reduced mod x^n - 1 already unless it is
-    x^n - 1 itself, which contributes the zero vector.
+    in a pivot column of the other, and the pivots ascend.  The first part
+    is the span that binary_cyclic reads for <g_a>.  Each g must divide
+    x^n - 1, and enters reduced mod x^n - 1 (_residue).
     """
-    first = _part_span(0 if g_a == xn1(n) else g_a, n, True)
+    first = _part_span(_residue(n, g_a), n, True)
     return BinaryCode(3 * n, first + _plotkin_span(n, g_u, g_v))
 
 
@@ -311,10 +318,9 @@ def _plotkin_span(n: int, g_u: int, g_v: int) -> tuple[int, ...]:
     """Canonical basis of the Plotkin part {(0 | u | u+y) : u in <g_u>,
     y in <g_v>} of a key image (_key_image), the span of (0|g_u|g_u) and
     (0|0|g_v), once per (n, g_u, g_v): keys that differ only in g_a share
-    it.  A g equal to x^n - 1 enters as 0.
+    it.  Each g enters reduced mod x^n - 1 (_residue).
     """
-    modulus = xn1(n)
-    g_u, g_v = (0 if g == modulus else g for g in (g_u, g_v))
+    g_u, g_v = _residue(n, g_u), _residue(n, g_v)
     masks = (g_u << n | g_u << (2 * n), g_v << (2 * n))
     # The hop through ring vectors, left in this part only, waits on ROADMAP
     # items 1 and 8: the benchmark asserts that a search calls
@@ -337,9 +343,8 @@ def _single_image(n: int, f1: int, f2: int, f3: int) -> BinaryCode:
     """Gray image of the cyclic code that the one generator
     v*f1 + (1+v)*f2 + (1+v^2)*f3 spans, built once per triple from the
     generator's Gray mask (_combination_mask), (f2+f3 | f1+f2 | f2), with
-    no ring vector in between.  Each fi must divide x^n - 1, so it is
-    reduced mod x^n - 1 already unless it is x^n - 1 itself, which enters
-    as 0.
+    no ring vector in between.  Each fi must divide x^n - 1, and enters
+    reduced mod x^n - 1 (_residue).
 
     It is the one per-triple image of an audit (audit_triple): the
     single-generator audit of a triple T and the dual-formula audit of the
@@ -353,8 +358,7 @@ def _single_image(n: int, f1: int, f2: int, f3: int) -> BinaryCode:
     not at even n, where a module over F2[w]/(w^2) is not fixed by its
     residue and torsion ideals.
     """
-    modulus = xn1(n)
-    mask = _combination_mask(*(0 if f == modulus else f for f in (f1, f2, f3)), n)
+    mask = _combination_mask(_residue(n, f1), _residue(n, f2), _residue(n, f3), n)
     return BinaryCode(3 * n, _mask_span(mask, n, cyclic=True))
 
 
@@ -454,7 +458,15 @@ def audit_decomposition_image(image: BinaryCode) -> DecompositionAudit:
 
     The reconstruction map (a, b, c) -> v*a + (1+v)*b + (1+v^2)*c is
     linear, so its set is the span of the images of the projections' basis
-    rows.
+    rows.  For a key image it equals the image exactly when g_a = g_u = g_v.
+    There C1 = C_A and C2 = C3 = C_u, and the map takes (a, b, c) to
+    (b+c | a+b | b) (_combination_mask), so with b+c ranging over C_u apart
+    from a and b, the set is (C_u|0|0) + {(0 | a+b | b) : a in C_A,
+    b in C_u}, against the image (C_A|0|0) + {(0 | u | u+y) : u in C_u,
+    y in C_v}.  Each is its first part plus a part on the last two thirds,
+    so equal sets have equal first parts, C_u = C_A, and equal words
+    (0|x|0), C_A = C_v (C_v lies in C_u).  Conversely, when all three are
+    <g> both sets are <g>^3.
     """
     n = image.n // 3
     c1, c2 = _image_projections(image)  # C3 = C2

@@ -22,7 +22,10 @@ the form before phi.  The Gray image by shifts keeps the earlier,
 unmemoised gray_image_basis: one row space over every generator's shifts
 and v-multiples at once, built with phi and _v_multiples.  The span of a
 mask by rows keeps that one-pass span over the full 3n bits, the form
-before the library split every mask into its two parts.
+before the library split every mask into its two parts.  The banded
+binary cyclic code keeps the library's earlier binary_cyclic, the rows
+g*x^i of a generator matrix, from before it read <g> off the span of the
+Gray mask (g|0|0).
 
 The set-based audits take the library's Gray images and walk their
 codewords, as the audits did before they became rank algebra, so they check
@@ -392,6 +395,14 @@ def mask_span_by_rows(mask: int, n: int, cyclic: bool) -> tuple[int, ...]:
         b = (b << 1 | b >> top) & full
         c = (c << 1 | c >> top) & full
     return rref(rows)
+
+
+def binary_cyclic_banded(n: int, g: int) -> BinaryCode:
+    """The binary cyclic code <g> as the row space of the banded rows g*x^i,
+    i < n - deg g, for a divisor g of x^n - 1: the rows of its generator
+    matrix (MacWilliams and Sloane, ch. 7)."""
+    require_divisor(n, g)
+    return BinaryCode.from_rows(n, [g << i for i in range(n - degree(g))])
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,12 @@ from vcubed.quantum import css_from_triple, dual_containing_poly, search_triples
 P = parse_poly
 MODULES = (cli, codes, gf2poly, quantum, reference, ring)
 
-# The memo tiers of a search: per divisor, per pair of divisors, per
-# generator, per part of a generator, per Plotkin part (g_u, g_v) and per
-# code key.
+# The memo tiers of a search: per divisor, per pair of divisors, per part
+# of a generator, per Plotkin part (g_u, g_v) and per code key.
 TIERS = ("vcubed.gf2poly.divides_xn1", "vcubed.quantum.dual_containing_poly",
          "vcubed.quantum._component_distance", "vcubed.gf2poly.poly_gcd",
-         "vcubed.codes._generator_span", "vcubed.codes._part_span",
-         "vcubed.codes._plotkin_span", "vcubed.codes._key_image")
+         "vcubed.codes._part_span", "vcubed.codes._plotkin_span",
+         "vcubed.codes._key_image")
 
 
 def _caches():
@@ -48,7 +47,7 @@ def test_every_cache_is_bounded():
     )
     assert len(caches) == decorated
     # a new memo tier is a visible edit of this count
-    assert len(caches) == 15
+    assert len(caches) == 14
     assert set(TIERS) <= set(caches)
     unbounded = {name for name, fn in caches.items()
                  if fn.cache_parameters()["maxsize"] is None}
@@ -68,8 +67,9 @@ def test_warm_search_matches_cold_search(n, equal_only):
 
 @pytest.mark.parametrize("n, triples, keys", [(8, 125, 45), (21, 729, 121)])
 def test_search_builds_one_image_per_code_key(monkeypatch, n, triples, keys):
-    # the pairs (g_u, g_v) of the code keys, and the admitted divisors
-    plotkin, admitted = {8: (15, 5), 21: (25, 9)}[n]
+    # the pairs (g_u, g_v) of the code keys, the admitted divisors, and the
+    # eliminations of a cold search
+    plotkin, admitted, eliminations = {8: (15, 5, 31), 21: (25, 9, 53)}[n]
     _clear_caches()
     key = codes.code_key
     keyed = []
@@ -85,10 +85,18 @@ def test_search_builds_one_image_per_code_key(monkeypatch, n, triples, keys):
         built.append(code)
         return build(code)
 
+    eliminate = codes._reduced
+    reduced = []
+
+    def reduced_counted(rows):
+        reduced.append(rows)
+        return eliminate(rows)
+
     # quantum imports code_key by name; the audits look it up in codes
     monkeypatch.setattr(codes, "code_key", counted)
     monkeypatch.setattr(quantum, "code_key", counted)
     monkeypatch.setattr(codes, "gray_image_basis", built_counted)
+    monkeypatch.setattr(codes, "_reduced", reduced_counted)
     assert search_triples(n).admissible == triples
     # one code key per triple, whose rank is read off the key's image: the
     # per-triple tier (_single_image) serves the audits only
@@ -99,11 +107,14 @@ def test_search_builds_one_image_per_code_key(monkeypatch, n, triples, keys):
     # Plotkin part, the one Gray image built, once per (g_u, g_v)
     assert codes._plotkin_span.cache_info().misses == plotkin
     assert len(built) == plotkin
-    # g_a, g_u and g_v each range over the admitted divisors: one span of
-    # (0|g_u|g_u) per g_u and of (0|0|g_v) per g_v, and one part span for
-    # each of their last two thirds, each (g_a|0|0) and the zero first third
-    assert codes._generator_span.cache_info().misses == 2 * admitted
+    # g_a, g_u and g_v each range over the admitted divisors: one part span
+    # for each of the last two thirds of (0|g_u|g_u) and (0|0|g_v), each
+    # (g_a|0|0) and the zero first third.  The binary cyclic codes whose
+    # distances the records read are the spans of (g_a|0|0), so they add none
     assert codes._part_span.cache_info().misses == 3 * admitted + 1
+    # every elimination: the part spans, one per Plotkin part and one per
+    # code key's image (_key_image concatenates its parts, with none)
+    assert len(reduced) == eliminations == (3 * admitted + 1) + plotkin
     # containment comes from the key, and the package takes no null space
     assert not hasattr(codes, "dual_binary")
 
@@ -150,7 +161,15 @@ def test_audit_builds_each_single_generator_image_once(monkeypatch, capsys):
         built.append(code)
         return build(code)
 
+    eliminate = codes._reduced
+    reduced = []
+
+    def reduced_counted(rows):
+        reduced.append(rows)
+        return eliminate(rows)
+
     monkeypatch.setattr(codes, "gray_image_basis", counted)
+    monkeypatch.setattr(codes, "_reduced", reduced_counted)
     assert cli.main(["audit", "--n-max", "4", "--format", "records"]) == 0
     capsys.readouterr()
     # h* is an involution on divisor triples, so the dual-formula audit of T
@@ -167,12 +186,11 @@ def test_audit_builds_each_single_generator_image_once(monkeypatch, capsys):
     assert len(built) == 8 + 33
     # every span of one generator is two part spans: the 448 parts of the
     # 224 single images, (f2+f3 | 0 | 0) and (0 | f1+f2 | f2), are 74 masks;
-    # the 122 first parts (g_a|0|0) of key images and the 62 parts of the
-    # 31 generator spans of Plotkin parts and catalog codes (_generator_span)
-    # add 9 more
-    assert codes._generator_span.cache_info().misses == 31
+    # the 122 first parts (g_a|0|0) of key images and the 146 parts of the
+    # 2 * 33 generators of Plotkin parts and the 7 of catalog codes add 9
+    # more, over 448 + 122 + 146 lookups
     info = codes._part_span.cache_info()
-    assert (info.misses, info.hits) == (83, 549)
+    assert (info.misses, info.hits) == (83, 633)
     # one ring-order elimination per code that holds a witness: of the 297
     # witnesses, 183 are read off a code eliminated before (81 claimed
     # duals, 63 exact duals and 39 reconstructions equal to an earlier one)
@@ -188,6 +206,11 @@ def test_audit_builds_each_single_generator_image_once(monkeypatch, capsys):
     info = cli._decomposition_fields.cache_info()
     assert (info.misses, info.hits + info.misses) == (91, 232)
     assert codes.audit_decomposition_image.cache_info().misses == 91
+    # every elimination: the 83 part spans, the 8 catalog images and 33
+    # Plotkin parts, one reconstruction per distinct decomposition audit,
+    # the tensor witnesses of the 36 of them that fail, and the 114
+    # ring-order eliminations
+    assert len(reduced) == 83 + 8 + 33 + 91 + 36 + 114 == 365
 
 
 def test_audit_runs_each_triple_in_one_pass(monkeypatch, capsys):

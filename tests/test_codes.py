@@ -45,6 +45,7 @@ from oracles import (
     audit_decomposition,
     audit_decomposition_by_sets,
     audit_triple_per_claim,
+    binary_cyclic_banded,
     binary_dual_direct,
     binary_min_weight_direct,
     build_ring_cyclic,
@@ -166,6 +167,22 @@ def test_binary_cyclic_dims():
     assert binary_cyclic(4, P("x^4+1")).dim == 0
     with pytest.raises(PreconditionError):
         binary_cyclic(7, P("x^2+1"))
+
+
+def test_binary_cyclic_is_the_banded_generator_matrix():
+    # binary_cyclic reads <g> off the cached span of the Gray mask (g|0|0);
+    # it is the row space of the banded rows g*x^i on all 9,410 divisors of
+    # x^n - 1 at n <= 32, 45 and 63, and x^n - 1 itself gives the zero code
+    checked = 0
+    for n in (*range(1, 33), 45, 63):
+        for g in enumerate_divisors(n, cap=1 << 13):
+            assert binary_cyclic(n, g) == binary_cyclic_banded(n, g), (n, hex(g))
+            checked += 1
+        assert binary_cyclic(n, gf2poly.xn1(n)) == BinaryCode(n, ())
+    assert checked == 9410
+    for n, g in ((7, P("x^2+1")), (8, P("x^2+x+1")), (63, P("x^2+1")), (4, 0)):
+        with pytest.raises(PreconditionError, match="does not divide"):
+            binary_cyclic(n, g)
 
 
 def test_binary_cyclic_codeword_count_oracle():
@@ -1090,9 +1107,10 @@ def test_dual_formula_witness_matches_walk():
 
 
 def test_audit_verdicts_follow_key_conditions_at_n_le_9():
-    # two of the proved conditions, on all 2,770 divisor triples at n <= 9:
-    # tensor_equal exactly when g_u = g_v, and the three-generator dual
-    # variant exactly when f1 = f2 = f3 (mod x^n - 1).  The dual-formula
+    # three of the proved conditions, on all 2,770 divisor triples at n <= 9:
+    # tensor_equal exactly when g_u = g_v, reconstruction_equal exactly when
+    # g_a = g_u = g_v, and the three-generator dual variant exactly when
+    # f1 = f2 = f3 (mod x^n - 1).  The dual-formula
     # audit reads the variant's verdict and the code's size off keys, so
     # each is also checked against the images it no longer builds, and two
     # triples' images are equal exactly when their keys are.  A failing
@@ -1110,6 +1128,7 @@ def test_audit_verdicts_follow_key_conditions_at_n_le_9():
             g_a, g_u, g_v = key
             decomposition = audit_decomposition_image(image)
             assert decomposition.tensor_equal == (g_u == g_v), (n, fs)
+            assert decomposition.reconstruction_equal == (g_a == g_u == g_v), (n, fs)
             if not decomposition.tensor_equal:
                 failing += 1
                 witness = gray_vec_inverse(g_u << (2 * n), n)

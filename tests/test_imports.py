@@ -43,9 +43,8 @@ def test_cold_import_loads_no_dataclasses():
 PUBLIC = """
 BinaryCode CapExceeded Factorization ParseError PreconditionError
 QuantumCodeRecord REFERENCE_ROWS RingCode SearchOutcome
-audit_decomposition_image audit_dual_formula audit_single_generator
-audit_size_formula audit_triple binary_cyclic css_from_triple degree
-divides_xn1 dual_containing_poly enumerate_divisors factor_xn1
+audit_decomposition_image audit_triple binary_cyclic css_from_triple
+degree divides_xn1 dual_containing_poly enumerate_divisors factor_xn1
 format_poly gray_image_basis gray_vec gray_vec_inverse min_hamming
 parse_poly poly_divmod poly_gcd poly_hex poly_mod poly_mul reciprocal
 reproduce_all search_triples xn1
